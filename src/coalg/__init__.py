@@ -8,7 +8,7 @@ instantiates both for partial DFAs and rooted multigraphs.  Brute-force
 oracles validate the definitional properties on tiny instances.
 """
 
-from .automata import (DefinedInputs, PartialDFA, Path, RootedPaths,
+from .automata import (DefinedInputs, PartialDFA, RootedPaths,
                        defined_inputs, delta_star, dfa_functor,
                        dfa_to_coalgebra, graph_is_tree, path_count,
                        rooted_paths)
@@ -21,9 +21,8 @@ from .coalgebra import (Edge, HomReport, Multigraph, PointedCoalgebra,
                         coproduct, is_acyclic, multigraph_to_bag,
                         reachable_subgraph, reachable_vertices)
 from .dot import to_dot
-from .factorization import (FMap, LeastBound, Mode, MODE_ALL, MODE_MONO,
-                            PreciseFactorization, factorization_iso,
-                            factorize, is_precise, least_bound,
+from .factorization import (FMap, LeastBound, PreciseFactorization,
+                            factorization_iso, is_precise, least_bound,
                             precise_factorize)
 from .functors import (BOTTOM, Bag, BagVal, Compose, Const, ConstVal,
                        Coproduct, Exponent, FunVal, FunctorExpr, FValue,

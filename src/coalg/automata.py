@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import graphlib
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from .base import FiniteSet, ShapeError, StateId, TotalMap
@@ -49,24 +49,6 @@ class PartialDFA:
                 raise ShapeError(f"transition on unknown letter {a!r}")
             if q2 not in self.states:
                 raise ShapeError(f"transition into unknown state {q2!r}")
-
-
-@dataclass(frozen=True)
-class Path:
-    """A rooted path: a start vertex and consecutive edges."""
-
-    start: StateId
-    edge_ids: tuple[str, ...] = ()
-
-    def target(self, g: Multigraph) -> StateId:
-        at = self.start
-        by_id = {e.id: e for e in g.edges}
-        for eid in self.edge_ids:
-            e = by_id.get(eid)
-            if e is None or e.src != at:
-                raise ShapeError(f"edge {eid!r} does not continue the path")
-            at = e.tgt
-        return at
 
 
 @dataclass(frozen=True)
@@ -267,8 +249,12 @@ def path_count(g: Multigraph, v: StateId):
 
 
 def graph_is_tree(g: Multigraph) -> bool:
-    """Exactly one rooted path per vertex."""
-    return all(path_count(g, v) == 1 for v in g.vertices)
+    """Exactly one rooted path per vertex: every vertex is reachable from the
+    root, the root has no in-edge and every other vertex exactly one."""
+    indegree = Counter(e.tgt for e in g.edges)
+    return (indegree[g.root] == 0
+            and all(indegree[v] == 1 for v in g.vertices if v != g.root)
+            and len(_bfs(g.root, _fwd(g))) == len(g.vertices))
 
 
 def _fwd(g: Multigraph) -> dict[StateId, list[StateId]]:

@@ -111,11 +111,6 @@ class FiniteSet:
                 out.append(e)
         return FiniteSet(out)
 
-    def restrict(self, keep: Iterable[StateId]) -> "FiniteSet":
-        """Subset of self, in self's order."""
-        keepset = set(keep)
-        return FiniteSet(e for e in self._elems if e in keepset)
-
 
 class TotalMap:
     """A total function between finite carriers, validated at construction."""
@@ -153,11 +148,6 @@ class TotalMap:
 
     def mapping(self) -> dict[StateId, StateId]:
         return {x: self._mapping[x] for x in self.domain}
-
-    def then(self, other: "TotalMap") -> "TotalMap":
-        """Composite `other after self` (diagram order)."""
-        return TotalMap(self.domain, other.codomain,
-                        {x: other[self[x]] for x in self.domain})
 
     def image(self) -> FiniteSet:
         out: list[StateId] = []

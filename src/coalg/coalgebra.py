@@ -15,7 +15,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .base import FiniteSet, ShapeError, StateId, TotalMap
-from .factorization import FMap
 from .functors import (Bag, BagVal, FunctorExpr, FValue, fmap, used_states,
                        validate_value)
 
@@ -54,12 +53,6 @@ class PointedCoalgebra:
 
     def is_total(self) -> bool:
         return len(self.frontier) == 0
-
-    def structure_map(self) -> FMap:
-        """The structure as a map from the closed states into F(carrier)."""
-        closed = self.carrier.restrict(x for x in self.carrier
-                                       if x not in self.frontier)
-        return FMap(closed, self.carrier, self.functor, dict(self.structure))
 
     def __repr__(self) -> str:
         return (f"PointedCoalgebra({len(self.carrier)} states, "

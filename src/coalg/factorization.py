@@ -1,14 +1,14 @@
 """Factorization of carrier-valued maps: least bounds and precise factorizations.
 
-A map f: X -> F(Y) factors as F(h) . p with middle carrier R.  Two regimes are
-supported and drive everything downstream:
+A map f: X -> F(Y) factors as F(h) . p with middle carrier R.  Two kinds of
+factorization drive everything downstream:
 
-* MODE_MONO: p lands in the least sub-carrier Z of Y whose states f actually
-  uses, and h: Z -> Y is the inclusion.  This is the image-style factorization
-  behind reachability.
-* MODE_ALL: p is precise, meaning every element of R is used exactly once
-  across all of p's values, and h: R -> Y restores the original map.  This is
-  the copying factorization behind tree unravellings.  The powerset functor
+* least bounds: p lands in the least sub-carrier Z of Y whose states f
+  actually uses, and h: Z -> Y is the inclusion.  This is the image-style
+  factorization behind reachability.
+* precise factorizations: every element of R is used exactly once across all
+  of p's values, and h: R -> Y restores the original map.  This is the
+  copying factorization behind tree unravellings.  The powerset functor
   admits no precise factorization of a non-empty value (PowNotPrecise).
 
 Middle elements of precise factorizations are named after their provenance:
@@ -19,25 +19,11 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from enum import Enum
 
-from .base import (FiniteSet, NotIsomorphic, PowNotPrecise, ShapeError, StateId,
-                   TotalMap, fresh_namer)
-from .functors import (Bag, BagVal, Compose, Const, Coproduct, Exponent, FValue,
-                       FunctorExpr, FunVal, Identity, IdVal, Member, Pow, Product,
-                       SetVal, TagVal, TupleVal, fmap, map_members, used_states,
+from .base import (FiniteSet, NotIsomorphic, ShapeError, StateId, TotalMap,
+                   fresh_namer)
+from .functors import (FValue, FunctorExpr, Member, fmap, used_states,
                        validate_value)
-
-
-class Mode(Enum):
-    """Which factorization system downstream constructions use."""
-
-    MONO = "mono"
-    ALL = "all"
-
-
-MODE_MONO = Mode.MONO
-MODE_ALL = Mode.ALL
 
 
 class FMap:
@@ -129,85 +115,12 @@ def precise_factorize(f: FMap) -> PreciseFactorization:
         h_map[name] = member
         return name
 
-    new_values = _factor(f.functor, [(x, f.values[x]) for x in f.domain], emit)
+    new_values = f.functor.factor([(x, f.values[x]) for x in f.domain], emit)
     middle = FiniteSet(order)
     p = FMap(f.domain, middle, f.functor,
              {x: v for x, v in zip(f.domain, new_values)})
     h = TotalMap(middle, f.codomain, h_map)
     return PreciseFactorization(middle, p, h)
-
-
-def _factor(functor, items, emit):
-    """Rebuild each (prefix, value) with every member slot replaced via emit.
-
-    emit(prefix, member) -> replacement member; called exactly once per slot
-    occurrence (bag multiplicities expand into that many slots), so the
-    replacements collectively form the precise middle.
-    """
-    if isinstance(functor, Identity):
-        return [IdVal(emit(p, v.member)) for p, v in items]
-    if isinstance(functor, Const):
-        return [v for _, v in items]
-    if isinstance(functor, Product):
-        cols = []
-        for i, factor in enumerate(functor.factors):
-            cols.append(_factor(factor, [(f"{p}.{i}", v.items[i]) for p, v in items],
-                                emit))
-        return [TupleVal(tuple(col[j] for col in cols)) for j in range(len(items))]
-    if isinstance(functor, Coproduct):
-        out: list = [None] * len(items)
-        for tag, summand in enumerate(functor.summands):
-            idxs = [j for j, (_, v) in enumerate(items) if v.tag == tag]
-            sub = _factor(summand, [(items[j][0], items[j][1].value) for j in idxs],
-                          emit)
-            for j, inner in zip(idxs, sub):
-                out[j] = TagVal(tag, inner)
-        return out
-    if isinstance(functor, Exponent):
-        cols = {}
-        for a in functor.alphabet:
-            cols[a] = _factor(functor.base, [(f"{p}.{a}", v[a]) for p, v in items],
-                              emit)
-        return [FunVal((a, cols[a][j]) for a in functor.alphabet)
-                for j in range(len(items))]
-    if isinstance(functor, Compose):
-        collected: list[tuple[str, Member]] = []
-
-        def grab(prefix: str, member: Member) -> Member:
-            collected.append((prefix, member))
-            return len(collected) - 1  # placeholder token, substituted below
-
-        outer_new = _factor(functor.outer, items, grab)
-        inner_new = _factor(functor.inner, collected, emit)
-        return [map_members(functor.outer, v, lambda tok: inner_new[tok])
-                for v in outer_new]
-    if isinstance(functor, Bag):
-        out = []
-        for p, v in items:
-            entries = []
-            for i, (m, n) in enumerate(v.entries):
-                seg = m if isinstance(m, str) else f"e{i}"
-                for k in range(1, n + 1):
-                    entries.append((emit(f"{p}/{seg}#{k}", m), 1))
-            out.append(BagVal(entries))
-        return out
-    if isinstance(functor, Pow):
-        for p, v in items:
-            if v.members:
-                raise PowNotPrecise(
-                    f"powerset value at {p!r} is non-empty; the powerset functor "
-                    "admits no precise factorization of it")
-        return [v for _, v in items]
-    raise ShapeError(f"unknown functor {functor!r}")
-
-
-def factorize(f: FMap, mode: Mode) -> PreciseFactorization | LeastBound:
-    """Dispatch on the factorization system."""
-    if mode is Mode.ALL:
-        return precise_factorize(f)
-    if mode is Mode.MONO:
-        return least_bound(f)
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 def is_precise(f: FMap) -> bool:
@@ -222,66 +135,6 @@ def is_precise(f: FMap) -> bool:
 
 # --------------------------------------------------------------------------
 # mediating isomorphism between two precise factorizations of the same map
-
-
-def _expand_bag(v: BagVal) -> list[Member]:
-    out: list[Member] = []
-    for m, n in v.entries:
-        out.extend([m] * n)
-    return out
-
-
-def _pair_by_image(ms_a, ms_b, img_a, img_b) -> Iterator[tuple[Member, Member]]:
-    """Pair two member lists by their projected images, position by position
-    within each image group; fails when the image multisets differ."""
-    ga: dict = {}
-    for m in ms_a:
-        ga.setdefault(img_a(m), []).append(m)
-    gb: dict = {}
-    for m in ms_b:
-        gb.setdefault(img_b(m), []).append(m)
-    if set(ga) != set(gb):
-        raise NotIsomorphic("factorizations use different member images")
-    for key, la in ga.items():
-        lb = gb[key]
-        if len(la) != len(lb):
-            raise NotIsomorphic(f"image {key!r} used {len(la)} vs {len(lb)} times")
-        yield from zip(la, lb)
-
-
-def _walk(functor, va, vb, img_a, img_b) -> Iterator[tuple[Member, Member]]:
-    """Yield matched member-slot pairs of two values that project to the same
-    underlying value."""
-    if isinstance(functor, Identity):
-        yield (va.member, vb.member)
-    elif isinstance(functor, Const):
-        if va != vb:
-            raise NotIsomorphic(f"constant values differ: {va} vs {vb}")
-    elif isinstance(functor, Product):
-        for f, a, b in zip(functor.factors, va.items, vb.items):
-            yield from _walk(f, a, b, img_a, img_b)
-    elif isinstance(functor, Coproduct):
-        if va.tag != vb.tag:
-            raise NotIsomorphic(f"coproduct tags differ: {va.tag} vs {vb.tag}")
-        yield from _walk(functor.summands[va.tag], va.value, vb.value, img_a, img_b)
-    elif isinstance(functor, Exponent):
-        for a in functor.alphabet:
-            yield from _walk(functor.base, va[a], vb[a], img_a, img_b)
-    elif isinstance(functor, Compose):
-        def pa(m):
-            return map_members(functor.inner, m, img_a)
-
-        def pb(m):
-            return map_members(functor.inner, m, img_b)
-
-        for ma, mb in _walk(functor.outer, va, vb, pa, pb):
-            yield from _walk(functor.inner, ma, mb, img_a, img_b)
-    elif isinstance(functor, Bag):
-        yield from _pair_by_image(_expand_bag(va), _expand_bag(vb), img_a, img_b)
-    elif isinstance(functor, Pow):
-        yield from _pair_by_image(list(va.members), list(vb.members), img_a, img_b)
-    else:
-        raise ShapeError(f"unknown functor {functor!r}")
 
 
 def factorization_iso(a: PreciseFactorization, b: PreciseFactorization) -> TotalMap:
@@ -305,8 +158,8 @@ def factorization_iso(a: PreciseFactorization, b: PreciseFactorization) -> Total
     d: dict[StateId, StateId] = {}
     hit_b: set[StateId] = set()
     for x in a.p.domain:
-        for ma, mb in _walk(functor, a.p.values[x], b.p.values[x],
-                            lambda m: a.h[m], lambda m: b.h[m]):
+        for ma, mb in functor.pair(a.p.values[x], b.p.values[x],
+                                   a.h.__getitem__, b.h.__getitem__):
             if not (isinstance(ma, str) and isinstance(mb, str)):
                 raise NotIsomorphic("unmatched inner structure")
             if d.get(ma, mb) != mb:

@@ -6,93 +6,50 @@ A functor expression is one of::
 
 with `^` binding tightest, then `.` (right-associative), then `x`, then `+`.
 The numeral 1 abbreviates the constant singleton {⊥}; a numeral n >= 2
-abbreviates {0,...,n-1}.
+abbreviates {0,...,n-1}.  Set-literal names holding a delimiter are written
+in double quotes.
 
 Values are immutable and normalized on construction: bag entries with equal
 members are merged (zero multiplicities dropped), powerset duplicates are
 collapsed.  Under composition the member slots of the outer layer hold values
 of the inner layer instead of state identifiers.
+
+Each constructor is one class that carries every operation the library runs
+on the grammar (see `FunctorExpr`): validation, the action on members, slot
+traversal, both factorization walks and the powerset test, fingerprints and
+the text syntax of its expressions and values, read with one `Cursor`.  Composite constructors recurse into their parts;
+`Compose` runs the outer operation with the inner one applied at each member
+slot.  Adding a constructor touches one class.  The module-level functions
+below are the entry points the other modules call.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from typing import Union
 
-from .base import FiniteSet, FunctorSyntaxError, ShapeError, StateId, TotalMap
+from .base import (CoalgebraError, FiniteSet, FunctorSyntaxError, NotIsomorphic,
+                   PowNotPrecise, ShapeError, SpecFormatError, StateId, TotalMap)
 
 BOTTOM = "⊥"
 
-# --------------------------------------------------------------------------
-# functor expressions
+# characters that force a name in spec-file values into double quotes
+RESERVED = set(' \t\r\n"#@(){}[]|*:,=')
+# characters that end a bare name in a functor set literal
+_NAME_DELIMS = set(" \t\r\n,;()[]{}|*=")
 
 
-@dataclass(frozen=True)
-class Identity:
-    def __repr__(self) -> str:
-        return "Id"
+def quote_name(name: str, reserved: set[str] = RESERVED) -> str:
+    """`name` as written in text: bare unless it is empty, holds a reserved
+    character or opens with a double quote, else double-quoted."""
+    if name and name[0] != '"' and not any(ch in reserved for ch in name):
+        return name
+    if '"' in name:
+        raise SpecFormatError(f"name {name!r} contains a double quote")
+    return f'"{name}"'
 
-
-@dataclass(frozen=True)
-class Const:
-    values: FiniteSet
-
-    def __post_init__(self):
-        if len(self.values) == 0:
-            raise ValueError("constant functor needs a non-empty set")
-
-    def __repr__(self) -> str:
-        return f"Const({{{','.join(self.values)}}})"
-
-
-@dataclass(frozen=True)
-class Product:
-    factors: tuple["FunctorExpr", ...]
-
-    def __post_init__(self):
-        if not self.factors:
-            raise ValueError("product needs at least one factor")
-
-
-@dataclass(frozen=True)
-class Coproduct:
-    summands: tuple["FunctorExpr", ...]
-
-    def __post_init__(self):
-        if not self.summands:
-            raise ValueError("coproduct needs at least one summand")
-
-
-@dataclass(frozen=True)
-class Exponent:
-    base: "FunctorExpr"
-    alphabet: FiniteSet
-
-    def __post_init__(self):
-        if len(self.alphabet) == 0:
-            raise ValueError("exponent needs a non-empty alphabet")
-
-
-@dataclass(frozen=True)
-class Compose:
-    outer: "FunctorExpr"
-    inner: "FunctorExpr"
-
-
-@dataclass(frozen=True)
-class Bag:
-    def __repr__(self) -> str:
-        return "Bag"
-
-
-@dataclass(frozen=True)
-class Pow:
-    def __repr__(self) -> str:
-        return "Pow"
-
-
-FunctorExpr = Union[Identity, Const, Product, Coproduct, Exponent, Compose, Bag, Pow]
 
 # --------------------------------------------------------------------------
 # values
@@ -211,24 +168,498 @@ class SetVal:
 
 FValue = Union[IdVal, ConstVal, TupleVal, TagVal, FunVal, BagVal, SetVal]
 
-_VALUE_CLASS: dict[type, type] = {
-    Identity: IdVal, Const: ConstVal, Product: TupleVal, Coproduct: TagVal,
-    Exponent: FunVal, Bag: BagVal, Pow: SetVal,
-}
+# --------------------------------------------------------------------------
+# functor expressions
 
 
-def _expect(functor: FunctorExpr, value: FValue) -> None:
-    if isinstance(functor, Compose):
-        return
-    want = _VALUE_CLASS[type(functor)]
-    if not isinstance(value, want):
-        raise ShapeError(
-            f"expected {want.__name__} for {format_functor(functor)}, "
-            f"got {type(value).__name__}")
+class FunctorExpr:
+    """Base of the constructor classes, each of which implements:
+
+    text(ctx): expression text at precedence ctx (coproduct 0 < product 1 <
+      compose 2 < postfix 3);
+    validate(value, member, path): shape check, `member(m, path)` per slot;
+    map(value, fn): the value with `fn` applied to every member slot;
+    slots(value): (member, weight) per slot, in order;
+    factor(items, emit): (prefix, value) items rebuilt column by column,
+      `emit(prefix, member)` called once per slot occurrence;
+    precise(value): False when `factor` raises PowNotPrecise on the value,
+      decided without expanding bag multiplicities;
+    pair(va, vb, img_a, img_b): matched slots of two values with equal images;
+    fingerprint(value, leaf): name-free canonical text;
+    parse(cur, member) / show(value, member): spec-file value syntax.
+    Members are state ids, or inner values under composition.  `validate`,
+    `map` and `slots` check each node's value class, product arity and
+    coproduct tag; the other operations take values that `validate` accepted.
+    """
+
+    value_type: type
+
+    def __repr__(self) -> str:
+        return self.text(0)
+
+    def expect(self, value: FValue) -> FValue:
+        if not isinstance(value, self.value_type):
+            raise ShapeError(
+                f"expected {self.value_type.__name__} for {self.text(0)}, "
+                f"got {type(value).__name__}")
+        return value
+
+    def precise(self, value: FValue) -> bool:
+        return True
+
+
+def _pair_by_image(ms_a, ms_b, img_a, img_b) -> Iterator[tuple[Member, Member]]:
+    """Pair two member lists by their projected images, position by position
+    within each image group; fails when the image multisets differ."""
+    ga: dict = {}
+    for m in ms_a:
+        ga.setdefault(img_a(m), []).append(m)
+    gb: dict = {}
+    for m in ms_b:
+        gb.setdefault(img_b(m), []).append(m)
+    if set(ga) != set(gb):
+        raise NotIsomorphic("factorizations use different member images")
+    for key, la in ga.items():
+        lb = gb[key]
+        if len(la) != len(lb):
+            raise NotIsomorphic(f"image {key!r} used {len(la)} vs {len(lb)} times")
+        yield from zip(la, lb)
+
+
+@dataclass(frozen=True, repr=False)
+class Identity(FunctorExpr):
+    value_type = IdVal
+
+    def text(self, ctx):
+        return "Id"
+
+    def validate(self, value, member, path):
+        member(self.expect(value).member, path)
+
+    def map(self, value, fn):
+        return IdVal(fn(self.expect(value).member))
+
+    def slots(self, value):
+        yield (self.expect(value).member, 1)
+
+    def factor(self, items, emit):
+        return [IdVal(emit(p, v.member)) for p, v in items]
+
+    def pair(self, va, vb, img_a, img_b):
+        yield (va.member, vb.member)
+
+    def fingerprint(self, value, leaf):
+        return leaf(value.member)
+
+    def parse(self, cur, member):
+        cur.take("@")
+        return IdVal(member(cur))
+
+    def show(self, value, member):
+        return "@" + member(value.member)
+
+
+@dataclass(frozen=True)
+class Const(FunctorExpr):
+    values: FiniteSet
+    value_type = ConstVal
+
+    def __post_init__(self):
+        if len(self.values) == 0:
+            raise ValueError("constant functor needs a non-empty set")
+
+    def __repr__(self) -> str:
+        return f"Const({{{','.join(self.values)}}})"
+
+    def text(self, ctx):
+        elems = tuple(self.values)
+        if elems == (BOTTOM,):
+            return "1"
+        if len(elems) >= 2 and elems == tuple(str(i) for i in range(len(elems))):
+            return str(len(elems))
+        return _format_set(self.values)
+
+    def validate(self, value, member, path):
+        if self.expect(value).element not in self.values:
+            raise ShapeError(f"{path}: {value.element!r} not in constant set "
+                             f"{{{','.join(self.values)}}}")
+
+    def map(self, value, fn):
+        return self.expect(value)
+
+    def slots(self, value):
+        self.expect(value)
+        return iter(())
+
+    def factor(self, items, emit):
+        return [v for _, v in items]
+
+    def pair(self, va, vb, img_a, img_b):
+        if va != vb:
+            raise NotIsomorphic(f"constant values differ: {va} vs {vb}")
+        return iter(())
+
+    def fingerprint(self, value, leaf):
+        return f"#{value.element!r}"
+
+    def parse(self, cur, member):
+        cur.take("#")
+        return ConstVal(cur.name())
+
+    def show(self, value, member):
+        return "#" + quote_name(value.element)
+
+
+@dataclass(frozen=True)
+class Product(FunctorExpr):
+    factors: tuple[FunctorExpr, ...]
+    value_type = TupleVal
+
+    def __post_init__(self):
+        if not self.factors:
+            raise ValueError("product needs at least one factor")
+
+    def text(self, ctx):
+        body = " x ".join(g.text(2) for g in self.factors)
+        return f"({body})" if ctx > 1 else body
+
+    def _items(self, value, path="value"):
+        if len(self.expect(value).items) != len(self.factors):
+            raise ShapeError(f"{path}: product arity mismatch")
+        return value.items
+
+    def validate(self, value, member, path):
+        for i, (g, v) in enumerate(zip(self.factors, self._items(value, path))):
+            g.validate(v, member, f"{path}.{i}")
+
+    def map(self, value, fn):
+        return TupleVal(tuple(g.map(v, fn)
+                              for g, v in zip(self.factors, self._items(value))))
+
+    def slots(self, value):
+        for g, v in zip(self.factors, self._items(value)):
+            yield from g.slots(v)
+
+    def factor(self, items, emit):
+        cols = [g.factor([(f"{p}.{i}", v.items[i]) for p, v in items], emit)
+                for i, g in enumerate(self.factors)]
+        return [TupleVal(row) for row in zip(*cols)]
+
+    def precise(self, value):
+        return all(g.precise(v) for g, v in zip(self.factors, value.items))
+
+    def pair(self, va, vb, img_a, img_b):
+        for g, a, b in zip(self.factors, va.items, vb.items):
+            yield from g.pair(a, b, img_a, img_b)
+
+    def fingerprint(self, value, leaf):
+        return "(" + ",".join(g.fingerprint(w, leaf)
+                              for g, w in zip(self.factors, value.items)) + ")"
+
+    def parse(self, cur, member):
+        cur.take("(")
+        items = []
+        for i, g in enumerate(self.factors):
+            if i:
+                cur.take(",")
+            items.append(g.parse(cur, member))
+        cur.take(")")
+        return TupleVal(tuple(items))
+
+    def show(self, value, member):
+        return "(" + ", ".join(g.show(v, member) for g, v in
+                               zip(self.factors, value.items)) + ")"
+
+
+@dataclass(frozen=True)
+class Coproduct(FunctorExpr):
+    summands: tuple[FunctorExpr, ...]
+    value_type = TagVal
+
+    def __post_init__(self):
+        if not self.summands:
+            raise ValueError("coproduct needs at least one summand")
+
+    def text(self, ctx):
+        body = " + ".join(g.text(1) for g in self.summands)
+        return f"({body})" if ctx > 0 else body
+
+    def _summand(self, value, path="value"):
+        if not 0 <= self.expect(value).tag < len(self.summands):
+            raise ShapeError(f"{path}: coproduct tag {value.tag} out of range")
+        return self.summands[value.tag]
+
+    def validate(self, value, member, path):
+        self._summand(value, path).validate(value.value, member, f"{path}.t{value.tag}")
+
+    def map(self, value, fn):
+        return TagVal(value.tag, self._summand(value).map(value.value, fn))
+
+    def slots(self, value):
+        return self._summand(value).slots(value.value)
+
+    def factor(self, items, emit):
+        out: list = [None] * len(items)
+        for tag, g in enumerate(self.summands):
+            idxs = [j for j, (_, v) in enumerate(items) if v.tag == tag]
+            sub = g.factor([(items[j][0], items[j][1].value) for j in idxs], emit)
+            for j, inner in zip(idxs, sub):
+                out[j] = TagVal(tag, inner)
+        return out
+
+    def precise(self, value):
+        return self.summands[value.tag].precise(value.value)
+
+    def pair(self, va, vb, img_a, img_b):
+        if va.tag != vb.tag:
+            raise NotIsomorphic(f"coproduct tags differ: {va.tag} vs {vb.tag}")
+        return self.summands[va.tag].pair(va.value, vb.value, img_a, img_b)
+
+    def fingerprint(self, value, leaf):
+        inner = self.summands[value.tag].fingerprint(value.value, leaf)
+        return f"{value.tag}:{inner}"
+
+    def parse(self, cur, member):
+        tag = cur.integer()
+        if tag >= len(self.summands):
+            raise cur.error(f"coproduct tag {tag} out of range")
+        cur.take(":")
+        return TagVal(tag, self.summands[tag].parse(cur, member))
+
+    def show(self, value, member):
+        inner = self.summands[value.tag].show(value.value, member)
+        return f"{value.tag}: {inner}"
+
+
+@dataclass(frozen=True)
+class Exponent(FunctorExpr):
+    base: FunctorExpr
+    alphabet: FiniteSet
+    value_type = FunVal
+
+    def __post_init__(self):
+        if len(self.alphabet) == 0:
+            raise ValueError("exponent needs a non-empty alphabet")
+
+    def text(self, ctx):
+        return self.base.text(3) + "^" + _format_set(self.alphabet)
+
+    def validate(self, value, member, path):
+        have = set(self.expect(value).letters())
+        want = self.alphabet.as_set()
+        if have != want:
+            raise ShapeError(f"{path}: exponent letters {sorted(have)} do not "
+                             f"match alphabet {sorted(want)}")
+        for a in self.alphabet:
+            self.base.validate(value[a], member, f"{path}.{a}")
+
+    def map(self, value, fn):
+        self.expect(value)
+        return FunVal((a, self.base.map(value[a], fn)) for a in self.alphabet)
+
+    def slots(self, value):
+        self.expect(value)
+        for a in self.alphabet:
+            yield from self.base.slots(value[a])
+
+    def factor(self, items, emit):
+        cols = [self.base.factor([(f"{p}.{a}", v[a]) for p, v in items], emit)
+                for a in self.alphabet]
+        return [FunVal(zip(self.alphabet, row)) for row in zip(*cols)]
+
+    def precise(self, value):
+        return all(self.base.precise(v) for _, v in value.entries)
+
+    def pair(self, va, vb, img_a, img_b):
+        for a in self.alphabet:
+            yield from self.base.pair(va[a], vb[a], img_a, img_b)
+
+    def fingerprint(self, value, leaf):
+        parts = sorted((a, self.base.fingerprint(w, leaf)) for a, w in value.entries)
+        return "{" + ",".join(f"{a}:{s}" for a, s in parts) + "}"
+
+    def parse(self, cur, member):
+        seen = set()
+
+        def entry():
+            a = cur.name()
+            if a not in self.alphabet:
+                raise cur.error(f"letter {a!r} outside the alphabet")
+            if a in seen:
+                raise cur.error(f"duplicate letter {a!r}")
+            seen.add(a)
+            cur.take(":")
+            return (a, self.base.parse(cur, member))
+        cur.take("{")
+        entries = cur.until("}", entry)
+        missing = [a for a in self.alphabet if a not in seen]
+        if missing:
+            raise cur.error(f"missing letter {missing[0]!r}")
+        return FunVal(entries)
+
+    def show(self, value, member):
+        parts = (f"{quote_name(a)}: {self.base.show(value[a], member)}"
+                 for a in self.alphabet)
+        return "{" + ", ".join(parts) + "}"
+
+
+@dataclass(frozen=True)
+class Compose(FunctorExpr):
+    """Outer functor whose member slots hold values of the inner functor."""
+
+    outer: FunctorExpr
+    inner: FunctorExpr
+
+    def text(self, ctx):
+        body = self.outer.text(3) + " . " + self.inner.text(2)
+        return f"({body})" if ctx > 2 else body
+
+    def validate(self, value, member, path):
+        def check_inner(m: Member, p: str) -> None:
+            if isinstance(m, str):
+                raise ShapeError(f"{p}: expected an inner value under composition, "
+                                 f"got state id {m!r}")
+            self.inner.validate(m, member, p)
+        self.outer.validate(value, check_inner, path)
+
+    def map(self, value, fn):
+        return self.outer.map(value, lambda m: self.inner.map(m, fn))
+
+    def slots(self, value):
+        for m, n in self.outer.slots(value):
+            for m2, n2 in self.inner.slots(m):
+                yield (m2, n * n2)
+
+    def factor(self, items, emit):
+        # the outer slots of every item first, then all their inner values in
+        # one column-wise pass: this order fixes the fresh middle names
+        collected: list[tuple[str, Member]] = []
+
+        def grab(prefix: str, member: Member) -> Member:
+            collected.append((prefix, member))
+            return len(collected) - 1  # placeholder token, substituted below
+
+        outer_new = self.outer.factor(items, grab)
+        inner_new = self.inner.factor(collected, emit)
+        return [self.outer.map(v, inner_new.__getitem__) for v in outer_new]
+
+    def precise(self, value):
+        return self.outer.precise(value) and all(
+            self.inner.precise(m) for m, _ in self.outer.slots(value))
+
+    def pair(self, va, vb, img_a, img_b):
+        outer = self.outer.pair(va, vb, lambda m: self.inner.map(m, img_a),
+                                lambda m: self.inner.map(m, img_b))
+        for ma, mb in outer:
+            yield from self.inner.pair(ma, mb, img_a, img_b)
+
+    def fingerprint(self, value, leaf):
+        return self.outer.fingerprint(value, lambda m: self.inner.fingerprint(m, leaf))
+
+    def parse(self, cur, member):
+        return self.outer.parse(cur, lambda c: self.inner.parse(c, member))
+
+    def show(self, value, member):
+        return self.outer.show(value, lambda m: self.inner.show(m, member))
+
+
+@dataclass(frozen=True, repr=False)
+class Bag(FunctorExpr):
+    value_type = BagVal
+
+    def text(self, ctx):
+        return "Bag"
+
+    def validate(self, value, member, path):
+        for m, n in self.expect(value).entries:
+            if n < 1:
+                raise ShapeError(f"{path}: non-positive multiplicity")
+            member(m, path)
+
+    def map(self, value, fn):
+        return BagVal((fn(m), n) for m, n in self.expect(value).entries)
+
+    def slots(self, value):
+        return iter(self.expect(value).entries)
+
+    def factor(self, items, emit):
+        out = []
+        for p, v in items:
+            entries = []
+            for i, (m, n) in enumerate(v.entries):
+                seg = m if isinstance(m, str) else f"e{i}"
+                entries.extend((emit(f"{p}/{seg}#{k}", m), 1) for k in range(1, n + 1))
+            out.append(BagVal(entries))
+        return out
+
+    def pair(self, va, vb, img_a, img_b):
+        return _pair_by_image([m for m, n in va.entries for _ in range(n)],
+                              [m for m, n in vb.entries for _ in range(n)],
+                              img_a, img_b)
+
+    def fingerprint(self, value, leaf):
+        tally = Counter()
+        for m, n in value.entries:
+            tally[leaf(m)] += n
+        return "[" + ",".join(f"{s}*{n}" for s, n in sorted(tally.items())) + "]"
+
+    def parse(self, cur, member):
+        cur.take("[")
+        return BagVal(cur.until("]", lambda: (
+            member(cur), cur.integer() if cur.skip("*") else 1)))
+
+    def show(self, value, member):
+        return "[" + ", ".join(f"{member(m)}*{n}" for m, n in value.entries) + "]"
+
+
+@dataclass(frozen=True, repr=False)
+class Pow(FunctorExpr):
+    value_type = SetVal
+
+    def text(self, ctx):
+        return "Pow"
+
+    def validate(self, value, member, path):
+        for m in self.expect(value).members:
+            member(m, path)
+
+    def map(self, value, fn):
+        return SetVal(fn(m) for m in self.expect(value).members)
+
+    def slots(self, value):
+        return ((m, 1) for m in self.expect(value).members)
+
+    def factor(self, items, emit):
+        for p, v in items:
+            if not self.precise(v):
+                raise PowNotPrecise(
+                    f"powerset value at {p!r} is non-empty; the powerset functor "
+                    "admits no precise factorization of it")
+        return [v for _, v in items]
+
+    def precise(self, value):
+        return not value.members
+
+    def pair(self, va, vb, img_a, img_b):
+        return _pair_by_image(va.members, vb.members, img_a, img_b)
+
+    def fingerprint(self, value, leaf):
+        return "{|" + ",".join(sorted({leaf(m) for m in value.members})) + "|}"
+
+    def parse(self, cur, member):
+        cur.take("{")
+        cur.take("|")
+        members = cur.until("|", lambda: member(cur))
+        cur.take("}")
+        return SetVal(members)
+
+    def show(self, value, member):
+        return "{|" + ", ".join(member(m) for m in value.members) + "|}"
 
 
 # --------------------------------------------------------------------------
-# generic traversal
+# entry points
+
 
 def map_members(functor: FunctorExpr, value: FValue,
                 fn: Callable[[Member], Member]) -> FValue:
@@ -239,65 +670,19 @@ def map_members(functor: FunctorExpr, value: FValue,
     images merge multiplicities of collided members; Pow images collapse
     duplicates.
     """
-    _expect(functor, value)
-    if isinstance(functor, Identity):
-        return IdVal(fn(value.member))
-    if isinstance(functor, Const):
-        return value
-    if isinstance(functor, Product):
-        if len(value.items) != len(functor.factors):
-            raise ShapeError(f"product arity mismatch: {len(value.items)} items "
-                             f"for {len(functor.factors)} factors")
-        return TupleVal(tuple(map_members(f, v, fn)
-                              for f, v in zip(functor.factors, value.items)))
-    if isinstance(functor, Coproduct):
-        if not 0 <= value.tag < len(functor.summands):
-            raise ShapeError(f"coproduct tag {value.tag} out of range")
-        return TagVal(value.tag, map_members(functor.summands[value.tag], value.value, fn))
-    if isinstance(functor, Exponent):
-        return FunVal((a, map_members(functor.base, value[a], fn))
-                      for a in functor.alphabet)
-    if isinstance(functor, Compose):
-        return map_members(functor.outer, value,
-                           lambda m: map_members(functor.inner, m, fn))
-    if isinstance(functor, Bag):
-        return BagVal((fn(m), n) for m, n in value.entries)
-    if isinstance(functor, Pow):
-        return SetVal(fn(m) for m in value.members)
-    raise ShapeError(f"unknown functor {functor!r}")
+    return functor.map(value, fn)
 
 
 def iter_slots(functor: FunctorExpr, value: FValue) -> Iterator[tuple[Member, int]]:
     """Yield every bottom member slot with its multiplicity weight."""
-    _expect(functor, value)
-    if isinstance(functor, Identity):
-        yield (value.member, 1)
-    elif isinstance(functor, Const):
-        return
-    elif isinstance(functor, Product):
-        for f, v in zip(functor.factors, value.items):
-            yield from iter_slots(f, v)
-    elif isinstance(functor, Coproduct):
-        yield from iter_slots(functor.summands[value.tag], value.value)
-    elif isinstance(functor, Exponent):
-        for a in functor.alphabet:
-            yield from iter_slots(functor.base, value[a])
-    elif isinstance(functor, Compose):
-        for m, n in iter_slots(functor.outer, value):
-            for m2, n2 in iter_slots(functor.inner, m):
-                yield (m2, n * n2)
-    elif isinstance(functor, Bag):
-        yield from value.entries
-    elif isinstance(functor, Pow):
-        for m in value.members:
-            yield (m, 1)
+    return functor.slots(value)
 
 
 def used_states(functor: FunctorExpr, value: FValue) -> FiniteSet:
     """States that actually occur in the value, in first-occurrence order."""
     out: list[StateId] = []
     seen: set[StateId] = set()
-    for m, _ in iter_slots(functor, value):
+    for m, _ in functor.slots(value):
         if not isinstance(m, str):
             raise ShapeError(f"bottom member is not a state id: {m!r}")
         if m not in seen:
@@ -308,7 +693,7 @@ def used_states(functor: FunctorExpr, value: FValue) -> FiniteSet:
 
 def leaf_count(functor: FunctorExpr, value: FValue) -> int:
     """Number of bottom member slots, counting multiplicity."""
-    return sum(n for _, n in iter_slots(functor, value))
+    return sum(n for _, n in functor.slots(value))
 
 
 def fmap(functor: FunctorExpr, h, value: FValue) -> FValue:
@@ -316,63 +701,14 @@ def fmap(functor: FunctorExpr, h, value: FValue) -> FValue:
 
     `h` may be a TotalMap, a mapping, or a callable on state ids.
     """
-    if isinstance(h, TotalMap):
-        hf = h.__getitem__
-    elif isinstance(h, Mapping):
-        hf = h.__getitem__
-    else:
-        hf = h
+    hf = h.__getitem__ if isinstance(h, (TotalMap, Mapping)) else h
 
     def rename(m: Member) -> Member:
         if not isinstance(m, str):
             raise ShapeError(f"bottom member is not a state id: {m!r}")
         return hf(m)
 
-    return map_members(functor, value, rename)
-
-
-def _validate(functor: FunctorExpr, value: FValue,
-              check_member: Callable[[Member, str], None], path: str) -> None:
-    _expect(functor, value)
-    if isinstance(functor, Identity):
-        check_member(value.member, path)
-    elif isinstance(functor, Const):
-        if value.element not in functor.values:
-            raise ShapeError(f"{path}: {value.element!r} not in constant set "
-                             f"{{{','.join(functor.values)}}}")
-    elif isinstance(functor, Product):
-        if len(value.items) != len(functor.factors):
-            raise ShapeError(f"{path}: product arity mismatch")
-        for i, (f, v) in enumerate(zip(functor.factors, value.items)):
-            _validate(f, v, check_member, f"{path}.{i}")
-    elif isinstance(functor, Coproduct):
-        if not 0 <= value.tag < len(functor.summands):
-            raise ShapeError(f"{path}: coproduct tag {value.tag} out of range")
-        _validate(functor.summands[value.tag], value.value, check_member,
-                  f"{path}.t{value.tag}")
-    elif isinstance(functor, Exponent):
-        have = set(value.letters())
-        want = functor.alphabet.as_set()
-        if have != want:
-            raise ShapeError(f"{path}: exponent letters {sorted(have)} do not "
-                             f"match alphabet {sorted(want)}")
-        for a in functor.alphabet:
-            _validate(functor.base, value[a], check_member, f"{path}.{a}")
-    elif isinstance(functor, Compose):
-        def check_inner(m: Member, p: str) -> None:
-            if isinstance(m, str):
-                raise ShapeError(f"{p}: expected an inner value under composition, "
-                                 f"got state id {m!r}")
-            _validate(functor.inner, m, check_member, p)
-        _validate(functor.outer, value, check_inner, path)
-    elif isinstance(functor, Bag):
-        for m, n in value.entries:
-            if n < 1:
-                raise ShapeError(f"{path}: non-positive multiplicity")
-            check_member(m, path)
-    elif isinstance(functor, Pow):
-        for m in value.members:
-            check_member(m, path)
+    return functor.map(value, rename)
 
 
 def validate_value(functor: FunctorExpr, value: FValue,
@@ -388,7 +724,7 @@ def validate_value(functor: FunctorExpr, value: FValue,
         if carrier is not None and m not in carrier:
             raise ShapeError(f"{path}: state {m!r} not in carrier")
 
-    _validate(functor, value, check_member, "value")
+    functor.validate(value, check_member, "value")
 
 
 def fvalue_equal(functor: FunctorExpr, v1: FValue, v2: FValue) -> bool:
@@ -405,78 +741,122 @@ def fvalue_equal(functor: FunctorExpr, v1: FValue, v2: FValue) -> bool:
 # --------------------------------------------------------------------------
 # concrete syntax
 
-_NAME_DELIMS = set(" \t\r\n,;()[]{}|*=")
 
+class Cursor:
+    """Reading position in one line of spec-file text, with the tokens that
+    spec-file values share with functor expressions.  A name opening with a
+    double quote runs to the next one; a bare name runs up to a character of
+    `delims`.  Errors name the line `no`."""
 
-class _Cursor:
-    __slots__ = ("text", "pos")
+    __slots__ = ("text", "pos", "no")
+    blank = " \t"
+    delims = RESERVED
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+    def __init__(self, text: str, no: int = 0):
+        self.text, self.pos, self.no = text, 0, no
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def error(self, msg: str) -> CoalgebraError:
+        return SpecFormatError(f"line {self.no}: {msg}")
 
     def peek(self) -> str:
-        self.skip_ws()
+        while self.pos < len(self.text) and self.text[self.pos] in self.blank:
+            self.pos += 1
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def take(self, ch: str) -> bool:
-        if self.peek() == ch:
-            self.pos += 1
-            return True
-        return False
+    def take(self, ch: str) -> None:
+        if self.peek() != ch:
+            found = self.peek() or "end of line"
+            raise self.error(f"expected {ch!r}, found {found!r}")
+        self.pos += 1
 
-    def expect(self, ch: str, what: str) -> None:
-        if not self.take(ch):
-            raise FunctorSyntaxError(f"expected {what}", self.pos)
+    def skip(self, ch: str) -> bool:
+        """Take `ch` if it comes next."""
+        if self.peek() != ch:
+            return False
+        self.pos += 1
+        return True
+
+    def at_end(self) -> bool:
+        return self.peek() == ""
+
+    def until(self, close: str, item: Callable[[], object]) -> list:
+        """Comma-separated `item()`s up to `close`, which is taken too."""
+        out = []
+        while self.peek() != close:
+            if out:
+                self.take(",")
+            out.append(item())
+        self.take(close)
+        return out
+
+    def name(self) -> StateId:
+        ch = self.peek()
+        if ch == '"':
+            end = self.text.find('"', self.pos + 1)
+            if end < 0:
+                raise self.error("unterminated quoted name")
+            out = self.text[self.pos + 1:end]
+            self.pos = end + 1
+            return out
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos] not in self.delims:
+            self.pos += 1
+        if self.pos == start:
+            raise self.error(f"expected a name, found {ch or 'end of line'!r}")
+        return self.text[start:self.pos]
+
+    def integer(self) -> int:
+        self.peek()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if self.pos == start:
+            raise self.error("expected a number")
+        return int(self.text[start:self.pos])
+
+
+# every character str.isspace accepts (none lies above U+3000)
+_SPACE = frozenset(filter(str.isspace, map(chr, range(0x3001))))
+
+
+class _ExprCursor(Cursor):
+    """Cursor over a functor expression: any whitespace separates tokens, set
+    literals end a bare name at `_NAME_DELIMS`, errors carry the offset."""
+
+    __slots__ = ()
+    blank = _SPACE
+    delims = _NAME_DELIMS
+
+    def error(self, msg: str) -> CoalgebraError:
+        return FunctorSyntaxError(msg, self.pos)
 
     def word(self) -> str:
         """Maximal run of identifier characters (letters, digits, _)."""
-        self.skip_ws()
+        self.peek()
         start = self.pos
         while self.pos < len(self.text) and (self.text[self.pos].isalnum()
                                              or self.text[self.pos] == "_"):
             self.pos += 1
         return self.text[start:self.pos]
 
-    def bare_name(self) -> str:
-        """Maximal run of non-delimiter characters (set literal members)."""
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] not in _NAME_DELIMS:
-            self.pos += 1
-        if self.pos == start:
-            raise FunctorSyntaxError("expected a name", start)
-        return self.text[start:self.pos]
 
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-
-def _parse_set_literal(cur: _Cursor) -> FiniteSet:
-    cur.expect("{", "'{'")
+def _parse_set_literal(cur: _ExprCursor) -> FiniteSet:
+    cur.take("{")
     if cur.peek() == "}":
         raise FunctorSyntaxError("empty set is not allowed", cur.pos)
-    names = [cur.bare_name()]
-    while cur.take(","):
-        names.append(cur.bare_name())
-    cur.expect("}", "'}'")
+    names = cur.until("}", cur.name)
     try:
         return FiniteSet(names)
     except ValueError as e:
         raise FunctorSyntaxError(str(e), cur.pos) from None
 
 
-def _parse_atom(cur: _Cursor) -> FunctorExpr:
+def _parse_atom(cur: _ExprCursor) -> FunctorExpr:
     ch = cur.peek()
     if ch == "(":
         cur.take("(")
         inner = _parse_coproduct(cur)
-        cur.expect(")", "')'")
+        cur.take(")")
         return inner
     if ch == "{":
         return Const(_parse_set_literal(cur))
@@ -504,7 +884,7 @@ def _parse_atom(cur: _Cursor) -> FunctorExpr:
         f"expected a functor, got {word!r}" if word else "expected a functor", start)
 
 
-def _parse_postfix(cur: _Cursor) -> FunctorExpr:
+def _parse_postfix(cur: _ExprCursor) -> FunctorExpr:
     f = _parse_atom(cur)
     while cur.peek() == "^":
         cur.take("^")
@@ -512,7 +892,7 @@ def _parse_postfix(cur: _Cursor) -> FunctorExpr:
     return f
 
 
-def _parse_compose(cur: _Cursor) -> FunctorExpr:
+def _parse_compose(cur: _ExprCursor) -> FunctorExpr:
     parts = [_parse_postfix(cur)]
     while cur.peek() == ".":
         cur.take(".")
@@ -523,10 +903,10 @@ def _parse_compose(cur: _Cursor) -> FunctorExpr:
     return out
 
 
-def _parse_product(cur: _Cursor) -> FunctorExpr:
+def _parse_product(cur: _ExprCursor) -> FunctorExpr:
     factors = [_parse_compose(cur)]
     while True:
-        cur.skip_ws()
+        cur.peek()
         mark = cur.pos
         if cur.peek() == "x":
             word = cur.word()
@@ -538,16 +918,16 @@ def _parse_product(cur: _Cursor) -> FunctorExpr:
     return factors[0] if len(factors) == 1 else Product(tuple(factors))
 
 
-def _parse_coproduct(cur: _Cursor) -> FunctorExpr:
+def _parse_coproduct(cur: _ExprCursor) -> FunctorExpr:
     summands = [_parse_product(cur)]
-    while cur.take("+"):
+    while cur.skip("+"):
         summands.append(_parse_product(cur))
     return summands[0] if len(summands) == 1 else Coproduct(tuple(summands))
 
 
 def parse_functor(text: str) -> FunctorExpr:
     """Parse a functor expression; round-trips with `format_functor`."""
-    cur = _Cursor(text)
+    cur = _ExprCursor(text)
     f = _parse_coproduct(cur)
     if not cur.at_end():
         raise FunctorSyntaxError("trailing input after functor expression", cur.pos)
@@ -555,42 +935,9 @@ def parse_functor(text: str) -> FunctorExpr:
 
 
 def _format_set(s: FiniteSet) -> str:
-    return "{" + ",".join(s) + "}"
-
-
-def _const_text(c: Const) -> str:
-    elems = tuple(c.values)
-    if elems == (BOTTOM,):
-        return "1"
-    if len(elems) >= 2 and elems == tuple(str(i) for i in range(len(elems))):
-        return str(len(elems))
-    return _format_set(c.values)
-
-
-# precedence: coproduct 0 < product 1 < compose 2 < postfix 3
-def _fmt(f: FunctorExpr, ctx: int) -> str:
-    if isinstance(f, Identity):
-        return "Id"
-    if isinstance(f, Bag):
-        return "Bag"
-    if isinstance(f, Pow):
-        return "Pow"
-    if isinstance(f, Const):
-        return _const_text(f)
-    if isinstance(f, Exponent):
-        return _fmt(f.base, 3) + "^" + _format_set(f.alphabet)
-    if isinstance(f, Compose):
-        body = _fmt(f.outer, 3) + " . " + _fmt(f.inner, 2)
-        return f"({body})" if ctx > 2 else body
-    if isinstance(f, Product):
-        body = " x ".join(_fmt(g, 2) for g in f.factors)
-        return f"({body})" if ctx > 1 else body
-    if isinstance(f, Coproduct):
-        body = " + ".join(_fmt(g, 1) for g in f.summands)
-        return f"({body})" if ctx > 0 else body
-    raise ShapeError(f"unknown functor {f!r}")
+    return "{" + ",".join(quote_name(e, _NAME_DELIMS) for e in s) + "}"
 
 
 def format_functor(f: FunctorExpr) -> str:
     """Canonical text for a functor expression."""
-    return _fmt(f, 0)
+    return f.text(0)

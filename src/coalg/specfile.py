@@ -25,88 +25,26 @@ from __future__ import annotations
 from .automata import PartialDFA
 from .base import FiniteSet, ShapeError, SpecFormatError, StateId
 from .coalgebra import Edge, Multigraph, PointedCoalgebra
-from .functors import (Bag, BagVal, Compose, Const, ConstVal, Coproduct,
-                       Exponent, FunVal, FunctorExpr, FunctorSyntaxError,
-                       FValue, IdVal, Identity, Pow, Product, SetVal, TagVal,
-                       TupleVal, format_functor, parse_functor)
-
-RESERVED = set(' \t\r\n"#@(){}[]|*:,=')
+from .functors import (Cursor, FunctorExpr, FunctorSyntaxError, FValue,
+                       format_functor, parse_functor, quote_name as _quote)
 
 _KEYS = ("kind", "functor", "states", "point", "open",
          "alphabet", "initial", "accepting", "vertices", "root")
-
-
-def _quote(name: StateId) -> str:
-    if '"' in name:
-        raise SpecFormatError(f"name {name!r} contains a double quote")
-    if name and not any(ch in RESERVED for ch in name):
-        return name
-    return f'"{name}"'
 
 
 # --------------------------------------------------------------------------
 # line-level tokenizing
 
 
-class _Line:
-    __slots__ = ("text", "pos", "no")
+class _Line(Cursor):
+    """A spec-file line being read, with the line-level tokens."""
 
-    def __init__(self, text: str, no: int):
-        self.text = text
-        self.pos = 0
-        self.no = no
-
-    def error(self, msg: str) -> SpecFormatError:
-        return SpecFormatError(f"line {self.no}: {msg}")
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, ch: str) -> None:
-        if self.peek() != ch:
-            found = self.peek() or "end of line"
-            raise self.error(f"expected {ch!r}, found {found!r}")
-        self.pos += 1
-
-    def at_end(self) -> bool:
-        return self.peek() == ""
+    __slots__ = ()
 
     def expect_end(self) -> None:
         if not self.at_end():
             raise self.error(f"unexpected trailing text "
                              f"{self.text[self.pos:].strip()!r}")
-
-    def name(self) -> StateId:
-        ch = self.peek()
-        if ch == '"':
-            self.pos += 1
-            end = self.text.find('"', self.pos)
-            if end < 0:
-                raise self.error("unterminated quoted name")
-            out = self.text[self.pos:end]
-            self.pos = end + 1
-            return out
-        start = self.pos
-        while (self.pos < len(self.text)
-               and self.text[self.pos] not in RESERVED):
-            self.pos += 1
-        if self.pos == start:
-            raise self.error(f"expected a name, found {ch or 'end of line'!r}")
-        return self.text[start:self.pos]
-
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected a number")
-        return int(self.text[start:self.pos])
 
     def rest(self) -> str:
         out = self.text[self.pos:].strip()
@@ -115,8 +53,7 @@ class _Line:
 
     def names_rest(self) -> list[StateId]:
         out = [self.name()]
-        while self.peek() == ",":
-            self.take(",")
+        while self.skip(","):
             out.append(self.name())
         self.expect_end()
         return out
@@ -126,114 +63,15 @@ class _Line:
 # shape-directed value syntax
 
 
-def _parse_value(functor: FunctorExpr, cur: _Line, member) -> FValue:
-    if isinstance(functor, Identity):
-        cur.take("@")
-        return IdVal(member(cur))
-    if isinstance(functor, Const):
-        cur.take("#")
-        return ConstVal(cur.name())
-    if isinstance(functor, Product):
-        cur.take("(")
-        items = []
-        for i, f in enumerate(functor.factors):
-            if i:
-                cur.take(",")
-            items.append(_parse_value(f, cur, member))
-        cur.take(")")
-        return TupleVal(tuple(items))
-    if isinstance(functor, Coproduct):
-        tag = cur.integer()
-        if tag >= len(functor.summands):
-            raise cur.error(f"coproduct tag {tag} out of range")
-        cur.take(":")
-        return TagVal(tag, _parse_value(functor.summands[tag], cur, member))
-    if isinstance(functor, Exponent):
-        cur.take("{")
-        entries = []
-        seen = set()
-        while cur.peek() != "}":
-            if entries:
-                cur.take(",")
-            a = cur.name()
-            if a not in functor.alphabet.as_set():
-                raise cur.error(f"letter {a!r} outside the alphabet")
-            if a in seen:
-                raise cur.error(f"duplicate letter {a!r}")
-            seen.add(a)
-            cur.take(":")
-            entries.append((a, _parse_value(functor.base, cur, member)))
-        cur.take("}")
-        missing = [a for a in functor.alphabet if a not in seen]
-        if missing:
-            raise cur.error(f"missing letter {missing[0]!r}")
-        return FunVal(entries)
-    if isinstance(functor, Bag):
-        cur.take("[")
-        entries = []
-        while cur.peek() != "]":
-            if entries:
-                cur.take(",")
-            m = member(cur)
-            mult = 1
-            if cur.peek() == "*":
-                cur.take("*")
-                mult = cur.integer()
-            entries.append((m, mult))
-        cur.take("]")
-        return BagVal(entries)
-    if isinstance(functor, Pow):
-        cur.take("{")
-        cur.take("|")
-        members = []
-        while cur.peek() != "|":
-            if members:
-                cur.take(",")
-            members.append(member(cur))
-        cur.take("|")
-        cur.take("}")
-        return SetVal(members)
-    if isinstance(functor, Compose):
-        return _parse_value(functor.outer, cur,
-                            lambda c: _parse_value(functor.inner, c, member))
-    raise cur.error(f"unknown functor {functor!r}")
-
-
 def parse_value(functor: FunctorExpr, text: str, line_no: int = 0) -> FValue:
     cur = _Line(text, line_no)
-    v = _parse_value(functor, cur, lambda c: c.name())
+    v = functor.parse(cur, Cursor.name)
     cur.expect_end()
     return v
 
 
-def _fmt_value(functor: FunctorExpr, value: FValue, member) -> str:
-    if isinstance(functor, Identity):
-        return "@" + member(value.member)
-    if isinstance(functor, Const):
-        return "#" + _quote(value.element)
-    if isinstance(functor, Product):
-        return "(" + ", ".join(_fmt_value(f, v, member) for f, v in
-                               zip(functor.factors, value.items)) + ")"
-    if isinstance(functor, Coproduct):
-        inner = _fmt_value(functor.summands[value.tag], value.value, member)
-        return f"{value.tag}: {inner}"
-    if isinstance(functor, Exponent):
-        parts = (f"{_quote(a)}: {_fmt_value(functor.base, value[a], member)}"
-                 for a in functor.alphabet)
-        return "{" + ", ".join(parts) + "}"
-    if isinstance(functor, Bag):
-        parts = (f"{member(m)}*{n}" for m, n in value.entries)
-        return "[" + ", ".join(parts) + "]"
-    if isinstance(functor, Pow):
-        return "{|" + ", ".join(member(m) for m in value.members) + "|}"
-    if isinstance(functor, Compose):
-        return _fmt_value(functor.outer, value,
-                          lambda m: _fmt_value(functor.inner, m, member))
-    raise SpecFormatError(f"unknown functor {functor!r}")
-
-
 def format_value(functor: FunctorExpr, value: FValue) -> str:
-    return _fmt_value(functor, value, _quote)
+    return functor.show(value, _quote)
 
 
 # --------------------------------------------------------------------------
@@ -360,7 +198,7 @@ def _build_coalgebra(keys, body) -> PointedCoalgebra:
         if x in structure:
             raise cur.error(f"duplicate structure for state {x!r}")
         cur.take("=")
-        structure[x] = _parse_value(functor, cur, member)
+        structure[x] = functor.parse(cur, member)
         cur.expect_end()
     try:
         return PointedCoalgebra(functor, states, structure, point, frontier)

@@ -16,14 +16,14 @@ edges).
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .base import FiniteSet, ShapeError, StateId, TotalMap, fresh_namer
 from .coalgebra import (PointedCoalgebra, canonical_graph, is_acyclic,
                         reachable_subgraph)
 from .factorization import FMap, precise_factorize
-from .functors import (Bag, Compose, Const, Coproduct, Exponent, FunctorExpr,
-                       FValue, Identity, Pow, Product, fmap, iter_slots)
+from .functors import FValue, fmap, iter_slots
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,7 @@ def tree_check(c: PointedCoalgebra) -> TreeReport:
         raise ShapeError("tree check needs a total coalgebra, found open states")
     graph = reachable_subgraph(canonical_graph(c))
     for x in graph.vertices:
-        if _pow_nonempty(c.functor, c.structure[x]):
+        if not c.functor.precise(c.structure[x]):
             return TreeReport(False, "powerset-degenerate",
                               f"state {x} carries a non-empty powerset value")
     if not is_acyclic(graph):
@@ -153,7 +153,8 @@ def tree_check(c: PointedCoalgebra) -> TreeReport:
     tl = tree_levels(c, len(c.carrier) + 1)
     proj = tl.projection()
     if not proj.is_surjective():
-        missing = [x for x in c.carrier if x not in proj.image()]
+        image = proj.image().as_set()
+        missing = [x for x in c.carrier if x not in image]
         return TreeReport(False, "not-reachable",
                           f"states never reached: {', '.join(missing)}",
                           tl, proj)
@@ -191,32 +192,6 @@ def copy_counts(projection: TotalMap) -> dict[StateId, int]:
     return {y: counts.get(y, 0) for y in projection.codomain}
 
 
-def _pow_nonempty(functor: FunctorExpr, value: FValue) -> bool:
-    """True when some powerset layer of the value is a non-empty set.
-
-    Mirrors exactly the condition under which precise factorization raises
-    PowNotPrecise.  Members are treated as opaque, so the same walk works on
-    the outer layer of a composition.
-    """
-    if isinstance(functor, (Identity, Const, Bag)):
-        return False
-    if isinstance(functor, Pow):
-        return len(value.members) > 0
-    if isinstance(functor, Product):
-        return any(_pow_nonempty(f, v)
-                   for f, v in zip(functor.factors, value.items))
-    if isinstance(functor, Coproduct):
-        return _pow_nonempty(functor.summands[value.tag], value.value)
-    if isinstance(functor, Exponent):
-        return any(_pow_nonempty(functor.base, v) for _, v in value.entries)
-    if isinstance(functor, Compose):
-        if _pow_nonempty(functor.outer, value):
-            return True
-        return any(_pow_nonempty(functor.inner, m)
-                   for m, _ in iter_slots(functor.outer, value))
-    raise ShapeError(f"unknown functor {functor!r}")
-
-
 def tree_fingerprint(c: PointedCoalgebra) -> str:
     """Canonical serialization of the unfolding from the point.
 
@@ -227,44 +202,29 @@ def tree_fingerprint(c: PointedCoalgebra) -> str:
     names cannot leak in.  Cyclic inputs have infinite unfoldings and are
     rejected.
     """
-    memo: dict[StateId, str] = {}
-    on_stack: set[StateId] = set()
+    memo: dict[StateId, str] = {x: "?" for x in c.frontier}
+    # explicit DFS stack of (state, its remaining slots): states are
+    # fingerprinted in post-order, so long chains need no recursion
+    path: list[tuple[StateId, Iterator]] = []
+    on_path: set[StateId] = set()
 
-    def fp_state(x: StateId) -> str:
-        if x in c.frontier:
-            return "?"
-        if x in memo:
-            return memo[x]
-        if x in on_stack:
-            raise ShapeError(f"cannot fingerprint a cyclic coalgebra ({x})")
-        on_stack.add(x)
-        out = fp_value(c.functor, c.structure[x], fp_state)
-        on_stack.discard(x)
-        memo[x] = out
-        return out
+    def enter(x: StateId) -> None:
+        on_path.add(x)
+        path.append((x, iter_slots(c.functor, c.structure[x])))
 
-    def fp_value(f: FunctorExpr, v: FValue, leaf) -> str:
-        if isinstance(f, Identity):
-            return leaf(v.member)
-        if isinstance(f, Const):
-            return f"#{v.element!r}"
-        if isinstance(f, Product):
-            return "(" + ",".join(fp_value(g, w, leaf)
-                                  for g, w in zip(f.factors, v.items)) + ")"
-        if isinstance(f, Coproduct):
-            return f"{v.tag}:" + fp_value(f.summands[v.tag], v.value, leaf)
-        if isinstance(f, Exponent):
-            parts = sorted((a, fp_value(f.base, w, leaf)) for a, w in v.entries)
-            return "{" + ",".join(f"{a}:{s}" for a, s in parts) + "}"
-        if isinstance(f, Bag):
-            tally = Counter()
-            for m, n in v.entries:
-                tally[leaf(m)] += n
-            return "[" + ",".join(f"{s}*{n}" for s, n in sorted(tally.items())) + "]"
-        if isinstance(f, Pow):
-            return "{|" + ",".join(sorted({leaf(m) for m in v.members})) + "|}"
-        if isinstance(f, Compose):
-            return fp_value(f.outer, v, lambda m: fp_value(f.inner, m, leaf))
-        raise ShapeError(f"unknown functor {f!r}")
-
-    return fp_state(c.point)
+    if c.point not in memo:
+        enter(c.point)
+    while path:
+        x, slots = path[-1]
+        for y, _ in slots:
+            if y in memo:
+                continue
+            if y in on_path:
+                raise ShapeError(f"cannot fingerprint a cyclic coalgebra ({y})")
+            enter(y)
+            break
+        else:
+            path.pop()
+            on_path.discard(x)
+            memo[x] = c.functor.fingerprint(c.structure[x], memo.__getitem__)
+    return memo[c.point]

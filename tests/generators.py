@@ -36,29 +36,30 @@ from coalg import (
 LETTERS = ("a", "b", "c")
 
 
-def random_functor(rng: random.Random, depth: int = 2, pow_free: bool = False):
+def random_functor(rng: random.Random, depth: int = 2, pow_free: bool = False,
+                   letters: tuple[str, ...] = LETTERS):
     leaves = ["Id", "Const", "Bag"] + ([] if pow_free else ["Pow"])
     nodes = leaves + ["Product", "Coproduct", "Exponent", "Compose"]
     pick = rng.choice(leaves if depth <= 0 else nodes)
     if pick == "Id":
         return Identity()
     if pick == "Const":
-        return Const(FiniteSet(LETTERS[: rng.randint(1, 3)]))
+        return Const(FiniteSet(letters[: rng.randint(1, 3)]))
     if pick == "Bag":
         return Bag()
     if pick == "Pow":
         return Pow()
     if pick == "Product":
-        return Product(tuple(random_functor(rng, depth - 1, pow_free)
+        return Product(tuple(random_functor(rng, depth - 1, pow_free, letters)
                              for _ in range(rng.randint(2, 3))))
     if pick == "Coproduct":
-        return Coproduct(tuple(random_functor(rng, depth - 1, pow_free)
+        return Coproduct(tuple(random_functor(rng, depth - 1, pow_free, letters)
                                for _ in range(rng.randint(2, 3))))
     if pick == "Exponent":
-        return Exponent(random_functor(rng, depth - 1, pow_free),
-                        FiniteSet(LETTERS[: rng.randint(1, 2)]))
-    return Compose(random_functor(rng, depth - 1, pow_free),
-                   random_functor(rng, depth - 1, pow_free))
+        return Exponent(random_functor(rng, depth - 1, pow_free, letters),
+                        FiniteSet(letters[: rng.randint(1, 2)]))
+    return Compose(random_functor(rng, depth - 1, pow_free, letters),
+                   random_functor(rng, depth - 1, pow_free, letters))
 
 
 def random_value(rng: random.Random, functor, carrier):
@@ -91,10 +92,11 @@ def _value(rng, f, leaf):
 
 def random_coalgebra(rng: random.Random, max_states: int = 8, depth: int = 2,
                      pow_free: bool = False,
-                     open_states: bool = False) -> PointedCoalgebra:
+                     open_states: bool = False,
+                     letters: tuple[str, ...] = LETTERS) -> PointedCoalgebra:
     n = rng.randint(1, max_states)
     carrier = FiniteSet(tuple(f"s{i}" for i in range(n)))
-    functor = random_functor(rng, depth, pow_free)
+    functor = random_functor(rng, depth, pow_free, letters)
     frontier: tuple[str, ...] = ()
     if open_states and n > 1 and rng.random() < 0.25:
         pool = [x for x in carrier if x != "s0"]

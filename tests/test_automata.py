@@ -137,6 +137,19 @@ def test_graph_is_tree():
     assert graph_is_tree(chain_graph)
 
 
+def test_graph_is_tree_on_long_chains():
+    n = 5000
+    vertices = FiniteSet(f"v{i}" for i in range(n))
+    edges = tuple(Edge(f"e{i}", f"v{i}", f"v{i + 1}") for i in range(n - 1))
+    assert graph_is_tree(Multigraph(vertices, edges, "v0"))
+    # a second way into the last vertex, then an edge back into the root
+    shared = edges + (Edge("x", "v0", f"v{n - 1}"),)
+    assert not graph_is_tree(Multigraph(vertices, shared, "v0"))
+    looped = edges + (Edge("x", f"v{n - 1}", "v0"),)
+    assert not graph_is_tree(Multigraph(vertices, looped, "v0"))
+    assert not graph_is_tree(Multigraph(vertices, edges[1:], "v0"))
+
+
 def test_truncated_path_trees_open_the_deepest_level():
     g = Multigraph(FiniteSet(("a",)), (Edge("e", "a", "a"),), "a")
     result = rooted_paths(g, 2)

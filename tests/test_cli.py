@@ -86,6 +86,15 @@ def test_is_tree_verdicts(capsys):
         "false: cycle (levels non-empty past bound)"
 
 
+def test_is_tree_finds_a_cycle_through_a_large_multiplicity(tmp_path, capsys):
+    spec = tmp_path / "loop.spec"
+    spec.write_text("functor: Bag\nstates: r\npoint: r\nr = [r*1000000000]\n",
+                    encoding="utf-8")
+    code, out = run(capsys, "is-tree", str(spec))
+    assert (code, out.splitlines()[0]) == \
+        (1, "false: cycle (levels non-empty past bound)")
+
+
 def test_is_tree_oracle_reports_refuters(capsys):
     code, out = run(capsys, "is-tree", fixture_path("shared_leaf"),
                     "--oracle")

@@ -15,8 +15,6 @@ from coalg import (
     FMap,
     FiniteSet,
     IdVal,
-    MODE_ALL,
-    MODE_MONO,
     NotIsomorphic,
     PowNotPrecise,
     PreciseFactorization,
@@ -25,7 +23,6 @@ from coalg import (
     TotalMap,
     TupleVal,
     factorization_iso,
-    factorize,
     fmap,
     is_precise,
     least_bound,
@@ -69,13 +66,6 @@ def test_precise_factorization_of_the_signature_map():
     assert is_precise(pf.p)
     for x in f.domain:
         assert fmap(f.functor, pf.h, pf.p.values[x]) == f.values[x]
-
-
-def test_factorize_dispatches_on_mode():
-    f = binary_signature_map()
-    assert isinstance(factorize(f, MODE_ALL), PreciseFactorization)
-    lb = factorize(f, MODE_MONO)
-    assert lb.sub.as_set() == {"y1", "y2"}
 
 
 def test_least_bound_is_exactly_the_used_states():
@@ -210,3 +200,16 @@ def test_bag_copies_of_one_state_stay_separate_in_the_middle():
     assert len(pf.middle) == 3
     assert set(pf.h.mapping().values()) == {"y"}
     assert pf.p.values["x"].total() == 3
+
+
+def test_precise_agrees_with_the_factorization():
+    rng = random.Random(13)
+    for _ in range(300):
+        c = generators.random_coalgebra(rng, max_states=4, depth=3)
+        for x, v in c.structure.items():
+            try:
+                precise_factorize(FMap(FiniteSet((x,)), c.carrier, c.functor, {x: v}))
+                factors = True
+            except PowNotPrecise:
+                factors = False
+            assert c.functor.precise(v) == factors

@@ -22,12 +22,15 @@ from coalg import (
     Product,
     SetVal,
     ShapeError,
+    SpecFormatError,
     TagVal,
     TupleVal,
     format_functor,
     fmap,
     fvalue_equal,
+    iter_slots,
     leaf_count,
+    map_members,
     parse_functor,
     used_states,
     validate_value,
@@ -184,3 +187,26 @@ def test_fvalue_equal_shape_checks_both_sides():
     assert fvalue_equal(f, SetVal(("q", "q")), SetVal(("q",)))
     with pytest.raises(ShapeError):
         fvalue_equal(f, SetVal(("q",)), IdVal("q"))
+
+
+def test_member_maps_reject_wrong_shapes():
+    f = parse_functor("Id x Id + 1")
+    short = TagVal(0, TupleVal((IdVal("q"),)))
+    with pytest.raises(ShapeError):
+        fmap(f, {"q": "p"}, short)
+    with pytest.raises(ShapeError):
+        list(iter_slots(f, short))
+    with pytest.raises(ShapeError):
+        map_members(f, TagVal(-1, ConstVal(BOTTOM)), lambda m: m)
+    with pytest.raises(ShapeError):
+        leaf_count(f, TagVal(2, ConstVal(BOTTOM)))
+    with pytest.raises(ShapeError):
+        used_states(Bag(), SetVal(("q",)))
+
+
+def test_set_literal_names_opening_with_a_quote_are_quoted_names():
+    with pytest.raises(FunctorSyntaxError, match="unterminated quoted name"):
+        parse_functor('{"x,y}')
+    assert parse_functor('{"x,y"}') == Const(FiniteSet(("x,y",)))
+    with pytest.raises(SpecFormatError, match="double quote"):
+        format_functor(Const(FiniteSet(('"x', "y"))))

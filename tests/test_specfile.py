@@ -1,20 +1,28 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from coalg import (
     BOTTOM,
     BagVal,
     ConstVal,
+    Exponent,
     FiniteSet,
     FunVal,
     IdVal,
+    Identity,
+    PartialDFA,
     PointedCoalgebra,
     SetVal,
     SpecFormatError,
     TagVal,
     TupleVal,
+    dfa_to_coalgebra,
     emit_spec,
+    fmap,
+    format_functor,
     format_value,
     parse_functor,
     parse_spec,
@@ -22,7 +30,12 @@ from coalg import (
     tree_unravelling,
 )
 
+import generators
 from conftest import FIXTURE_DIR, FIXTURE_NAMES, load_fixture
+
+# names holding the delimiters of functor set literals and of spec values
+ODD_NAMES = ("a b", "c,d", "{e}", "f:g", "h#i", "p|q", "r*s", "t=u", "(v)",
+             "[w]", "@y", ";z", " lead", "x", "0", "1", BOTTOM, "^", ".", "+")
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -143,3 +156,38 @@ def test_wrong_keys_for_the_kind_are_rejected():
     text = "kind: dfa\nfunctor: Id\nstates: q0\ninitial: q0\n"
     with pytest.raises(SpecFormatError):
         parse_spec(text)
+
+
+def test_functor_literals_quote_names_holding_delimiters():
+    f = Exponent(Identity(), FiniteSet(("a=b", "a b", "c")))
+    assert format_functor(f) == 'Id^{"a=b","a b",c}'
+    assert parse_functor(format_functor(f)) == f
+    # names without a delimiter print bare, as they always have
+    assert format_functor(parse_functor("Id^{a:b,c.d,e#f}")) == \
+        "Id^{a:b,c.d,e#f}"
+
+
+def test_dfa_with_odd_letters_unravels_and_round_trips():
+    d = PartialDFA(FiniteSet(("a b", "c")), FiniteSet(("q0", "q1")),
+                   frozenset({"q1"}), {("q0", "a b"): "q1", ("q1", "c"): "q1"},
+                   "q0")
+    assert parse_spec(emit_spec(d)) == d
+    tree = tree_unravelling(dfa_to_coalgebra(d), truncate_at=3).tree
+    assert 'functor: 2 x (Id + 1)^{"a b",c}' in emit_spec(tree)
+    assert parse_spec(emit_spec(tree)) == tree
+
+
+def test_random_documents_with_odd_names_round_trip():
+    rng = random.Random(31)
+    for _ in range(300):
+        letters = tuple(rng.sample(ODD_NAMES, 3))
+        f = generators.random_functor(rng, depth=3, letters=letters)
+        assert parse_functor(format_functor(f)) == f
+        c = generators.random_coalgebra(rng, open_states=True, letters=letters)
+        tag = rng.choice(ODD_NAMES)
+        ren = {x: f"{x}{tag}" for x in c.carrier}
+        c = PointedCoalgebra(
+            c.functor, FiniteSet(ren[x] for x in c.carrier),
+            {ren[x]: fmap(c.functor, ren, v) for x, v in c.structure.items()},
+            ren[c.point], FiniteSet(ren[x] for x in c.frontier))
+        assert parse_spec(emit_spec(c)) == c

@@ -5,6 +5,8 @@ import random
 import pytest
 
 from coalg import (
+    Bag,
+    BagVal,
     FiniteSet,
     IdVal,
     Identity,
@@ -16,6 +18,7 @@ from coalg import (
     is_acyclic,
     is_reachable,
     is_tree,
+    parse_spec,
     multigraph_to_bag,
     path_count,
     reachable_subgraph,
@@ -153,6 +156,22 @@ def test_fingerprint_refuses_cycles(two_cycle):
         tree_fingerprint(two_cycle)
 
 
+def test_fingerprints_of_long_chains_need_no_recursion():
+    n = 5000
+    states = [f"c{i}" for i in range(n)]
+    structure = {x: BagVal(((y, 1),)) for x, y in zip(states, states[1:])}
+    structure[states[-1]] = BagVal()
+    chain = PointedCoalgebra(Bag(), FiniteSet(states), structure, "c0")
+    expected = "[]"
+    for _ in range(n - 1):
+        expected = f"[{expected}*1]"
+    assert tree_fingerprint(chain) == expected
+    structure[states[-1]] = BagVal((("c0", 1),))
+    loop = PointedCoalgebra(Bag(), FiniteSet(states), structure, "c0")
+    with pytest.raises(ShapeError, match="cyclic"):
+        tree_fingerprint(loop)
+
+
 def test_complete_unravellings_are_unique_up_to_iso(shared_leaf):
     a = unravel(shared_leaf, 4).tree
     b = tree_unravelling(shared_leaf).tree
@@ -205,3 +224,11 @@ def test_shallow_unravellings_are_trees_when_complete():
         else:
             assert result.tree.frontier.as_set() == set(result.frontier)
     assert completes
+
+
+def test_tree_check_does_not_expand_bag_multiplicities():
+    loop = parse_spec("functor: Bag\nstates: r\npoint: r\nr = [r*1000000000]\n")
+    assert tree_check(loop).reason == "cycle"
+    sets = parse_spec("functor: Bag . Pow\nstates: r\npoint: r\n"
+                      "r = [{|r|}*1000000000]\n")
+    assert tree_check(sets).reason == "powerset-degenerate"
