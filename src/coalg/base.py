@@ -8,6 +8,7 @@ every construction downstream is reproducible byte for byte.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
+from itertools import chain
 from typing import Callable
 
 StateId = str
@@ -101,15 +102,10 @@ class FiniteSet:
     def as_set(self) -> frozenset[StateId]:
         return frozenset(self._elems)
 
-    def union(self, other: Iterable[StateId]) -> "FiniteSet":
-        """Order-preserving union: self first, then unseen elements of other."""
-        out = list(self._elems)
-        seen = set(out)
-        for e in other:
-            if e not in seen:
-                seen.add(e)
-                out.append(e)
-        return FiniteSet(out)
+    def union(self, *others: Iterable[StateId]) -> "FiniteSet":
+        """Order-preserving union in one pass: self first, then the unseen
+        elements of each other in turn."""
+        return FiniteSet(dict.fromkeys(chain(self._elems, *others)))
 
 
 class TotalMap:
@@ -185,15 +181,23 @@ class TotalMap:
 
 def fresh_namer(taken: Iterable[StateId] = ()) -> Callable[[str], StateId]:
     """Allocator of fresh names: returns the candidate itself when free,
-    otherwise the first `candidate~k` (k >= 2) that is."""
+    otherwise the first `candidate~k` (k >= 2) that is.
+
+    Names are never released, so every `candidate~j` a probe has passed stays
+    taken: each candidate's probe resumes at the counter where its last one
+    stopped, and a candidate repeated n times costs O(n) in all, not O(n^2)."""
     used = set(taken)
+    resume: dict[str, int] = {}
 
     def alloc(candidate: str) -> StateId:
-        name = candidate
-        k = 2
-        while name in used:
-            name = f"{candidate}~{k}"
+        if candidate not in used:
+            used.add(candidate)
+            return candidate
+        k = resume.get(candidate, 2)
+        while f"{candidate}~{k}" in used:
             k += 1
+        resume[candidate] = k + 1
+        name = f"{candidate}~{k}"
         used.add(name)
         return name
 

@@ -80,12 +80,17 @@ class Multigraph:
         ids = [e.id for e in self.edges]
         if len(set(ids)) != len(ids):
             raise ShapeError("duplicate edge id")
+        out: dict[StateId, list[Edge]] = {v: [] for v in self.vertices}
         for e in self.edges:
             if e.src not in self.vertices or e.tgt not in self.vertices:
                 raise ShapeError(f"edge {e.id!r} touches a non-vertex")
+            out[e.src].append(e)
+        object.__setattr__(self, "_out", {v: tuple(es)
+                                          for v, es in out.items()})
 
     def out_edges(self, v: StateId) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if e.src == v)
+        """The edges leaving v, in edge order."""
+        return self._out.get(v, ())
 
 
 @dataclass(frozen=True)
@@ -174,9 +179,8 @@ def canonical_graph(c: PointedCoalgebra) -> Multigraph:
 
 def multigraph_to_bag(g: Multigraph) -> PointedCoalgebra:
     """Bag coalgebra of a multigraph: c(u)(v) = number of edges u -> v."""
-    structure = {}
-    for u in g.vertices:
-        structure[u] = BagVal((e.tgt, 1) for e in g.edges if e.src == u)
+    structure = {u: BagVal((e.tgt, 1) for e in g.out_edges(u))
+                 for u in g.vertices}
     return PointedCoalgebra(Bag(), g.vertices, structure, g.root)
 
 

@@ -89,10 +89,10 @@ class LeastBound:
 
 
 def least_bound(f: FMap) -> LeastBound:
-    """Restrict f's codomain to the states it actually uses."""
-    sub = FiniteSet()
-    for x in f.domain:
-        sub = sub.union(used_states(f.functor, f.values[x]))
+    """Restrict f's codomain to the states it actually uses, in first-use
+    order; one pass over the slots of f's values."""
+    sub = FiniteSet(dict.fromkeys(
+        z for x in f.domain for z in used_states(f.functor, f.values[x])))
     g = FMap(f.domain, sub, f.functor, f.values)
     m = TotalMap(sub, f.codomain, {z: z for z in sub})
     return LeastBound(sub, g, m)

@@ -44,7 +44,7 @@ _NAME_DELIMS = set(" \t\r\n,;()[]{}|*=")
 def quote_name(name: str, reserved: set[str] = RESERVED) -> str:
     """`name` as written in text: bare unless it is empty, holds a reserved
     character or opens with a double quote, else double-quoted."""
-    if name and name[0] != '"' and not any(ch in reserved for ch in name):
+    if name and name[0] != '"' and reserved.isdisjoint(name):
         return name
     if '"' in name:
         raise SpecFormatError(f"name {name!r} contains a double quote")
@@ -80,35 +80,40 @@ class TagVal:
     value: "FValue"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class FunVal:
-    """Total map from letters to values; compared pointwise."""
+    """Total map from letters to values; compared pointwise.  Held as one
+    dict in entry order, so a letter's value is found in O(1)."""
 
-    entries: tuple[tuple[str, "FValue"], ...]
+    _index: dict[str, "FValue"]
 
     def __init__(self, entries: Iterable[tuple[str, "FValue"]]):
         pairs = tuple(entries)
-        letters = [a for a, _ in pairs]
-        if len(set(letters)) != len(letters):
+        index = dict(pairs)
+        if len(index) != len(pairs):
             raise ValueError("duplicate letter in exponent value")
-        object.__setattr__(self, "entries", pairs)
+        object.__setattr__(self, "_index", index)
+
+    @property
+    def entries(self) -> tuple[tuple[str, "FValue"], ...]:
+        return tuple(self._index.items())
 
     def __getitem__(self, letter: str) -> "FValue":
-        for a, v in self.entries:
-            if a == letter:
-                return v
-        raise KeyError(letter)
+        return self._index[letter]
 
     def letters(self) -> tuple[str, ...]:
-        return tuple(a for a, _ in self.entries)
+        return tuple(self._index)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FunVal):
             return NotImplemented
-        return dict(self.entries) == dict(other.entries)
+        return self._index == other._index
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.entries))
+        return hash(frozenset(self._index.items()))
+
+    def __repr__(self) -> str:
+        return f"FunVal(entries={self.entries!r})"
 
 
 @dataclass(frozen=True, eq=False)

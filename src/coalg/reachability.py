@@ -4,6 +4,10 @@ Level k+1 collects the states actually used by the structure values of level
 k; the construction starts at the point and stops once the cumulative union
 stops growing.  The union of all levels carries the reachable part, and the
 coalgebra is reachable iff that union is the whole carrier.
+
+Each step costs time linear in the states plus slots of its level: the
+least bound is one pass over the level's values, and the stop test checks
+the new level against a set of the states seen so far.
 """
 
 from __future__ import annotations
@@ -34,10 +38,7 @@ class LevelSequence:
 
     def union(self) -> FiniteSet:
         """All reached states, in first-appearance order."""
-        acc = FiniteSet()
-        for level in self.levels:
-            acc = acc.union(level)
-        return acc
+        return FiniteSet().union(*self.levels)
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,7 @@ def reach_levels(c: PointedCoalgebra) -> LevelSequence:
     levels = [FiniteSet([c.point])]
     inclusions = [TotalMap(levels[0], c.carrier, {c.point: c.point})]
     step_maps: list[FMap] = []
-    union = levels[0]
+    seen = {c.point}
     while True:
         closed = FiniteSet(x for x in levels[-1] if x not in c.frontier)
         f = FMap(closed, c.carrier, c.functor,
@@ -70,10 +71,9 @@ def reach_levels(c: PointedCoalgebra) -> LevelSequence:
         levels.append(nxt)
         inclusions.append(TotalMap(nxt, c.carrier, {x: x for x in nxt}))
         step_maps.append(g)
-        grown = union.union(nxt)
-        if len(grown) == len(union):
+        if seen.issuperset(nxt):
             break
-        union = grown
+        seen.update(nxt)
     return LevelSequence(tuple(levels), tuple(inclusions), tuple(step_maps))
 
 

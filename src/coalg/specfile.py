@@ -17,7 +17,7 @@ Structure values are written shape-first: `@state` (Id), `#elem` (constant),
 under composition the member slots hold nested values.  Comments are
 full-line only (`#` opens a constant inside values).  Names are bare unless
 they contain one of the reserved characters, in which case they are written
-in double quotes; quotes themselves cannot occur in names.
+in double quotes; quotes and line breaks cannot occur in names.
 """
 
 from __future__ import annotations
@@ -78,6 +78,19 @@ def format_value(functor: FunctorExpr, value: FValue) -> str:
 # documents
 
 
+# characters str.splitlines breaks at: `parse_spec` reads a document line by
+# line, so no name written into one may hold them, quoted or not
+LINE_BREAKS = frozenset("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+
+
+def _document(lines: list[str]) -> str:
+    for line in lines:
+        if not LINE_BREAKS.isdisjoint(line):
+            raise SpecFormatError(
+                f"cannot write {line!r}: a name in it holds a line break")
+    return "\n".join(lines) + "\n"
+
+
 def emit_coalgebra(c: PointedCoalgebra) -> str:
     lines = ["kind: coalgebra",
              f"functor: {format_functor(c.functor)}",
@@ -89,7 +102,7 @@ def emit_coalgebra(c: PointedCoalgebra) -> str:
         if x not in c.frontier:
             lines.append(f"{_quote(x)} = "
                          f"{format_value(c.functor, c.structure[x])}")
-    return "\n".join(lines) + "\n"
+    return _document(lines)
 
 
 def emit_dfa(d: PartialDFA) -> str:
@@ -105,7 +118,7 @@ def emit_dfa(d: PartialDFA) -> str:
             if (q, a) in d.delta:
                 lines.append(f"trans {_quote(q)} {_quote(a)} "
                              f"{_quote(d.delta[(q, a)])}")
-    return "\n".join(lines) + "\n"
+    return _document(lines)
 
 
 def emit_multigraph(g: Multigraph) -> str:
@@ -114,7 +127,7 @@ def emit_multigraph(g: Multigraph) -> str:
              f"root: {_quote(g.root)}"]
     for e in g.edges:
         lines.append(f"edge {_quote(e.id)} {_quote(e.src)} {_quote(e.tgt)}")
-    return "\n".join(lines) + "\n"
+    return _document(lines)
 
 
 def emit_spec(obj) -> str:

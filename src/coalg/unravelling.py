@@ -6,6 +6,11 @@ copy of its successor.  The coproduct of all levels is the unravelled tree;
 the coalgebra is itself a tree iff the combined projection is a bijection
 onto the carrier.
 
+Each step costs time linear in the states plus slots of its level (one
+precise factorization, one renaming, and fresh names that resume their
+counters), and the coproduct's carrier and projection are one pass over the
+levels, so a whole unravelling is linear in the tree it builds.
+
 Cyclic inputs unravel forever, so the constructions take a depth cap and the
 decision procedure checks the canonical graph for reachable cycles up front
 instead of waiting for a level overflow (the two are equivalent: a copy in
@@ -41,10 +46,8 @@ class TreeLevels:
     truncated: bool
 
     def states(self) -> FiniteSet:
-        acc = FiniteSet()
-        for level in self.levels:
-            acc = acc.union(level)
-        return acc
+        """All level states, level by level: the coproduct's carrier."""
+        return FiniteSet().union(*self.levels)
 
     def projection(self) -> TotalMap:
         """The combined map [h_k] from the coproduct of levels."""

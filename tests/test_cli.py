@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import pytest
+
 from coalg import parse_spec, to_dot
+from coalg.specfile import LINE_BREAKS
 from coalg.cli import main
 
 from conftest import fixture_path, load_fixture
@@ -29,6 +32,18 @@ def test_check_rejects_broken_files(tmp_path, capsys):
                    encoding="utf-8")
     assert main(["check", str(bad)]) == 2
     assert main(["check", str(tmp_path / "missing.spec")]) == 2
+
+
+@pytest.mark.parametrize("brk", sorted(LINE_BREAKS))
+def test_names_holding_line_breaks_are_input_errors(tmp_path, capsys, brk):
+    spec = tmp_path / "brk.spec"
+    name = f'"a{brk}b"'
+    spec.write_text(f"functor: Id\nstates: {name}\npoint: {name}\n"
+                    f"{name} = @{name}\n", encoding="utf-8", newline="")
+    for command in ("check", "reachable", "unravel"):
+        assert main([command, str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line ") and "Traceback" not in err
 
 
 def test_reachable_on_the_diamond(capsys):

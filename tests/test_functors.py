@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -180,6 +181,31 @@ def test_exponent_values_compare_pointwise():
     b = FunVal((("b", IdVal("q")), ("a", IdVal("p"))))
     assert a == b
     assert a["a"] == IdVal("p")
+
+
+def test_wide_exponent_values_validate_and_map_in_linear_time():
+    # letters are looked up by index: at 4,000 letters a linear scan per
+    # lookup makes validate + two fmaps take about half a second
+    letters = FiniteSet(f"a{i}" for i in range(4000))
+    f = Exponent(Identity(), letters)
+    v = FunVal((a, IdVal("pq"[i % 2])) for i, a in enumerate(letters))
+    swap = {"p": "q", "q": "p"}
+    start = time.perf_counter()
+    validate_value(f, v, FiniteSet(("p", "q")))
+    w = fmap(f, swap, v)
+    back = fmap(f, swap, w)
+    assert time.perf_counter() - start < 0.3
+    assert w != v and back == v and hash(back) == hash(v)
+    assert w.letters() == v.letters() == tuple(letters)
+    assert v["a1"] == w["a0"] == IdVal("q")
+    with pytest.raises(KeyError):
+        v["b"]
+
+
+def test_shape_errors_name_functors_whose_letters_hold_line_breaks():
+    f = Exponent(Identity(), FiniteSet(("a\nb", "c")))
+    with pytest.raises(ShapeError, match="expected FunVal"):
+        validate_value(f, IdVal("p"), FiniteSet(("p",)))
 
 
 def test_fvalue_equal_shape_checks_both_sides():

@@ -29,6 +29,7 @@ from coalg import (
     parse_value,
     tree_unravelling,
 )
+from coalg.specfile import LINE_BREAKS
 
 import generators
 from conftest import FIXTURE_DIR, FIXTURE_NAMES, load_fixture
@@ -78,6 +79,29 @@ def test_quoted_names_allow_reserved_characters():
     text = emit_spec(c)
     assert '"x 1"' in text
     assert parse_spec(text) == c
+
+
+def test_line_breaks_are_exactly_what_splitlines_splits_at():
+    assert LINE_BREAKS == {chr(i) for i in range(0x110000)
+                           if len(f"a{chr(i)}b".splitlines()) > 1}
+
+
+@pytest.mark.parametrize("brk", sorted(LINE_BREAKS))
+def test_names_holding_line_breaks_are_not_emitted(brk):
+    name = f"a{brk}b"
+    state = PointedCoalgebra(parse_functor("Id"), FiniteSet((name,)),
+                             {name: IdVal(name)}, name)
+    f = Exponent(Identity(), FiniteSet((name, "c")))
+    letter = PointedCoalgebra(f, FiniteSet(("p",)),
+                              {"p": FunVal(((name, IdVal("p")),
+                                            ("c", IdVal("p"))))}, "p")
+    dfa = PartialDFA(FiniteSet((name,)), FiniteSet(("q",)), frozenset(),
+                     {("q", name): "q"}, "q")
+    for obj in (state, letter, dfa):
+        with pytest.raises(SpecFormatError, match="line break"):
+            emit_spec(obj)
+    # a functor expression alone is one string, not a document
+    assert parse_functor(format_functor(f)) == f
 
 
 def test_open_coalgebras_round_trip(two_cycle):
