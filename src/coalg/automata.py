@@ -6,7 +6,10 @@ coalgebra projecting onto the automaton via the extended transition map.
 A rooted multigraph is a Bag coalgebra; its rooted paths form the analogous
 tree, projecting each path to its target vertex.  Both enumerations are
 breadth-first with deterministic letter/edge order, so truncated carriers
-are prefix-closed and reproducible.
+are prefix-closed and reproducible.  The automaton or graph was validated
+when it was built, and the word and path names are checked for collisions,
+so both trees and projections are built with the unchecked `_trusted`
+constructors (see `coalg.base`).
 """
 
 from __future__ import annotations
@@ -148,9 +151,9 @@ def defined_inputs(d: PartialDFA, max_len: int) -> DefinedInputs:
     names = {w: _word_name(w, d.alphabet) for w in words}
     if len(set(names.values())) != len(words):
         raise ShapeError("word names collide; rename the alphabet letters")
-    carrier = FiniteSet(names[w] for w in words)
-    frontier = FiniteSet(names[w] for w in words
-                         if not complete and len(w) == max_len)
+    carrier = FiniteSet._trusted(names.values())
+    frontier = FiniteSet._trusted(names[w] for w in words
+                                  if not complete and len(w) == max_len)
     functor = dfa_functor(d.alphabet)
     structure = {}
     for w in words:
@@ -165,9 +168,10 @@ def defined_inputs(d: PartialDFA, max_len: int) -> DefinedInputs:
             else:
                 entries.append((a, TagVal(0, IdVal(names[w + (a,)]))))
         structure[names[w]] = TupleVal((out, FunVal(entries)))
-    tree = PointedCoalgebra(functor, carrier, structure, names[()], frontier)
-    projection = TotalMap(carrier, d.states,
-                          {names[w]: runs[w] for w in words})
+    tree = PointedCoalgebra._trusted(functor, carrier, structure, names[()],
+                                     frontier)
+    projection = TotalMap._trusted(carrier, d.states,
+                                   {names[w]: runs[w] for w in words})
     return DefinedInputs(tree, projection, complete)
 
 
@@ -201,18 +205,19 @@ def rooted_paths(g: Multigraph, max_len: int) -> RootedPaths:
     names = {p: _path_name(p) for p in paths}
     if len(set(names.values())) != len(paths):
         raise ShapeError("path names collide; rename the edge ids")
-    carrier = FiniteSet(names[p] for p in paths)
-    frontier = FiniteSet(names[p] for p in paths
-                         if not complete and len(p) == max_len)
+    carrier = FiniteSet._trusted(names.values())
+    frontier = FiniteSet._trusted(names[p] for p in paths
+                                  if not complete and len(p) == max_len)
     structure = {}
     for p in paths:
         if names[p] in frontier:
             continue
         structure[names[p]] = BagVal(
             (names[p + (e.id,)], 1) for e in g.out_edges(target[p]))
-    tree = PointedCoalgebra(Bag(), carrier, structure, names[()], frontier)
-    projection = TotalMap(carrier, g.vertices,
-                          {names[p]: target[p] for p in paths})
+    tree = PointedCoalgebra._trusted(Bag(), carrier, structure, names[()],
+                                     frontier)
+    projection = TotalMap._trusted(carrier, g.vertices,
+                                   {names[p]: target[p] for p in paths})
     return RootedPaths(tree, projection, complete)
 
 

@@ -3,6 +3,15 @@
 State identifiers are plain strings.  Carriers are `FiniteSet`s: duplicate-free
 sequences with a fixed, deterministic iteration order (insertion order), so
 every construction downstream is reproducible byte for byte.
+
+Validation happens once, at the boundary: `parse_spec` and the public
+constructors (`FiniteSet(...)`, `TotalMap(...)`, and `FMap(...)` and
+`PointedCoalgebra(...)` in their modules) check every invariant.  Each of
+these classes also has one private trusted constructor, `_trusted`, which
+sets the fields and checks nothing.  The library's own constructions use it
+for objects they derive from already validated ones; its caller guarantees
+the invariants, and a dict passed to it is not copied, so it must be freshly
+built and not shared.
 """
 
 from __future__ import annotations
@@ -73,6 +82,14 @@ class FiniteSet:
             if not isinstance(e, str) or not e:
                 raise ValueError(f"set elements must be non-empty strings, got {e!r}")
 
+    @classmethod
+    def _trusted(cls, elems: Iterable[StateId]) -> "FiniteSet":
+        """Unchecked: the caller guarantees distinct non-empty strings."""
+        s = cls.__new__(cls)
+        s._elems = tuple(elems)
+        s._index = {e: i for i, e in enumerate(s._elems)}
+        return s
+
     def __iter__(self) -> Iterator[StateId]:
         return iter(self._elems)
 
@@ -128,6 +145,15 @@ class TotalMap:
         if bad:
             raise ValueError(
                 f"image of {bad[0]!r} ({self._mapping[bad[0]]!r}) not in codomain")
+
+    @classmethod
+    def _trusted(cls, domain: FiniteSet, codomain: FiniteSet,
+                 mapping: dict[StateId, StateId]) -> "TotalMap":
+        """Unchecked and uncopied: the caller guarantees that `mapping` is a
+        fresh dict with exactly the keys of domain, all images in codomain."""
+        m = cls.__new__(cls)
+        m.domain, m.codomain, m._mapping = domain, codomain, mapping
+        return m
 
     @classmethod
     def identity(cls, carrier: FiniteSet) -> "TotalMap":

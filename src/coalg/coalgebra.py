@@ -5,6 +5,12 @@ distinguished point.  Carriers may declare a `frontier` of open states with no
 structure entry: depth-truncated constructions end in such states instead of
 inventing bottom values (the grammar has no universal bottom).  Ordinary
 coalgebras have an empty frontier.
+
+`PointedCoalgebra(...)` validates the point, the frontier and every structure
+value against the carrier; `Multigraph(...)` validates its root and edges.
+The constructions that derive a coalgebra from a valid one (reachable parts,
+unravellings, the DFA and path trees) build it with the unchecked
+`PointedCoalgebra._trusted` instead (see `coalg.base`).
 """
 
 from __future__ import annotations
@@ -43,6 +49,19 @@ class PointedCoalgebra:
             if x not in self.carrier or x in self.frontier:
                 raise ShapeError(f"structure given for unexpected state {x!r}")
 
+    @classmethod
+    def _trusted(cls, functor: FunctorExpr, carrier: FiniteSet,
+                 structure: dict[StateId, FValue], point: StateId,
+                 frontier: FiniteSet) -> "PointedCoalgebra":
+        """Unchecked and uncopied: the caller guarantees the invariants that
+        `__post_init__` checks, and that `structure` is a fresh dict."""
+        c = cls.__new__(cls)
+        for name, value in (("functor", functor), ("carrier", carrier),
+                            ("structure", structure), ("point", point),
+                            ("frontier", frontier)):
+            object.__setattr__(c, name, value)
+        return c
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PointedCoalgebra):
             return NotImplemented
@@ -78,6 +97,8 @@ class Multigraph:
         if self.root not in self.vertices:
             raise ShapeError(f"root {self.root!r} not a vertex")
         ids = [e.id for e in self.edges]
+        if not all(isinstance(i, str) and i for i in ids):
+            raise ShapeError("edge ids must be non-empty strings")
         if len(set(ids)) != len(ids):
             raise ShapeError("duplicate edge id")
         out: dict[StateId, list[Edge]] = {v: [] for v in self.vertices}

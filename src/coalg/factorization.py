@@ -13,6 +13,12 @@ factorization drive everything downstream:
 
 Middle elements of precise factorizations are named after their provenance:
 origin domain element, structural path, and a copy index for bag entries.
+
+`FMap(...)` validates every value against the functor and the codomain.  Both
+factorizations take an FMap that is already valid (checked by that
+constructor, or derived by the library from checked data), and build their
+results with the unchecked `_trusted` constructors (see `coalg.base`): their
+carriers, maps and values are valid by construction.
 """
 
 from __future__ import annotations
@@ -22,8 +28,7 @@ from dataclasses import dataclass
 
 from .base import (FiniteSet, NotIsomorphic, ShapeError, StateId, TotalMap,
                    fresh_namer)
-from .functors import (FValue, FunctorExpr, Member, fmap, used_states,
-                       validate_value)
+from .functors import FValue, FunctorExpr, Member, fmap, validate_value
 
 
 class FMap:
@@ -45,6 +50,18 @@ class FMap:
             raise ValueError(f"value for non-domain element {extra[0]!r}")
         for x in domain:
             validate_value(functor, self.values[x], codomain)
+
+    @classmethod
+    def _trusted(cls, domain: FiniteSet, codomain: FiniteSet,
+                 functor: FunctorExpr,
+                 values: dict[StateId, FValue]) -> "FMap":
+        """Unchecked and uncopied: the caller guarantees that `values` is a
+        fresh dict with exactly the keys of domain, each value valid for
+        functor over codomain."""
+        f = cls.__new__(cls)
+        f.domain, f.codomain, f.functor = domain, codomain, functor
+        f.values = values
+        return f
 
     def value(self, x: StateId) -> FValue:
         return self.values[x]
@@ -91,10 +108,11 @@ class LeastBound:
 def least_bound(f: FMap) -> LeastBound:
     """Restrict f's codomain to the states it actually uses, in first-use
     order; one pass over the slots of f's values."""
-    sub = FiniteSet(dict.fromkeys(
-        z for x in f.domain for z in used_states(f.functor, f.values[x])))
-    g = FMap(f.domain, sub, f.functor, f.values)
-    m = TotalMap(sub, f.codomain, {z: z for z in sub})
+    slots = f.functor.slots
+    sub = FiniteSet._trusted(dict.fromkeys(
+        z for x in f.domain for z, _ in slots(f.values[x])))
+    g = FMap._trusted(f.domain, sub, f.functor, dict(f.values))
+    m = TotalMap._trusted(sub, f.codomain, dict(zip(sub, sub)))
     return LeastBound(sub, g, m)
 
 
@@ -116,10 +134,10 @@ def precise_factorize(f: FMap) -> PreciseFactorization:
         return name
 
     new_values = f.functor.factor([(x, f.values[x]) for x in f.domain], emit)
-    middle = FiniteSet(order)
-    p = FMap(f.domain, middle, f.functor,
-             {x: v for x, v in zip(f.domain, new_values)})
-    h = TotalMap(middle, f.codomain, h_map)
+    middle = FiniteSet._trusted(order)
+    p = FMap._trusted(f.domain, middle, f.functor,
+                      dict(zip(f.domain, new_values)))
+    h = TotalMap._trusted(middle, f.codomain, h_map)
     return PreciseFactorization(middle, p, h)
 
 

@@ -39,6 +39,11 @@ BOTTOM = "⊥"
 RESERVED = set(' \t\r\n"#@(){}[]|*:,=')
 # characters that end a bare name in a functor set literal
 _NAME_DELIMS = set(" \t\r\n,;()[]{}|*=")
+# deepest functor expression `parse_functor` accepts, counting both the nodes
+# on a root-to-leaf path and nested parentheses: every walk over a functor
+# or its values recurses once or a few times per level, so this keeps them
+# all far below Python's recursion limit
+MAX_FUNCTOR_DEPTH = 64
 
 
 def quote_name(name: str, reserved: set[str] = RESERVED) -> str:
@@ -180,8 +185,10 @@ FValue = Union[IdVal, ConstVal, TupleVal, TagVal, FunVal, BagVal, SetVal]
 class FunctorExpr:
     """Base of the constructor classes, each of which implements:
 
-    text(ctx): expression text at precedence ctx (coproduct 0 < product 1 <
-      compose 2 < postfix 3);
+    text(ctx, name): expression text at precedence ctx (coproduct 0 <
+      product 1 < compose 2 < postfix 3), set-literal names written by
+      `name` (`describe` gives a text for messages that never raises);
+    children(): the direct subexpressions;
     validate(value, member, path): shape check, `member(m, path)` per slot;
     map(value, fn): the value with `fn` applied to every member slot;
     slots(value): (member, weight) per slot, in order;
@@ -200,12 +207,20 @@ class FunctorExpr:
     value_type: type
 
     def __repr__(self) -> str:
-        return self.text(0)
+        return self.describe()
+
+    def describe(self) -> str:
+        """Expression text for messages: like `format_functor`, but a
+        set-literal name that no text can hold is written as its repr."""
+        return self.text(0, _loose_name)
+
+    def children(self) -> tuple["FunctorExpr", ...]:
+        return ()
 
     def expect(self, value: FValue) -> FValue:
         if not isinstance(value, self.value_type):
             raise ShapeError(
-                f"expected {self.value_type.__name__} for {self.text(0)}, "
+                f"expected {self.value_type.__name__} for {self.describe()}, "
                 f"got {type(value).__name__}")
         return value
 
@@ -235,7 +250,7 @@ def _pair_by_image(ms_a, ms_b, img_a, img_b) -> Iterator[tuple[Member, Member]]:
 class Identity(FunctorExpr):
     value_type = IdVal
 
-    def text(self, ctx):
+    def text(self, ctx, name):
         return "Id"
 
     def validate(self, value, member, path):
@@ -276,13 +291,13 @@ class Const(FunctorExpr):
     def __repr__(self) -> str:
         return f"Const({{{','.join(self.values)}}})"
 
-    def text(self, ctx):
+    def text(self, ctx, name):
         elems = tuple(self.values)
         if elems == (BOTTOM,):
             return "1"
         if len(elems) >= 2 and elems == tuple(str(i) for i in range(len(elems))):
             return str(len(elems))
-        return _format_set(self.values)
+        return _format_set(self.values, name)
 
     def validate(self, value, member, path):
         if self.expect(value).element not in self.values:
@@ -324,9 +339,12 @@ class Product(FunctorExpr):
         if not self.factors:
             raise ValueError("product needs at least one factor")
 
-    def text(self, ctx):
-        body = " x ".join(g.text(2) for g in self.factors)
+    def text(self, ctx, name):
+        body = " x ".join(g.text(2, name) for g in self.factors)
         return f"({body})" if ctx > 1 else body
+
+    def children(self):
+        return self.factors
 
     def _items(self, value, path="value"):
         if len(self.expect(value).items) != len(self.factors):
@@ -385,9 +403,12 @@ class Coproduct(FunctorExpr):
         if not self.summands:
             raise ValueError("coproduct needs at least one summand")
 
-    def text(self, ctx):
-        body = " + ".join(g.text(1) for g in self.summands)
+    def text(self, ctx, name):
+        body = " + ".join(g.text(1, name) for g in self.summands)
         return f"({body})" if ctx > 0 else body
+
+    def children(self):
+        return self.summands
 
     def _summand(self, value, path="value"):
         if not 0 <= self.expect(value).tag < len(self.summands):
@@ -446,8 +467,11 @@ class Exponent(FunctorExpr):
         if len(self.alphabet) == 0:
             raise ValueError("exponent needs a non-empty alphabet")
 
-    def text(self, ctx):
-        return self.base.text(3) + "^" + _format_set(self.alphabet)
+    def text(self, ctx, name):
+        return self.base.text(3, name) + "^" + _format_set(self.alphabet, name)
+
+    def children(self):
+        return (self.base,)
 
     def validate(self, value, member, path):
         have = set(self.expect(value).letters())
@@ -515,9 +539,12 @@ class Compose(FunctorExpr):
     outer: FunctorExpr
     inner: FunctorExpr
 
-    def text(self, ctx):
-        body = self.outer.text(3) + " . " + self.inner.text(2)
+    def text(self, ctx, name):
+        body = self.outer.text(3, name) + " . " + self.inner.text(2, name)
         return f"({body})" if ctx > 2 else body
+
+    def children(self):
+        return (self.outer, self.inner)
 
     def validate(self, value, member, path):
         def check_inner(m: Member, p: str) -> None:
@@ -572,7 +599,7 @@ class Compose(FunctorExpr):
 class Bag(FunctorExpr):
     value_type = BagVal
 
-    def text(self, ctx):
+    def text(self, ctx, name):
         return "Bag"
 
     def validate(self, value, member, path):
@@ -621,7 +648,7 @@ class Bag(FunctorExpr):
 class Pow(FunctorExpr):
     value_type = SetVal
 
-    def text(self, ctx):
+    def text(self, ctx, name):
         return "Pow"
 
     def validate(self, value, member, path):
@@ -826,11 +853,16 @@ _SPACE = frozenset(filter(str.isspace, map(chr, range(0x3001))))
 
 class _ExprCursor(Cursor):
     """Cursor over a functor expression: any whitespace separates tokens, set
-    literals end a bare name at `_NAME_DELIMS`, errors carry the offset."""
+    literals end a bare name at `_NAME_DELIMS`, errors carry the offset,
+    `parens` counts the open parentheses."""
 
-    __slots__ = ()
+    __slots__ = ("parens",)
     blank = _SPACE
     delims = _NAME_DELIMS
+
+    def __init__(self, text: str):
+        super().__init__(text)
+        self.parens = 0
 
     def error(self, msg: str) -> CoalgebraError:
         return FunctorSyntaxError(msg, self.pos)
@@ -860,8 +892,13 @@ def _parse_atom(cur: _ExprCursor) -> FunctorExpr:
     ch = cur.peek()
     if ch == "(":
         cur.take("(")
+        cur.parens += 1
+        if cur.parens > MAX_FUNCTOR_DEPTH:
+            raise FunctorSyntaxError(
+                f"more than {MAX_FUNCTOR_DEPTH} nested parentheses", cur.pos)
         inner = _parse_coproduct(cur)
         cur.take(")")
+        cur.parens -= 1
         return inner
     if ch == "{":
         return Const(_parse_set_literal(cur))
@@ -931,18 +968,38 @@ def _parse_coproduct(cur: _ExprCursor) -> FunctorExpr:
 
 
 def parse_functor(text: str) -> FunctorExpr:
-    """Parse a functor expression; round-trips with `format_functor`."""
+    """Parse a functor expression; round-trips with `format_functor`.
+
+    Expressions deeper than MAX_FUNCTOR_DEPTH levels are rejected."""
     cur = _ExprCursor(text)
     f = _parse_coproduct(cur)
     if not cur.at_end():
         raise FunctorSyntaxError("trailing input after functor expression", cur.pos)
+    depth, layer = 0, [f]
+    while layer:
+        depth += 1
+        if depth > MAX_FUNCTOR_DEPTH:
+            raise FunctorSyntaxError(
+                f"functor nests deeper than {MAX_FUNCTOR_DEPTH} levels", 0)
+        layer = [g for h in layer for g in h.children()]
     return f
 
 
-def _format_set(s: FiniteSet) -> str:
-    return "{" + ",".join(quote_name(e, _NAME_DELIMS) for e in s) + "}"
+def _set_name(name: str) -> str:
+    return quote_name(name, _NAME_DELIMS)
+
+
+def _loose_name(name: str) -> str:
+    try:
+        return _set_name(name)
+    except SpecFormatError:
+        return repr(name)
+
+
+def _format_set(s: FiniteSet, name: Callable[[str], str]) -> str:
+    return "{" + ",".join(map(name, s)) + "}"
 
 
 def format_functor(f: FunctorExpr) -> str:
     """Canonical text for a functor expression."""
-    return f.text(0)
+    return f.text(0, _set_name)

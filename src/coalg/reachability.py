@@ -8,6 +8,11 @@ coalgebra is reachable iff that union is the whole carrier.
 Each step costs time linear in the states plus slots of its level: the
 least bound is one pass over the level's values, and the stop test checks
 the new level against a set of the states seen so far.
+
+The input coalgebra was validated when it was built; every level, step map,
+inclusion and the reachable part are derived from it, so they are built with
+the unchecked `_trusted` constructors (see `coalg.base`) and no value is
+validated again.
 """
 
 from __future__ import annotations
@@ -59,17 +64,19 @@ def reach_levels(c: PointedCoalgebra) -> LevelSequence:
     (it may be non-empty, e.g. on a cycle); no further level can add a new
     state after that, so the union is complete.
     """
-    levels = [FiniteSet([c.point])]
-    inclusions = [TotalMap(levels[0], c.carrier, {c.point: c.point})]
+    levels = [FiniteSet._trusted((c.point,))]
+    inclusions = [TotalMap._trusted(levels[0], c.carrier, {c.point: c.point})]
     step_maps: list[FMap] = []
     seen = {c.point}
     while True:
-        closed = FiniteSet(x for x in levels[-1] if x not in c.frontier)
-        f = FMap(closed, c.carrier, c.functor,
-                 {x: c.structure[x] for x in closed})
+        closed = FiniteSet._trusted(x for x in levels[-1]
+                                    if x not in c.frontier)
+        f = FMap._trusted(closed, c.carrier, c.functor,
+                          {x: c.structure[x] for x in closed})
         nxt, g, _ = least_bound(f).parts()
         levels.append(nxt)
-        inclusions.append(TotalMap(nxt, c.carrier, {x: x for x in nxt}))
+        inclusions.append(TotalMap._trusted(nxt, c.carrier,
+                                            dict(zip(nxt, nxt))))
         step_maps.append(g)
         if seen.issuperset(nxt):
             break
@@ -80,10 +87,10 @@ def reach_levels(c: PointedCoalgebra) -> LevelSequence:
 def reachable_part(c: PointedCoalgebra) -> ReachablePart:
     sub = reach_levels(c).union()
     structure = {x: c.structure[x] for x in sub if x not in c.frontier}
-    embedding = TotalMap(sub, c.carrier, {x: x for x in sub})
-    restricted = PointedCoalgebra(
-        c.functor, sub, structure, c.point,
-        FiniteSet(x for x in sub if x in c.frontier))
+    embedding = TotalMap._trusted(sub, c.carrier, dict(zip(sub, sub)))
+    restricted = PointedCoalgebra._trusted(
+        c.functor, sub, dict(structure), c.point,
+        FiniteSet._trusted(x for x in sub if x in c.frontier))
     return ReachablePart(sub, structure, embedding, c.point, restricted)
 
 

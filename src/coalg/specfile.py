@@ -58,6 +58,12 @@ class _Line(Cursor):
         self.expect_end()
         return out
 
+    def set_rest(self) -> FiniteSet:
+        try:
+            return FiniteSet(self.names_rest())
+        except ValueError as exc:
+            raise self.error(str(exc)) from None
+
 
 # --------------------------------------------------------------------------
 # shape-directed value syntax
@@ -190,11 +196,10 @@ def _build_coalgebra(keys, body) -> PointedCoalgebra:
     except FunctorSyntaxError as exc:
         raise SpecFormatError(
             f"line {keys['functor'].no}: bad functor: {exc}") from exc
-    states = FiniteSet(keys["states"].names_rest())
+    states = keys["states"].set_rest()
     point = keys["point"].name()
     keys["point"].expect_end()
-    frontier = FiniteSet(keys["open"].names_rest()) if "open" in keys \
-        else FiniteSet()
+    frontier = keys["open"].set_rest() if "open" in keys else FiniteSet()
     known = states.as_set()
 
     def member(cur2: _Line) -> StateId:
@@ -221,8 +226,8 @@ def _build_coalgebra(keys, body) -> PointedCoalgebra:
 
 def _build_dfa(keys, body) -> PartialDFA:
     _require(keys, "dfa", ("alphabet", "states", "initial"), ("accepting",))
-    alphabet = FiniteSet(keys["alphabet"].names_rest())
-    states = FiniteSet(keys["states"].names_rest())
+    alphabet = keys["alphabet"].set_rest()
+    states = keys["states"].set_rest()
     initial = keys["initial"].name()
     keys["initial"].expect_end()
     accepting = frozenset(keys["accepting"].names_rest()) \
@@ -245,7 +250,7 @@ def _build_dfa(keys, body) -> PartialDFA:
 
 def _build_multigraph(keys, body) -> Multigraph:
     _require(keys, "multigraph", ("vertices", "root"))
-    vertices = FiniteSet(keys["vertices"].names_rest())
+    vertices = keys["vertices"].set_rest()
     root = keys["root"].name()
     keys["root"].expect_end()
     edges = []

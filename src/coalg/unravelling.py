@@ -9,7 +9,10 @@ onto the carrier.
 Each step costs time linear in the states plus slots of its level (one
 precise factorization, one renaming, and fresh names that resume their
 counters), and the coproduct's carrier and projection are one pass over the
-levels, so a whole unravelling is linear in the tree it builds.
+levels, so a whole unravelling is linear in the tree it builds.  Every level,
+map and the tree itself are derived from the validated input coalgebra, so
+they are built with the unchecked `_trusted` constructors (see `coalg.base`):
+no tree state's value is validated.
 
 Cyclic inputs unravel forever, so the constructions take a depth cap and the
 decision procedure checks the canonical graph for reachable cycles up front
@@ -56,7 +59,7 @@ class TreeLevels:
         for h in self.projections:
             for x in h.domain:
                 mapping[x] = h[x]
-        return TotalMap(self.states(), target, mapping)
+        return TotalMap._trusted(self.states(), target, mapping)
 
 
 @dataclass(frozen=True)
@@ -96,23 +99,23 @@ def tree_levels(c: PointedCoalgebra, max_depth: int) -> TreeLevels:
         raise ValueError("max_depth must be >= 0")
     alloc = fresh_namer()
     root = alloc(f"0:{c.point}")
-    levels = [FiniteSet([root])]
-    projections = [TotalMap(levels[0], c.carrier, {root: c.point})]
+    levels = [FiniteSet._trusted((root,))]
+    projections = [TotalMap._trusted(levels[0], c.carrier, {root: c.point})]
     step_maps: list[FMap] = []
     while len(levels[-1]) > 0 and len(step_maps) < max_depth:
         cur, h = levels[-1], projections[-1]
-        f = FMap(cur, c.carrier, c.functor,
-                 {x: c.structure[h[x]] for x in cur})
+        f = FMap._trusted(cur, c.carrier, c.functor,
+                          {x: c.structure[h[x]] for x in cur})
         middle, p, hm = precise_factorize(f).parts()
         depth = len(step_maps) + 1
         ren = {r: alloc(f"{depth}:{hm[r]}") for r in middle}
-        nxt = FiniteSet(ren[r] for r in middle)
+        nxt = FiniteSet._trusted(ren.values())
         levels.append(nxt)
-        projections.append(TotalMap(nxt, c.carrier,
-                                    {ren[r]: hm[r] for r in middle}))
-        step_maps.append(FMap(cur, nxt, c.functor,
-                              {x: fmap(c.functor, ren, p.value(x))
-                               for x in cur}))
+        projections.append(TotalMap._trusted(
+            nxt, c.carrier, {ren[r]: hm[r] for r in middle}))
+        step_maps.append(FMap._trusted(
+            cur, nxt, c.functor,
+            {x: fmap(c.functor, ren, p.value(x)) for x in cur}))
     return TreeLevels(tuple(levels), tuple(step_maps), tuple(projections),
                       truncated=len(levels[-1]) > 0)
 
@@ -131,7 +134,8 @@ def unravel(c: PointedCoalgebra, max_depth: int) -> UnravelResult:
             structure[x] = v
     frontier = tl.levels[-1] if tl.truncated else FiniteSet()
     root = next(iter(tl.levels[0]))
-    tree = PointedCoalgebra(c.functor, states, structure, root, frontier)
+    tree = PointedCoalgebra._trusted(c.functor, states, structure, root,
+                                     frontier)
     return UnravelResult(tree, tl.projection(), not tl.truncated, frontier)
 
 

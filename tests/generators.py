@@ -131,6 +131,25 @@ def random_acyclic_dfa(rng: random.Random, max_states: int = 6,
     return PartialDFA(alphabet, states, accepting, delta, "q0")
 
 
+def random_dfa(rng: random.Random, max_states: int = 4,
+               max_letters: int = 2) -> PartialDFA:
+    """A partial DFA whose transitions may point anywhere, cycles included."""
+    n = rng.randint(1, max_states)
+    states = FiniteSet(tuple(f"q{i}" for i in range(n)))
+    alphabet = FiniteSet(LETTERS[: rng.randint(1, max_letters)])
+    delta = {(q, a): f"q{rng.randrange(n)}"
+             for q in states for a in alphabet if rng.random() < 0.6}
+    accepting = frozenset(q for q in states if rng.random() < 0.4)
+    return PartialDFA(alphabet, states, accepting, delta, "q0")
+
+
+def structure_map(c: PointedCoalgebra) -> FMap:
+    """The structure of c as a map from its closed states."""
+    closed = FiniteSet(x for x in c.carrier if x not in c.frontier)
+    return FMap(closed, c.carrier, c.functor,
+                {x: c.structure[x] for x in closed})
+
+
 def random_bag_map(rng: random.Random) -> FMap:
     nx, ny = rng.randint(1, 6), rng.randint(1, 6)
     domain = FiniteSet(tuple(f"x{i}" for i in range(1, nx + 1)))

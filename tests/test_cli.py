@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from coalg import parse_spec, to_dot
+from coalg import FiniteSet, parse_spec, to_dot
+from coalg.functors import MAX_FUNCTOR_DEPTH
 from coalg.specfile import LINE_BREAKS
 from coalg.cli import main
 
@@ -44,6 +45,62 @@ def test_names_holding_line_breaks_are_input_errors(tmp_path, capsys, brk):
         assert main([command, str(spec)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: line ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("functor, value", [
+    ("(" * 400 + "Id" + ")" * 400, "@p"),
+    (" . ".join(["Bag"] * 1200 + ["Id"]), "[" * 1200 + "@p" + "]" * 1200),
+])
+def test_deeply_nested_functors_are_input_errors(tmp_path, capsys, functor,
+                                                 value):
+    spec = tmp_path / "deep.spec"
+    spec.write_text(f"functor: {functor}\nstates: p\npoint: p\np = {value}\n",
+                    encoding="utf-8")
+    for command in ("check", "reachable", "unravel"):
+        assert main([command, str(spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: line 1: bad functor: ")
+
+
+def test_the_deepest_functor_runs_every_command(tmp_path, capsys):
+    k = MAX_FUNCTOR_DEPTH - 1
+    functor = " . ".join(["Bag"] * k + ["Id"])
+    spec = tmp_path / "deepest.spec"
+    spec.write_text(f"functor: {functor}\nstates: p, q\npoint: p\n"
+                    f"p = {'[' * k}@q{']' * k}\nq = []\n", encoding="utf-8")
+    out = str(tmp_path / "out")
+    for argv in (["check"], ["reachable", "--emit", out + ".reach"],
+                 ["is-tree"], ["unravel", "--emit", out, "--dot", out + ".dot"],
+                 ["dot"]):
+        assert main([argv[0], str(spec), *argv[1:]]) == 0
+    assert parse_spec((tmp_path / "out").read_text(encoding="utf-8")) \
+        .carrier == FiniteSet(("0:p", "1:q"))
+    assert capsys.readouterr().err == ""
+
+
+def test_empty_edge_ids_are_input_errors(tmp_path, capsys):
+    spec = tmp_path / "g.spec"
+    spec.write_text('kind: multigraph\nvertices: r, p\nroot: r\n'
+                    'edge "" r p\n', encoding="utf-8")
+    assert main(["paths", str(spec)]) == 2
+    assert capsys.readouterr().err == \
+        "error: edge ids must be non-empty strings\n"
+
+
+@pytest.mark.parametrize("text", [
+    "functor: Bag\nstates: a, a\npoint: a\na = []\n",
+    'functor: Bag\nstates: a, ""\npoint: a\na = []\n',
+    "kind: dfa\nalphabet: x, x\nstates: q\ninitial: q\n",
+    "kind: multigraph\nvertices: r, r\nroot: r\n",
+])
+def test_malformed_name_lists_are_input_errors(tmp_path, capsys, text):
+    spec = tmp_path / "names.spec"
+    spec.write_text(text, encoding="utf-8")
+    assert main(["check", str(spec)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: line ")
 
 
 def test_reachable_on_the_diamond(capsys):

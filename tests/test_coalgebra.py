@@ -156,6 +156,14 @@ def test_bag_to_multigraph_requires_a_total_bag_coalgebra():
         bag_to_multigraph(c)
 
 
+def test_multigraph_edge_ids_are_non_empty_strings():
+    vertices = FiniteSet(("r", "p"))
+    with pytest.raises(ShapeError, match="non-empty strings"):
+        Multigraph(vertices, (Edge("", "r", "p"),), "r")
+    with pytest.raises(ShapeError, match="duplicate edge id"):
+        Multigraph(vertices, (Edge("e", "r", "p"), Edge("e", "p", "r")), "r")
+
+
 def test_reachable_vertices_in_discovery_order():
     g = load_fixture("diamond")
     assert list(reachable_vertices(g)) == ["r", "p", "q", "v"]

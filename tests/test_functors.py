@@ -36,6 +36,7 @@ from coalg import (
     used_states,
     validate_value,
 )
+from coalg.functors import MAX_FUNCTOR_DEPTH
 
 import generators
 
@@ -206,6 +207,30 @@ def test_shape_errors_name_functors_whose_letters_hold_line_breaks():
     f = Exponent(Identity(), FiniteSet(("a\nb", "c")))
     with pytest.raises(ShapeError, match="expected FunVal"):
         validate_value(f, IdVal("p"), FiniteSet(("p",)))
+
+
+def test_shape_errors_name_functors_whose_letters_hold_double_quotes():
+    f = Exponent(Identity(), FiniteSet(('"ab', "c")))
+    with pytest.raises(ShapeError, match="expected FunVal"):
+        validate_value(f, IdVal("p"), FiniteSet(("p",)))
+    assert f.describe() == """Id^{'"ab',c}"""
+    assert Compose(Bag(), Const(FiniteSet(('"x', 'y"z', "z,w")))).describe() \
+        == """Bag . {'"x',y"z,"z,w"}"""
+
+
+def test_parse_functor_bounds_the_nesting_depth():
+    deepest = " . ".join(["Bag"] * (MAX_FUNCTOR_DEPTH - 1) + ["Id"])
+    assert format_functor(parse_functor(deepest)) == deepest
+    with pytest.raises(FunctorSyntaxError, match="deeper than"):
+        parse_functor("Bag . " + deepest)
+    with pytest.raises(FunctorSyntaxError, match="deeper than"):
+        parse_functor("Id" + "^{a}" * MAX_FUNCTOR_DEPTH)
+    parens = MAX_FUNCTOR_DEPTH
+    assert parse_functor("(" * parens + "Id" + ")" * parens) == Identity()
+    with pytest.raises(FunctorSyntaxError, match="nested parentheses"):
+        parse_functor("(" * (parens + 1) + "Id" + ")" * (parens + 1))
+    with pytest.raises(FunctorSyntaxError, match="nested parentheses"):
+        parse_functor("(" * 5000 + "Id" + ")" * 5000)
 
 
 def test_fvalue_equal_shape_checks_both_sides():

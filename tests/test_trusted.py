@@ -1,0 +1,124 @@
+"""The constructions build the carriers, maps and coalgebras they derive with
+the unchecked `_trusted` constructors.  Each object they return is rebuilt
+here through its public, validating constructor, from its raw fields, on
+seeded random inputs: the constructor must accept it and give an equal
+object."""
+
+from __future__ import annotations
+
+import random
+
+from coalg import (
+    FMap,
+    FiniteSet,
+    PointedCoalgebra,
+    PowNotPrecise,
+    TotalMap,
+    defined_inputs,
+    least_bound,
+    multigraph_to_bag,
+    precise_factorize,
+    reach_levels,
+    reachable_part,
+    rooted_paths,
+    tree_levels,
+    unravel,
+)
+
+import generators
+
+
+def check_set(s: FiniteSet) -> None:
+    again = FiniteSet(s._elems)
+    assert again == s and again._index == s._index
+
+
+def check_map(m: TotalMap) -> None:
+    check_set(m.domain)
+    check_set(m.codomain)
+    assert TotalMap(m.domain, m.codomain, m._mapping) == m
+
+
+def check_fmap(f: FMap) -> None:
+    check_set(f.domain)
+    check_set(f.codomain)
+    assert FMap(f.domain, f.codomain, f.functor, f.values) == f
+
+
+def check_coalgebra(c: PointedCoalgebra) -> None:
+    check_set(c.carrier)
+    check_set(c.frontier)
+    assert PointedCoalgebra(c.functor, c.carrier, c.structure, c.point,
+                            c.frontier) == c
+
+
+def test_factorizations_are_valid():
+    rng = random.Random(17)
+    for _ in range(300):
+        c = generators.random_coalgebra(rng, open_states=True)
+        for f in (generators.structure_map(c), generators.random_fmap(rng),
+                  generators.random_bag_map(rng)):
+            lb = least_bound(f)
+            check_set(lb.sub)
+            check_fmap(lb.g)
+            check_map(lb.m)
+            try:
+                pf = precise_factorize(f)
+            except PowNotPrecise:
+                continue
+            check_set(pf.middle)
+            check_fmap(pf.p)
+            check_map(pf.h)
+
+
+def test_reachability_levels_and_parts_are_valid():
+    rng = random.Random(19)
+    for _ in range(300):
+        c = generators.random_coalgebra(rng, open_states=True)
+        seq = reach_levels(c)
+        for level, inclusion in zip(seq.levels, seq.inclusions, strict=True):
+            check_set(level)
+            check_map(inclusion)
+        for step in seq.step_maps:
+            check_fmap(step)
+        part = reachable_part(c)
+        check_set(part.sub)
+        check_map(part.embedding)
+        check_coalgebra(part.coalgebra)
+        assert part.structure == part.coalgebra.structure
+
+
+def test_tree_levels_and_unravellings_are_valid():
+    rng = random.Random(23)
+    for i in range(300):
+        if i % 3:
+            c = generators.random_coalgebra(rng, pow_free=True)
+        else:
+            c = multigraph_to_bag(generators.random_multigraph(rng, 6, 8))
+        depth = rng.randint(0, 3)
+        tl = tree_levels(c, depth)
+        for level in tl.levels:
+            check_set(level)
+        for step in tl.step_maps:
+            check_fmap(step)
+        for h in tl.projections:
+            check_map(h)
+        check_map(tl.projection())
+        result = unravel(c, depth)
+        check_coalgebra(result.tree)
+        check_map(result.projection)
+        check_set(result.frontier)
+
+
+def test_defined_inputs_and_rooted_paths_are_valid():
+    rng = random.Random(29)
+    for _ in range(300):
+        for d in (generators.random_acyclic_dfa(rng),
+                  generators.random_dfa(rng)):
+            result = defined_inputs(d, rng.randint(0, 4))
+            check_coalgebra(result.tree)
+            check_map(result.projection)
+        result = rooted_paths(generators.random_multigraph(rng),
+                              rng.randint(0, 4))
+        check_coalgebra(result.tree)
+        check_map(result.projection)
