@@ -4,27 +4,36 @@ A partial DFA is a coalgebra for 2 x (Id + 1)^A; its defined inputs (the
 words on which the run from the initial state stays defined) form a tree
 coalgebra projecting onto the automaton via the extended transition map.
 A rooted multigraph is a Bag coalgebra; its rooted paths form the analogous
-tree, projecting each path to its target vertex.  Both enumerations are
-breadth-first with deterministic letter/edge order, so truncated carriers
-are prefix-closed and reproducible.  The automaton or graph was validated
-when it was built, and the word and path names are checked for collisions,
-so both trees and projections are built with the unchecked `_trusted`
-constructors (see `coalg.base`).
+tree, projecting each path to its target vertex.
+
+Both trees are one unfolding, `_unfold`: a breadth-first walk of the rooted
+paths in letter/edge order, so truncated carriers are prefix-closed and
+reproducible.  Each path's name is its parent's name plus one label (`ε`
+for the root), so the walk costs time linear in the total length of the
+names it writes.  The automaton or graph was validated when it was built,
+and the names are checked for collisions once, so both trees and
+projections are built with the unchecked `_trusted` constructors (see
+`coalg.base`).
 """
 
 from __future__ import annotations
 
 import graphlib
 import math
-from collections import Counter, deque
+from collections import Counter
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
 from .base import FiniteSet, ShapeError, StateId, TotalMap
 from .coalgebra import (Edge, Multigraph, PointedCoalgebra, is_acyclic,
-                        reachable_subgraph)
+                        reachable_subgraph, reachable_vertices)
 from .functors import (BOTTOM, Bag, BagVal, Const, ConstVal, Coproduct,
-                       Exponent, FunVal, FunctorExpr, IdVal, Identity,
+                       Exponent, FunVal, FunctorExpr, FValue, IdVal, Identity,
                        Product, TagVal, TupleVal)
+from .unravelling import UnravelResult
+
+# Both trees are unravellings: tree, projection, complete flag and frontier.
+DefinedInputs = RootedPaths = UnravelResult
 
 
 @dataclass(frozen=True)
@@ -54,20 +63,6 @@ class PartialDFA:
                 raise ShapeError(f"transition into unknown state {q2!r}")
 
 
-@dataclass(frozen=True)
-class DefinedInputs:
-    tree: PointedCoalgebra
-    projection: TotalMap
-    complete: bool
-
-
-@dataclass(frozen=True)
-class RootedPaths:
-    tree: PointedCoalgebra
-    projection: TotalMap
-    complete: bool
-
-
 def dfa_functor(alphabet: FiniteSet) -> FunctorExpr:
     """The partial-DFA shape 2 x (Id + 1)^A."""
     return Product((Const(FiniteSet(("0", "1"))),
@@ -76,20 +71,24 @@ def dfa_functor(alphabet: FiniteSet) -> FunctorExpr:
                              alphabet)))
 
 
-def _dfa_value(d: PartialDFA, q: StateId) -> TupleVal:
+def _transitions(d: PartialDFA, q: StateId) -> list[tuple[str, StateId]]:
+    """The defined transitions out of q, in alphabet order."""
+    return [(a, d.delta[(q, a)]) for a in d.alphabet if (q, a) in d.delta]
+
+
+def _dfa_value(d: PartialDFA, q: StateId,
+               successor: Mapping[str, StateId]) -> TupleVal:
+    """q's output with a transition to successor[a] on each letter a it
+    maps, and bottom on the others."""
     out = ConstVal("1" if q in d.accepting else "0")
-    entries = []
-    for a in d.alphabet:
-        q2 = d.delta.get((q, a))
-        if q2 is None:
-            entries.append((a, TagVal(1, ConstVal(BOTTOM))))
-        else:
-            entries.append((a, TagVal(0, IdVal(q2))))
-    return TupleVal((out, FunVal(entries)))
+    return TupleVal((out, FunVal(
+        (a, TagVal(0, IdVal(successor[a])) if a in successor
+         else TagVal(1, ConstVal(BOTTOM))) for a in d.alphabet)))
 
 
 def dfa_to_coalgebra(d: PartialDFA) -> PointedCoalgebra:
-    structure = {q: _dfa_value(d, q) for q in d.states}
+    structure = {q: _dfa_value(d, q, dict(_transitions(d, q)))
+                 for q in d.states}
     return PointedCoalgebra(dfa_functor(d.alphabet), d.states, structure,
                             d.initial)
 
@@ -109,116 +108,81 @@ def delta_star(d: PartialDFA, word) -> StateId | None:
 
 
 def _dfa_graph(d: PartialDFA) -> Multigraph:
-    edges = tuple(Edge(f"{q}/{a}", q, q2) for (q, a), q2 in
-                  sorted(d.delta.items()))
+    edges = tuple(Edge(str(k), q, q2)
+                  for k, ((q, _), q2) in enumerate(d.delta.items()))
     return Multigraph(d.states, edges, d.initial)
 
 
-def _word_name(word: tuple[str, ...], alphabet: FiniteSet) -> str:
-    if not word:
-        return "ε"
-    if all(len(a) == 1 for a in alphabet):
-        return "".join(word)
-    return "·".join(word)
+def _unfold(functor: FunctorExpr, states: FiniteSet, root: StateId,
+            successors: Callable[[StateId], list[tuple[str, StateId]]],
+            max_len: int, complete: bool, sep: str,
+            build: Callable[[StateId, list[tuple[str, StateId]]], FValue],
+            collision: str) -> UnravelResult:
+    """The tree of rooted paths, breadth-first in successor order.
+
+    A path is named by its parent's name, `sep` and its last label (`ε` for
+    the root), so each name costs its own length once.  `build(x, kids)`
+    gives the value of a closed path ending at x from its children's
+    `(label, name)` pairs.  Unless complete, paths of length max_len stay
+    open.
+    """
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
+    names, targets, lengths = ["ε"], [root], [0]
+    structure: dict[StateId, FValue] = {}
+    frontier = []
+    # the three lists grow in step behind the walk: a breadth-first queue
+    for name, x, n in zip(names, targets, lengths):
+        if not complete and n == max_len:
+            frontier.append(name)
+            continue
+        prefix = name + sep if n else ""
+        kids = []
+        for label, y in successors(x):
+            child = prefix + label
+            kids.append((label, child))
+            names.append(child)
+            targets.append(y)
+            lengths.append(n + 1)
+        structure[name] = build(x, kids)
+    if len(set(names)) != len(names):
+        raise ShapeError(collision)
+    carrier = FiniteSet._trusted(names)
+    tree = PointedCoalgebra._trusted(functor, carrier, structure, "ε",
+                                     FiniteSet._trusted(frontier))
+    projection = TotalMap._trusted(carrier, states, dict(zip(names, targets)))
+    return UnravelResult(tree, projection, complete, tree.frontier)
 
 
-def defined_inputs(d: PartialDFA, max_len: int) -> DefinedInputs:
+def defined_inputs(d: PartialDFA, max_len: int) -> UnravelResult:
     """The coalgebra of words on which the run stays defined.
 
     Complete (all of P, ignoring max_len) iff no cycle is reachable from the
     initial state; otherwise truncated to length max_len, with every word of
-    exactly that length left open.
+    exactly that length left open.  Words are named by their letters, joined
+    by `·` unless every letter is one character.
     """
-    if max_len < 0:
-        raise ValueError("max_len must be >= 0")
-    complete = is_acyclic(reachable_subgraph(_dfa_graph(d)))
-    words: list[tuple[str, ...]] = [()]
-    runs: dict[tuple[str, ...], StateId] = {(): d.initial}
-    queue = deque([()])
-    while queue:
-        w = queue.popleft()
-        if not complete and len(w) >= max_len:
-            continue
-        q = runs[w]
-        for a in d.alphabet:
-            q2 = d.delta.get((q, a))
-            if q2 is not None:
-                wa = w + (a,)
-                words.append(wa)
-                runs[wa] = q2
-                queue.append(wa)
-
-    names = {w: _word_name(w, d.alphabet) for w in words}
-    if len(set(names.values())) != len(words):
-        raise ShapeError("word names collide; rename the alphabet letters")
-    carrier = FiniteSet._trusted(names.values())
-    frontier = FiniteSet._trusted(names[w] for w in words
-                                  if not complete and len(w) == max_len)
-    functor = dfa_functor(d.alphabet)
-    structure = {}
-    for w in words:
-        if names[w] in frontier:
-            continue
-        q = runs[w]
-        out = ConstVal("1" if q in d.accepting else "0")
-        entries = []
-        for a in d.alphabet:
-            if d.delta.get((q, a)) is None:
-                entries.append((a, TagVal(1, ConstVal(BOTTOM))))
-            else:
-                entries.append((a, TagVal(0, IdVal(names[w + (a,)]))))
-        structure[names[w]] = TupleVal((out, FunVal(entries)))
-    tree = PointedCoalgebra._trusted(functor, carrier, structure, names[()],
-                                     frontier)
-    projection = TotalMap._trusted(carrier, d.states,
-                                   {names[w]: runs[w] for w in words})
-    return DefinedInputs(tree, projection, complete)
+    sep = "" if all(len(a) == 1 for a in d.alphabet) else "·"
+    return _unfold(dfa_functor(d.alphabet), d.states, d.initial,
+                   lambda q: _transitions(d, q), max_len,
+                   is_acyclic(reachable_subgraph(_dfa_graph(d))), sep,
+                   lambda q, kids: _dfa_value(d, q, dict(kids)),
+                   "word names collide; rename the alphabet letters")
 
 
-def _path_name(edge_ids: tuple[str, ...]) -> str:
-    return "·".join(edge_ids) if edge_ids else "ε"
-
-
-def rooted_paths(g: Multigraph, max_len: int) -> RootedPaths:
+def rooted_paths(g: Multigraph, max_len: int) -> UnravelResult:
     """The Bag coalgebra of paths from the root, each successor with
     multiplicity 1; projection sends a path to its target vertex.
 
     Complete iff the root-reachable part is acyclic; otherwise truncated to
-    max_len edges with the longest paths left open.
+    max_len edges with the longest paths left open.  Paths are named by
+    their edge ids joined by `·`.
     """
-    if max_len < 0:
-        raise ValueError("max_len must be >= 0")
-    complete = is_acyclic(reachable_subgraph(g))
-    paths: list[tuple[str, ...]] = [()]
-    target: dict[tuple[str, ...], StateId] = {(): g.root}
-    queue = deque([()])
-    while queue:
-        p = queue.popleft()
-        if not complete and len(p) >= max_len:
-            continue
-        for e in g.out_edges(target[p]):
-            pe = p + (e.id,)
-            paths.append(pe)
-            target[pe] = e.tgt
-            queue.append(pe)
-
-    names = {p: _path_name(p) for p in paths}
-    if len(set(names.values())) != len(paths):
-        raise ShapeError("path names collide; rename the edge ids")
-    carrier = FiniteSet._trusted(names.values())
-    frontier = FiniteSet._trusted(names[p] for p in paths
-                                  if not complete and len(p) == max_len)
-    structure = {}
-    for p in paths:
-        if names[p] in frontier:
-            continue
-        structure[names[p]] = BagVal(
-            (names[p + (e.id,)], 1) for e in g.out_edges(target[p]))
-    tree = PointedCoalgebra._trusted(Bag(), carrier, structure, names[()],
-                                     frontier)
-    projection = TotalMap._trusted(carrier, g.vertices,
-                                   {names[p]: target[p] for p in paths})
-    return RootedPaths(tree, projection, complete)
+    return _unfold(Bag(), g.vertices, g.root,
+                   lambda v: [(e.id, e.tgt) for e in g.out_edges(v)],
+                   max_len, is_acyclic(reachable_subgraph(g)), "·",
+                   lambda v, kids: BagVal((p, 1) for _, p in kids),
+                   "path names collide; rename the edge ids")
 
 
 def path_count(g: Multigraph, v: StateId):
@@ -230,11 +194,13 @@ def path_count(g: Multigraph, v: StateId):
     """
     if v not in g.vertices:
         raise ShapeError(f"unknown vertex {v!r}")
-    reach = set(_bfs(g.root, _fwd(g)))
+    reach = reachable_vertices(g)
     if v not in reach:
         return 0
-    coreach = set(_bfs(v, _rev(g)))
-    inside = reach & coreach
+    reverse = Multigraph(g.vertices, tuple(Edge(e.id, e.tgt, e.src)
+                                           for e in g.edges), v)
+    coreach = reachable_vertices(reverse)
+    inside = reach.as_set() & coreach.as_set()
     edges = [e for e in g.edges if e.src in inside and e.tgt in inside]
     ts = graphlib.TopologicalSorter({u: set() for u in inside})
     for e in edges:
@@ -259,32 +225,5 @@ def graph_is_tree(g: Multigraph) -> bool:
     indegree = Counter(e.tgt for e in g.edges)
     return (indegree[g.root] == 0
             and all(indegree[v] == 1 for v in g.vertices if v != g.root)
-            and len(_bfs(g.root, _fwd(g))) == len(g.vertices))
+            and len(reachable_vertices(g)) == len(g.vertices))
 
-
-def _fwd(g: Multigraph) -> dict[StateId, list[StateId]]:
-    adj: dict[StateId, list[StateId]] = {v: [] for v in g.vertices}
-    for e in g.edges:
-        adj[e.src].append(e.tgt)
-    return adj
-
-
-def _rev(g: Multigraph) -> dict[StateId, list[StateId]]:
-    adj: dict[StateId, list[StateId]] = {v: [] for v in g.vertices}
-    for e in g.edges:
-        adj[e.tgt].append(e.src)
-    return adj
-
-
-def _bfs(start: StateId, adj: dict[StateId, list[StateId]]) -> list[StateId]:
-    seen = {start}
-    out = [start]
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                out.append(w)
-                queue.append(w)
-    return out

@@ -102,9 +102,6 @@ class FiniteSet:
     def __getitem__(self, i: int) -> StateId:
         return self._elems[i]
 
-    def index(self, e: StateId) -> int:
-        return self._index[e]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteSet):
             return NotImplemented

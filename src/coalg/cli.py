@@ -47,6 +47,23 @@ def _write(path: str, text: str) -> None:
     print(f"wrote {path}")
 
 
+def _write_tree(args, tree: PointedCoalgebra) -> None:
+    """The --emit spec file and the --dot rendering, where asked for."""
+    if args.emit:
+        _write(args.emit, emit_spec(tree))
+    if args.dot:
+        _write(args.dot, to_dot(tree))
+
+
+def _max_len(args, size: int) -> int:
+    """--maxlen, 2 * size when not given; negative caps are input errors."""
+    if args.maxlen is None:
+        return 2 * size
+    if args.maxlen < 0:
+        raise CoalgebraError("--maxlen must be non-negative")
+    return args.maxlen
+
+
 def cmd_check(args) -> int:
     obj = _load(args.file)
     if isinstance(obj, PointedCoalgebra):
@@ -118,10 +135,7 @@ def cmd_unravel(args) -> int:
         print(f"frontier: {_braces(result.frontier)}")
     if result.complete and result.projection.is_bijective():
         print("note: input is already a tree")
-    if args.emit:
-        _write(args.emit, emit_spec(result.tree))
-    if args.dot:
-        _write(args.dot, to_dot(result.tree))
+    _write_tree(args, result.tree)
     return 0
 
 
@@ -129,7 +143,7 @@ def cmd_dfa_inputs(args) -> int:
     obj = _load(args.file)
     if not isinstance(obj, PartialDFA):
         raise CoalgebraError("dfa-inputs needs a 'kind: dfa' spec file")
-    maxlen = args.maxlen if args.maxlen is not None else 2 * len(obj.states)
+    maxlen = _max_len(args, len(obj.states))
     result = defined_inputs(obj, maxlen)
     print(f"complete: {'true' if result.complete else 'false'}"
           + ("" if result.complete else f" (maxlen {maxlen})"))
@@ -137,10 +151,7 @@ def cmd_dfa_inputs(args) -> int:
     print("delta*:")
     for w in result.tree.carrier:
         print(f"  {w} -> {result.projection[w]}")
-    if args.emit:
-        _write(args.emit, emit_spec(result.tree))
-    if args.dot:
-        _write(args.dot, to_dot(result.tree))
+    _write_tree(args, result.tree)
     return 0
 
 
@@ -148,7 +159,7 @@ def cmd_paths(args) -> int:
     obj = _load(args.file)
     if not isinstance(obj, Multigraph):
         raise CoalgebraError("paths needs a 'kind: multigraph' spec file")
-    maxlen = args.maxlen if args.maxlen is not None else 2 * len(obj.vertices)
+    maxlen = _max_len(args, len(obj.vertices))
     result = rooted_paths(obj, maxlen)
     print(f"complete: {'true' if result.complete else 'false'}"
           + ("" if result.complete else f" (maxlen {maxlen})"))
@@ -158,10 +169,7 @@ def cmd_paths(args) -> int:
     print("t:")
     for p in result.tree.carrier:
         print(f"  {p} -> {result.projection[p]}")
-    if args.emit:
-        _write(args.emit, emit_spec(result.tree))
-    if args.dot:
-        _write(args.dot, to_dot(result.tree))
+    _write_tree(args, result.tree)
     return 0
 
 

@@ -187,14 +187,14 @@ def canonical_graph(c: PointedCoalgebra) -> Multigraph:
 
     Frontier states contribute no out-edges.  Multiplicities are forgotten;
     use bag_to_multigraph for the multiplicity-faithful view of a bag
-    coalgebra.
+    coalgebra.  Edges are named by their position, so names never collide.
     """
     edges = []
     for x in c.carrier:
         if x in c.frontier:
             continue
         for y in used_states(c.functor, c.structure[x]):
-            edges.append(Edge(f"{x}->{y}", x, y))
+            edges.append(Edge(str(len(edges)), x, y))
     return Multigraph(c.carrier, tuple(edges), c.point)
 
 
@@ -207,7 +207,7 @@ def multigraph_to_bag(g: Multigraph) -> PointedCoalgebra:
 
 def bag_to_multigraph(c: PointedCoalgebra) -> Multigraph:
     """Multigraph with c(u)(v) parallel edges u -> v; inverse of
-    multigraph_to_bag up to edge names."""
+    multigraph_to_bag up to edge names, which are the edges' positions."""
     if not isinstance(c.functor, Bag):
         raise ShapeError("bag_to_multigraph needs a Bag coalgebra")
     if not c.is_total():
@@ -215,8 +215,8 @@ def bag_to_multigraph(c: PointedCoalgebra) -> Multigraph:
     edges = []
     for u in c.carrier:
         for v, n in c.structure[u].entries:
-            for k in range(1, n + 1):
-                edges.append(Edge(f"{u}>{v}#{k}", u, v))
+            for _ in range(n):
+                edges.append(Edge(str(len(edges)), u, v))
     return Multigraph(c.carrier, tuple(edges), c.point)
 
 

@@ -231,6 +231,45 @@ def test_dfa_inputs_flags_truncation(capsys):
     assert lines[1] == "P = {ε, a, aa, aaa}"
 
 
+@pytest.mark.parametrize("command, fixture", [
+    ("dfa-inputs", "loop_dfa"), ("paths", "diamond")])
+def test_negative_maxlen_is_an_input_error(capsys, command, fixture):
+    assert main([command, fixture_path(fixture), "--maxlen", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --maxlen must be non-negative\n"
+
+
+def test_state_names_holding_arrows_are_not_edge_ids(tmp_path, capsys):
+    # the edges a -> b->c and a->b -> c of the graph views once shared the
+    # id "a->b->c"
+    spec = tmp_path / "arrows.spec"
+    spec.write_text('functor: Bag\nstates: a, "a->b", c, "b->c"\n'
+                    'point: a\na = ["b->c", "a->b"]\n"a->b" = [c]\n'
+                    'c = []\n"b->c" = []\n', encoding="utf-8")
+    code, out = run(capsys, "is-tree", str(spec))
+    assert (code, out) == (0, "true\n")
+    code, out = run(capsys, "unravel", str(spec))
+    assert code == 0
+    assert out.splitlines()[:2] == ["complete: true", "tree states: 4"]
+    code, out = run(capsys, "reachable", "--oracle", str(spec))
+    assert code == 0
+    assert out.splitlines()[-1] == "oracle: agree"
+    assert capsys.readouterr().err == ""
+
+
+def test_dfa_names_holding_slashes_are_not_edge_ids(tmp_path, capsys):
+    # the transitions x on y/z and x/y on z once shared the edge id "x/y/z"
+    spec = tmp_path / "slashes.spec"
+    spec.write_text('kind: dfa\nalphabet: z, "y/z"\nstates: x, "x/y", w\n'
+                    'initial: x\ntrans x "y/z" w\ntrans "x/y" z w\n',
+                    encoding="utf-8")
+    code, out = run(capsys, "dfa-inputs", str(spec))
+    assert code == 0
+    assert out.splitlines()[:2] == ["complete: true", "P = {ε, y/z}"]
+    assert capsys.readouterr().err == ""
+
+
 def test_dfa_inputs_rejects_other_kinds(capsys):
     assert main(["dfa-inputs", fixture_path("diamond_bag")]) == 2
 

@@ -6,6 +6,7 @@ import pytest
 
 from coalg import (
     BOTTOM,
+    Bag,
     BagVal,
     ConstVal,
     CoalgebraError,
@@ -147,6 +148,17 @@ def test_bag_round_trip_preserves_edge_multiplicities():
     assert back.vertices.as_set() == g.vertices.as_set()
     assert sorted((e.src, e.tgt) for e in back.edges) == \
         sorted((e.src, e.tgt) for e in g.edges)
+
+
+def test_bag_to_multigraph_edge_ids_never_collide():
+    # a -> b>c and a>b -> c would both be "a>b>c#1" if named by endpoints
+    c = PointedCoalgebra(Bag(), FiniteSet(("a", "b>c", "a>b", "c")),
+                         {"a": BagVal((("b>c", 1),)),
+                          "a>b": BagVal((("c", 2),)),
+                          "b>c": BagVal(), "c": BagVal()}, "a")
+    g = bag_to_multigraph(c)
+    assert len({e.id for e in g.edges}) == 3
+    assert multigraph_to_bag(g) == c
 
 
 def test_bag_to_multigraph_requires_a_total_bag_coalgebra():
