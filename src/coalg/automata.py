@@ -22,9 +22,8 @@ import graphlib
 import math
 from collections import Counter
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass
 
-from .base import FiniteSet, ShapeError, StateId, TotalMap
+from .base import FiniteSet, Record, ShapeError, StateId, TotalMap
 from .coalgebra import (Edge, Multigraph, PointedCoalgebra, is_acyclic,
                         reachable_subgraph, reachable_vertices)
 from .functors import (BOTTOM, Bag, BagVal, Const, ConstVal, Coproduct,
@@ -36,17 +35,14 @@ from .unravelling import UnravelResult
 DefinedInputs = RootedPaths = UnravelResult
 
 
-@dataclass(frozen=True)
-class PartialDFA:
-    alphabet: FiniteSet
-    states: FiniteSet
-    accepting: frozenset[StateId]
-    delta: dict[tuple[StateId, str], StateId]
-    initial: StateId
+class PartialDFA(Record):
+    __slots__ = ("alphabet", "states", "accepting", "delta", "initial")
 
-    def __post_init__(self):
-        object.__setattr__(self, "accepting", frozenset(self.accepting))
-        object.__setattr__(self, "delta", dict(self.delta))
+    def __init__(self, alphabet: FiniteSet, states: FiniteSet,
+                 accepting: frozenset[StateId],
+                 delta: dict[tuple[StateId, str], StateId], initial: StateId):
+        Record.__init__(self, alphabet, states, frozenset(accepting),
+                        dict(delta), initial)
         if len(self.alphabet) == 0:
             raise ShapeError("alphabet must be non-empty")
         if self.initial not in self.states:

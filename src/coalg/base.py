@@ -12,12 +12,19 @@ sets the fields and checks nothing.  The library's own constructions use it
 for objects they derive from already validated ones; its caller guarantees
 the invariants, and a dict passed to it is not copied, so it must be freshly
 built and not shared.
+
+Records (values, functors, coalgebras and the results of the constructions)
+are immutable `__slots__` classes derived from `Record`, with explicit
+constructors, for the sake of start-up time: the standard library's record
+decorator and the module it lives in cost more per CLI process, in import
+and in code generated for each class, than most calls spend on their work.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
 from itertools import chain
+from operator import attrgetter
 from typing import Callable
 
 StateId = str
@@ -58,6 +65,63 @@ class SearchSpaceTooLarge(CoalgebraError):
 
 class SpecFormatError(CoalgebraError):
     """A spec document is malformed; message carries the line number."""
+
+
+def _getter(fields: tuple[str, ...]) -> Callable[[object], tuple]:
+    """The tuple of a record's fields; read by one C call when there are two
+    or more, since records are compared and hashed on hot paths."""
+    if len(fields) == 1:
+        get = attrgetter(fields[0])
+        return lambda record: (get(record),)
+    return attrgetter(*fields) if fields else lambda record: ()
+
+
+class Record:
+    """Immutable record.  A subclass lists its slots in `__slots__`; the
+    slots not opening with `_` are its fields, in order.  Its `__init__`
+    sets them with `object.__setattr__` (or `Record.__init__`, which takes
+    every field's value in order).  Records compare equal when they are of
+    the same class with equal fields, hash like the tuple of their fields,
+    print as `Name(field=value, ...)`, refuse assignment, and copy and
+    pickle as a call of the class on their fields."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields += tuple(name for name in cls.__dict__.get("__slots__", ())
+                             if not name.startswith("_"))
+        cls._values = property(_getter(cls._fields))
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} "
+                            f"fields, got {len(values)}")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}"
+                         for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (type(self), self._values)
 
 
 class FiniteSet:

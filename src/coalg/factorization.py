@@ -24,10 +24,9 @@ carriers, maps and values are valid by construction.
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass
 
-from .base import (FiniteSet, NotIsomorphic, ShapeError, StateId, TotalMap,
-                   fresh_namer)
+from .base import (FiniteSet, NotIsomorphic, Record, ShapeError, StateId,
+                   TotalMap, fresh_namer)
 from .functors import FValue, FunctorExpr, Member, fmap, validate_value
 
 
@@ -81,25 +80,25 @@ class FMap:
                 f"{type(self.functor).__name__}({len(self.codomain)}))")
 
 
-@dataclass(frozen=True)
-class PreciseFactorization:
+class PreciseFactorization(Record):
     """f = F(h) . p with p precise; middle is p's codomain carrier."""
 
-    middle: FiniteSet
-    p: FMap
-    h: TotalMap
+    __slots__ = ("middle", "p", "h")
+
+    def __init__(self, middle: FiniteSet, p: FMap, h: TotalMap):
+        Record.__init__(self, middle, p, h)
 
     def parts(self) -> tuple[FiniteSet, FMap, TotalMap]:
         return (self.middle, self.p, self.h)
 
 
-@dataclass(frozen=True)
-class LeastBound:
+class LeastBound(Record):
     """f = F(m) . g with m the inclusion of the used sub-carrier."""
 
-    sub: FiniteSet
-    g: FMap
-    m: TotalMap
+    __slots__ = ("sub", "g", "m")
+
+    def __init__(self, sub: FiniteSet, g: FMap, m: TotalMap):
+        Record.__init__(self, sub, g, m)
 
     def parts(self) -> tuple[FiniteSet, FMap, TotalMap]:
         return (self.sub, self.g, self.m)

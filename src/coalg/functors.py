@@ -27,11 +27,11 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from dataclasses import dataclass
 from typing import Union
 
 from .base import (CoalgebraError, FiniteSet, FunctorSyntaxError, NotIsomorphic,
-                   PowNotPrecise, ShapeError, SpecFormatError, StateId, TotalMap)
+                   PowNotPrecise, Record, ShapeError, SpecFormatError, StateId,
+                   TotalMap)
 
 BOTTOM = "⊥"
 
@@ -64,40 +64,52 @@ def quote_name(name: str, reserved: set[str] = RESERVED) -> str:
 Member = Union[StateId, "FValue"]
 
 
-@dataclass(frozen=True)
-class IdVal:
-    member: Member
+# The value classes are built once per slot, so their constructors set
+# their fields directly instead of through Record.__init__.
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class ConstVal:
-    element: StateId
+class IdVal(Record):
+    __slots__ = ("member",)
+
+    def __init__(self, member: Member):
+        _set(self, "member", member)
 
 
-@dataclass(frozen=True)
-class TupleVal:
-    items: tuple["FValue", ...]
+class ConstVal(Record):
+    __slots__ = ("element",)
+
+    def __init__(self, element: StateId):
+        _set(self, "element", element)
 
 
-@dataclass(frozen=True)
-class TagVal:
-    tag: int
-    value: "FValue"
+class TupleVal(Record):
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple["FValue", ...]):
+        _set(self, "items", items)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class FunVal:
+class TagVal(Record):
+    __slots__ = ("tag", "value")
+
+    def __init__(self, tag: int, value: "FValue"):
+        _set(self, "tag", tag)
+        _set(self, "value", value)
+
+
+class FunVal(Record):
     """Total map from letters to values; compared pointwise.  Held as one
     dict in entry order, so a letter's value is found in O(1)."""
 
-    _index: dict[str, "FValue"]
+    __slots__ = ("_index",)
 
     def __init__(self, entries: Iterable[tuple[str, "FValue"]]):
         pairs = tuple(entries)
         index = dict(pairs)
         if len(index) != len(pairs):
             raise ValueError("duplicate letter in exponent value")
-        object.__setattr__(self, "_index", index)
+        _set(self, "_index", index)
 
     @property
     def entries(self) -> tuple[tuple[str, "FValue"], ...]:
@@ -120,12 +132,14 @@ class FunVal:
     def __repr__(self) -> str:
         return f"FunVal(entries={self.entries!r})"
 
+    def __reduce__(self):
+        return (FunVal, (self.entries,))
 
-@dataclass(frozen=True, eq=False)
-class BagVal:
+
+class BagVal(Record):
     """Finite multiset of members; merged and zero-free in stored form."""
 
-    entries: tuple[tuple[Member, int], ...]
+    __slots__ = ("entries",)
 
     def __init__(self, entries: Iterable[tuple[Member, int]] = ()):
         merged: dict[Member, int] = {}
@@ -135,7 +149,7 @@ class BagVal:
             if n == 0:
                 continue
             merged[m] = merged.get(m, 0) + n
-        object.__setattr__(self, "entries", tuple(merged.items()))
+        _set(self, "entries", tuple(merged.items()))
 
     def multiplicity(self, m: Member) -> int:
         return dict(self.entries).get(m, 0)
@@ -152,11 +166,10 @@ class BagVal:
         return hash(frozenset(self.entries))
 
 
-@dataclass(frozen=True, eq=False)
-class SetVal:
+class SetVal(Record):
     """Finite set of members; duplicates collapse on construction."""
 
-    members: tuple[Member, ...]
+    __slots__ = ("members",)
 
     def __init__(self, members: Iterable[Member] = ()):
         out: list[Member] = []
@@ -165,7 +178,7 @@ class SetVal:
             if m not in seen:
                 seen.add(m)
                 out.append(m)
-        object.__setattr__(self, "members", tuple(out))
+        _set(self, "members", tuple(out))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SetVal):
@@ -182,7 +195,7 @@ FValue = Union[IdVal, ConstVal, TupleVal, TagVal, FunVal, BagVal, SetVal]
 # functor expressions
 
 
-class FunctorExpr:
+class FunctorExpr(Record):
     """Base of the constructor classes, each of which implements:
 
     text(ctx, name): expression text at precedence ctx (coproduct 0 <
@@ -204,10 +217,8 @@ class FunctorExpr:
     coproduct tag; the other operations take values that `validate` accepted.
     """
 
+    __slots__ = ()
     value_type: type
-
-    def __repr__(self) -> str:
-        return self.describe()
 
     def describe(self) -> str:
         """Expression text for messages: like `format_functor`, but a
@@ -246,9 +257,10 @@ def _pair_by_image(ms_a, ms_b, img_a, img_b) -> Iterator[tuple[Member, Member]]:
         yield from zip(la, lb)
 
 
-@dataclass(frozen=True, repr=False)
 class Identity(FunctorExpr):
+    __slots__ = ()
     value_type = IdVal
+    __repr__ = FunctorExpr.describe
 
     def text(self, ctx, name):
         return "Id"
@@ -279,14 +291,14 @@ class Identity(FunctorExpr):
         return "@" + member(value.member)
 
 
-@dataclass(frozen=True)
 class Const(FunctorExpr):
-    values: FiniteSet
+    __slots__ = ("values",)
     value_type = ConstVal
 
-    def __post_init__(self):
-        if len(self.values) == 0:
+    def __init__(self, values: FiniteSet):
+        if len(values) == 0:
             raise ValueError("constant functor needs a non-empty set")
+        Record.__init__(self, values)
 
     def __repr__(self) -> str:
         return f"Const({{{','.join(self.values)}}})"
@@ -330,14 +342,14 @@ class Const(FunctorExpr):
         return "#" + quote_name(value.element)
 
 
-@dataclass(frozen=True)
 class Product(FunctorExpr):
-    factors: tuple[FunctorExpr, ...]
+    __slots__ = ("factors",)
     value_type = TupleVal
 
-    def __post_init__(self):
-        if not self.factors:
+    def __init__(self, factors: tuple[FunctorExpr, ...]):
+        if not factors:
             raise ValueError("product needs at least one factor")
+        Record.__init__(self, factors)
 
     def text(self, ctx, name):
         body = " x ".join(g.text(2, name) for g in self.factors)
@@ -394,14 +406,14 @@ class Product(FunctorExpr):
                                zip(self.factors, value.items)) + ")"
 
 
-@dataclass(frozen=True)
 class Coproduct(FunctorExpr):
-    summands: tuple[FunctorExpr, ...]
+    __slots__ = ("summands",)
     value_type = TagVal
 
-    def __post_init__(self):
-        if not self.summands:
+    def __init__(self, summands: tuple[FunctorExpr, ...]):
+        if not summands:
             raise ValueError("coproduct needs at least one summand")
+        Record.__init__(self, summands)
 
     def text(self, ctx, name):
         body = " + ".join(g.text(1, name) for g in self.summands)
@@ -457,15 +469,14 @@ class Coproduct(FunctorExpr):
         return f"{value.tag}: {inner}"
 
 
-@dataclass(frozen=True)
 class Exponent(FunctorExpr):
-    base: FunctorExpr
-    alphabet: FiniteSet
+    __slots__ = ("base", "alphabet")
     value_type = FunVal
 
-    def __post_init__(self):
-        if len(self.alphabet) == 0:
+    def __init__(self, base: FunctorExpr, alphabet: FiniteSet):
+        if len(alphabet) == 0:
             raise ValueError("exponent needs a non-empty alphabet")
+        Record.__init__(self, base, alphabet)
 
     def text(self, ctx, name):
         return self.base.text(3, name) + "^" + _format_set(self.alphabet, name)
@@ -532,12 +543,13 @@ class Exponent(FunctorExpr):
         return "{" + ", ".join(parts) + "}"
 
 
-@dataclass(frozen=True)
 class Compose(FunctorExpr):
     """Outer functor whose member slots hold values of the inner functor."""
 
-    outer: FunctorExpr
-    inner: FunctorExpr
+    __slots__ = ("outer", "inner")
+
+    def __init__(self, outer: FunctorExpr, inner: FunctorExpr):
+        Record.__init__(self, outer, inner)
 
     def text(self, ctx, name):
         body = self.outer.text(3, name) + " . " + self.inner.text(2, name)
@@ -595,9 +607,10 @@ class Compose(FunctorExpr):
         return self.outer.show(value, lambda m: self.inner.show(m, member))
 
 
-@dataclass(frozen=True, repr=False)
 class Bag(FunctorExpr):
+    __slots__ = ()
     value_type = BagVal
+    __repr__ = FunctorExpr.describe
 
     def text(self, ctx, name):
         return "Bag"
@@ -644,9 +657,10 @@ class Bag(FunctorExpr):
         return "[" + ", ".join(f"{member(m)}*{n}" for m, n in value.entries) + "]"
 
 
-@dataclass(frozen=True, repr=False)
 class Pow(FunctorExpr):
+    __slots__ = ()
     value_type = SetVal
+    __repr__ = FunctorExpr.describe
 
     def text(self, ctx, name):
         return "Pow"
@@ -781,7 +795,6 @@ class Cursor:
     `delims`.  Errors name the line `no`."""
 
     __slots__ = ("text", "pos", "no")
-    blank = " \t"
     delims = RESERVED
 
     def __init__(self, text: str, no: int = 0):
@@ -791,7 +804,7 @@ class Cursor:
         return SpecFormatError(f"line {self.no}: {msg}")
 
     def peek(self) -> str:
-        while self.pos < len(self.text) and self.text[self.pos] in self.blank:
+        while self.pos < len(self.text) and self.text[self.pos] in " \t":
             self.pos += 1
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
@@ -840,15 +853,11 @@ class Cursor:
     def integer(self) -> int:
         self.peek()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             raise self.error("expected a number")
         return int(self.text[start:self.pos])
-
-
-# every character str.isspace accepts (none lies above U+3000)
-_SPACE = frozenset(filter(str.isspace, map(chr, range(0x3001))))
 
 
 class _ExprCursor(Cursor):
@@ -857,7 +866,6 @@ class _ExprCursor(Cursor):
     `parens` counts the open parentheses."""
 
     __slots__ = ("parens",)
-    blank = _SPACE
     delims = _NAME_DELIMS
 
     def __init__(self, text: str):
@@ -866,6 +874,11 @@ class _ExprCursor(Cursor):
 
     def error(self, msg: str) -> CoalgebraError:
         return FunctorSyntaxError(msg, self.pos)
+
+    def peek(self) -> str:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+        return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def word(self) -> str:
         """Maximal run of identifier characters (letters, digits, _)."""
@@ -902,10 +915,10 @@ def _parse_atom(cur: _ExprCursor) -> FunctorExpr:
         return inner
     if ch == "{":
         return Const(_parse_set_literal(cur))
-    if ch.isdigit():
+    if ch.isdecimal():
         start = cur.pos
         word = cur.word()
-        if not word.isdigit():
+        if not word.isdecimal():
             raise FunctorSyntaxError(f"bad numeral {word!r}", start)
         n = int(word)
         if n == 0:

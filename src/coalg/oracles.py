@@ -12,9 +12,8 @@ from __future__ import annotations
 import itertools
 import os
 from collections import deque
-from dataclasses import dataclass
 
-from .base import (FiniteSet, NotAHomomorphism, SearchSpaceTooLarge,
+from .base import (FiniteSet, NotAHomomorphism, Record, SearchSpaceTooLarge,
                    ShapeError, StateId, TotalMap)
 from .coalgebra import Multigraph, PointedCoalgebra, check_morphism
 from .functors import (Bag, BagVal, Compose, Const, ConstVal, Coproduct,
@@ -26,13 +25,14 @@ def _guard() -> int:
     return int(os.environ.get("COALG_GUARD", "10000000"))
 
 
-@dataclass(frozen=True)
-class HomSet:
+class HomSet(Record):
     """All pointed homomorphisms from source to target."""
 
-    homs: tuple[TotalMap, ...]
-    source: PointedCoalgebra
-    target: PointedCoalgebra
+    __slots__ = ("homs", "source", "target")
+
+    def __init__(self, homs: tuple[TotalMap, ...], source: PointedCoalgebra,
+                 target: PointedCoalgebra):
+        Record.__init__(self, homs, source, target)
 
     def __len__(self) -> int:
         return len(self.homs)
@@ -41,13 +41,14 @@ class HomSet:
         return iter(self.homs)
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(Record):
     """A pointed coalgebra with a homomorphism onto the tested coalgebra
     that is not a split epimorphism."""
 
-    source: PointedCoalgebra
-    hom: TotalMap
+    __slots__ = ("source", "hom")
+
+    def __init__(self, source: PointedCoalgebra, hom: TotalMap):
+        Record.__init__(self, source, hom)
 
 
 def enumerate_homs(src: PointedCoalgebra,

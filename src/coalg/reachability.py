@@ -18,16 +18,14 @@ validated again.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 
-from .base import FiniteSet, StateId, TotalMap
+from .base import FiniteSet, Record, StateId, TotalMap
 from .coalgebra import PointedCoalgebra
 from .factorization import FMap, least_bound
 from .functors import FValue
 
 
-@dataclass(frozen=True)
-class LevelSequence:
+class LevelSequence(Record):
     """Levels C_k of the reachability construction.
 
     levels[0] = {point}; levels[k+1] = states used by the structure of
@@ -37,24 +35,27 @@ class LevelSequence:
     the domain is exactly levels[k]).
     """
 
-    levels: tuple[FiniteSet, ...]
-    inclusions: tuple[TotalMap, ...]
-    step_maps: tuple[FMap, ...]
+    __slots__ = ("levels", "inclusions", "step_maps")
+
+    def __init__(self, levels: tuple[FiniteSet, ...],
+                 inclusions: tuple[TotalMap, ...],
+                 step_maps: tuple[FMap, ...]):
+        Record.__init__(self, levels, inclusions, step_maps)
 
     def union(self) -> FiniteSet:
         """All reached states, in first-appearance order."""
         return FiniteSet().union(*self.levels)
 
 
-@dataclass(frozen=True)
-class ReachablePart:
+class ReachablePart(Record):
     """The union of levels together with the restricted structure."""
 
-    sub: FiniteSet
-    structure: Mapping[StateId, FValue]
-    embedding: TotalMap
-    point: StateId
-    coalgebra: PointedCoalgebra
+    __slots__ = ("sub", "structure", "embedding", "point", "coalgebra")
+
+    def __init__(self, sub: FiniteSet, structure: Mapping[StateId, FValue],
+                 embedding: TotalMap, point: StateId,
+                 coalgebra: PointedCoalgebra):
+        Record.__init__(self, sub, structure, embedding, point, coalgebra)
 
 
 def reach_levels(c: PointedCoalgebra) -> LevelSequence:

@@ -25,17 +25,16 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
 
-from .base import FiniteSet, ShapeError, StateId, TotalMap, fresh_namer
+from .base import (FiniteSet, Record, ShapeError, StateId, TotalMap,
+                   fresh_namer)
 from .coalgebra import (PointedCoalgebra, canonical_graph, is_acyclic,
                         reachable_subgraph)
 from .factorization import FMap, precise_factorize
 from .functors import FValue, fmap, iter_slots
 
 
-@dataclass(frozen=True)
-class TreeLevels:
+class TreeLevels(Record):
     """Levels T_k with precise step maps t_k: T_k -> F(T_{k+1}) and
     projections h_k: T_k -> C satisfying fmap(h_{k+1}, t_k(x)) = c(h_k(x)).
 
@@ -43,10 +42,12 @@ class TreeLevels:
     a state gets several copies on one level), globally unique across levels.
     """
 
-    levels: tuple[FiniteSet, ...]
-    step_maps: tuple[FMap, ...]
-    projections: tuple[TotalMap, ...]
-    truncated: bool
+    __slots__ = ("levels", "step_maps", "projections", "truncated")
+
+    def __init__(self, levels: tuple[FiniteSet, ...],
+                 step_maps: tuple[FMap, ...],
+                 projections: tuple[TotalMap, ...], truncated: bool):
+        Record.__init__(self, levels, step_maps, projections, truncated)
 
     def states(self) -> FiniteSet:
         """All level states, level by level: the coproduct's carrier."""
@@ -62,16 +63,15 @@ class TreeLevels:
         return TotalMap._trusted(self.states(), target, mapping)
 
 
-@dataclass(frozen=True)
-class UnravelResult:
-    tree: PointedCoalgebra
-    projection: TotalMap
-    complete: bool
-    frontier: FiniteSet
+class UnravelResult(Record):
+    __slots__ = ("tree", "projection", "complete", "frontier")
+
+    def __init__(self, tree: PointedCoalgebra, projection: TotalMap,
+                 complete: bool, frontier: FiniteSet):
+        Record.__init__(self, tree, projection, complete, frontier)
 
 
-@dataclass(frozen=True)
-class TreeReport:
+class TreeReport(Record):
     """Verdict of the tree decision with a diagnostic on failure.
 
     reason is one of "powerset-degenerate", "cycle", "not-reachable",
@@ -79,11 +79,12 @@ class TreeReport:
     level construction ran (they are skipped for the two early checks).
     """
 
-    ok: bool
-    reason: str | None = None
-    detail: str | None = None
-    levels: TreeLevels | None = None
-    projection: TotalMap | None = None
+    __slots__ = ("ok", "reason", "detail", "levels", "projection")
+
+    def __init__(self, ok: bool, reason: str | None = None,
+                 detail: str | None = None, levels: TreeLevels | None = None,
+                 projection: TotalMap | None = None):
+        Record.__init__(self, ok, reason, detail, levels, projection)
 
 
 def tree_levels(c: PointedCoalgebra, max_depth: int) -> TreeLevels:

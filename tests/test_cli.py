@@ -103,6 +103,32 @@ def test_malformed_name_lists_are_input_errors(tmp_path, capsys, text):
     assert line.startswith("error: line ")
 
 
+@pytest.mark.parametrize("text, line", [
+    ("functor: Bag\nstates: p\npoint: p\np = [p*\u00b2]\n", 4),
+    ("functor: Id + 1\nstates: p\npoint: p\np = \u00b2: @p\n", 4),
+    ("functor: \u00b2\nstates: p\npoint: p\np = #0\n", 1),
+], ids=["bag-multiplicity", "coproduct-tag", "functor-numeral"])
+def test_digits_int_cannot_read_are_input_errors(tmp_path, capsys, text,
+                                                 line):
+    """`²` is a digit to str.isdigit but not a decimal int() reads: a bag
+    multiplicity, a coproduct tag and a functor numeral reject it."""
+    spec = tmp_path / "digit.spec"
+    spec.write_text(text, encoding="utf-8")
+    assert main(["check", str(spec)]) == 2
+    [err] = capsys.readouterr().err.splitlines()
+    assert err.startswith(f"error: line {line}: ")
+
+
+def test_decimal_digits_of_any_script_are_numbers(tmp_path, capsys):
+    spec = tmp_path / "digit.spec"
+    spec.write_text("functor: Bag + \u0663\nstates: p\npoint: p\n"
+                    "p = \u0660: [p*\u0662]\n", encoding="utf-8")
+    assert main(["check", str(spec)]) == 0
+    c = parse_spec(spec.read_text(encoding="utf-8"))
+    assert c.functor.summands[1].values == FiniteSet(("0", "1", "2"))
+    assert c.structure["p"].value.multiplicity("p") == 2
+
+
 def test_reachable_on_the_diamond(capsys):
     code, out = run(capsys, "reachable", fixture_path("diamond_bag"))
     assert code == 0

@@ -92,6 +92,15 @@ def test_bad_grammar_raises(text):
         parse_functor(text)
 
 
+@pytest.mark.parametrize("blank", ["\x85", "\u2028", "\u3000", "\t\x0b"])
+def test_any_whitespace_separates_functor_tokens(blank):
+    text = "Bag . (Id x 2) + Id^{a,b}"
+    spaced = text.replace(" ", blank)
+    assert blank in spaced
+    assert parse_functor(spaced) == parse_functor(text)
+    assert parse_functor(blank + "Id" + blank) == Identity()
+
+
 def test_fmap_preserves_identities_and_composition():
     rng = random.Random(23)
     xs = FiniteSet(("p", "q", "r"))
