@@ -85,8 +85,9 @@ def _dfa_value(d: PartialDFA, q: StateId,
 def dfa_to_coalgebra(d: PartialDFA) -> PointedCoalgebra:
     structure = {q: _dfa_value(d, q, dict(_transitions(d, q)))
                  for q in d.states}
-    return PointedCoalgebra(dfa_functor(d.alphabet), d.states, structure,
-                            d.initial)
+    return PointedCoalgebra._trusted(dfa_functor(d.alphabet), d.states,
+                                     structure, d.initial,
+                                     FiniteSet._trusted(()))
 
 
 def delta_star(d: PartialDFA, word) -> StateId | None:
@@ -106,7 +107,7 @@ def delta_star(d: PartialDFA, word) -> StateId | None:
 def _dfa_graph(d: PartialDFA) -> Multigraph:
     edges = tuple(Edge(str(k), q, q2)
                   for k, ((q, _), q2) in enumerate(d.delta.items()))
-    return Multigraph(d.states, edges, d.initial)
+    return Multigraph._trusted(d.states, edges, d.initial)
 
 
 def _unfold(functor: FunctorExpr, states: FiniteSet, root: StateId,

@@ -8,9 +8,10 @@ coalgebras have an empty frontier.
 
 `PointedCoalgebra(...)` validates the point, the frontier and every structure
 value against the carrier; `Multigraph(...)` validates its root and edges.
-The constructions that derive a coalgebra from a valid one (reachable parts,
-unravellings, the DFA and path trees) build it with the unchecked
-`PointedCoalgebra._trusted` instead (see `coalg.base`).
+The constructions that derive a coalgebra or a graph from a valid one
+(reachable parts, unravellings, the DFA and path trees, and the graph views
+below) build it with the unchecked `_trusted` constructors instead (see
+`coalg.base`).
 """
 
 from __future__ import annotations
@@ -102,10 +103,26 @@ class Multigraph(Record):
             raise ShapeError("edge ids must be non-empty strings")
         if len(set(ids)) != len(ids):
             raise ShapeError("duplicate edge id")
+        known = self.vertices.as_set()
+        for e in self.edges:
+            if e.src not in known or e.tgt not in known:
+                raise ShapeError(f"edge {e.id!r} touches a non-vertex")
+        self._index()
+
+    @classmethod
+    def _trusted(cls, vertices: FiniteSet, edges: tuple[Edge, ...],
+                 root: StateId) -> "Multigraph":
+        """Unchecked: the caller guarantees the invariants that `__init__`
+        checks (root and edge ends are vertices, edge ids are distinct
+        non-empty strings).  The out-edge index is built all the same."""
+        g = cls.__new__(cls)
+        Record.__init__(g, vertices, edges, root)
+        g._index()
+        return g
+
+    def _index(self) -> None:
         out: dict[StateId, list[Edge]] = {v: [] for v in self.vertices}
         for e in self.edges:
-            if e.src not in self.vertices or e.tgt not in self.vertices:
-                raise ShapeError(f"edge {e.id!r} touches a non-vertex")
             out[e.src].append(e)
         object.__setattr__(self, "_out", {v: tuple(es)
                                           for v, es in out.items()})
@@ -198,14 +215,15 @@ def canonical_graph(c: PointedCoalgebra) -> Multigraph:
             continue
         for y in used_states(c.functor, c.structure[x]):
             edges.append(Edge(str(len(edges)), x, y))
-    return Multigraph(c.carrier, tuple(edges), c.point)
+    return Multigraph._trusted(c.carrier, tuple(edges), c.point)
 
 
 def multigraph_to_bag(g: Multigraph) -> PointedCoalgebra:
     """Bag coalgebra of a multigraph: c(u)(v) = number of edges u -> v."""
     structure = {u: BagVal((e.tgt, 1) for e in g.out_edges(u))
                  for u in g.vertices}
-    return PointedCoalgebra(Bag(), g.vertices, structure, g.root)
+    return PointedCoalgebra._trusted(Bag(), g.vertices, structure, g.root,
+                                     FiniteSet._trusted(()))
 
 
 def bag_to_multigraph(c: PointedCoalgebra) -> Multigraph:
@@ -220,7 +238,7 @@ def bag_to_multigraph(c: PointedCoalgebra) -> Multigraph:
         for v, n in c.structure[u].entries:
             for _ in range(n):
                 edges.append(Edge(str(len(edges)), u, v))
-    return Multigraph(c.carrier, tuple(edges), c.point)
+    return Multigraph._trusted(c.carrier, tuple(edges), c.point)
 
 
 def reachable_vertices(g: Multigraph) -> FiniteSet:
@@ -235,7 +253,7 @@ def reachable_vertices(g: Multigraph) -> FiniteSet:
                 seen.add(e.tgt)
                 order.append(e.tgt)
                 queue.append(e.tgt)
-    return FiniteSet(order)
+    return FiniteSet._trusted(order)
 
 
 def is_acyclic(g: Multigraph) -> bool:
@@ -253,4 +271,4 @@ def reachable_subgraph(g: Multigraph) -> Multigraph:
     """Induced subgraph on the root-reachable vertices."""
     verts = reachable_vertices(g)
     edges = tuple(e for e in g.edges if e.src in verts)
-    return Multigraph(verts, edges, g.root)
+    return Multigraph._trusted(verts, edges, g.root)

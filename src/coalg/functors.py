@@ -17,14 +17,17 @@ of the inner layer instead of state identifiers.
 Each constructor is one class that carries every operation the library runs
 on the grammar (see `FunctorExpr`): validation, the action on members, slot
 traversal, both factorization walks and the powerset test, fingerprints and
-the text syntax of its expressions and values, read with one `Cursor`.  Composite constructors recurse into their parts;
-`Compose` runs the outer operation with the inner one applied at each member
-slot.  Adding a constructor touches one class.  The module-level functions
-below are the entry points the other modules call.
+the text syntax of its expressions and values.  Spec-file values are read
+from the tokens of their line (`Cursor`); functor expressions are read one
+character at a time (`_ExprCursor`).  Composite constructors recurse into
+their parts; `Compose` runs the outer operation with the inner one applied
+at each member slot.  Adding a constructor touches one class.  The
+module-level functions below are the entry points the other modules call.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from typing import Union
@@ -394,8 +397,8 @@ class Product(FunctorExpr):
     def parse(self, cur, member):
         cur.take("(")
         items = []
-        for i, g in enumerate(self.factors):
-            if i:
+        for g in self.factors:
+            if items:
                 cur.take(",")
             items.append(g.parse(cur, member))
         cur.take(")")
@@ -519,23 +522,20 @@ class Exponent(FunctorExpr):
         return "{" + ",".join(f"{a}:{s}" for a, s in parts) + "}"
 
     def parse(self, cur, member):
-        seen = set()
-
-        def entry():
+        cur.take("{")
+        entries = {}
+        while cur.more("}", entries):
             a = cur.name()
             if a not in self.alphabet:
                 raise cur.error(f"letter {a!r} outside the alphabet")
-            if a in seen:
+            if a in entries:
                 raise cur.error(f"duplicate letter {a!r}")
-            seen.add(a)
             cur.take(":")
-            return (a, self.base.parse(cur, member))
-        cur.take("{")
-        entries = cur.until("}", entry)
-        missing = [a for a in self.alphabet if a not in seen]
+            entries[a] = self.base.parse(cur, member)
+        missing = [a for a in self.alphabet if a not in entries]
         if missing:
             raise cur.error(f"missing letter {missing[0]!r}")
-        return FunVal(entries)
+        return FunVal(entries.items())
 
     def show(self, value, member):
         parts = (f"{quote_name(a)}: {self.base.show(value[a], member)}"
@@ -650,8 +650,11 @@ class Bag(FunctorExpr):
 
     def parse(self, cur, member):
         cur.take("[")
-        return BagVal(cur.until("]", lambda: (
-            member(cur), cur.integer() if cur.skip("*") else 1)))
+        entries = []
+        while cur.more("]", entries):
+            m = member(cur)
+            entries.append((m, cur.integer() if cur.skip("*") else 1))
+        return BagVal(entries)
 
     def show(self, value, member):
         return "[" + ", ".join(f"{member(m)}*{n}" for m, n in value.entries) + "]"
@@ -695,7 +698,9 @@ class Pow(FunctorExpr):
     def parse(self, cur, member):
         cur.take("{")
         cur.take("|")
-        members = cur.until("|", lambda: member(cur))
+        members = []
+        while cur.more("|", members):
+            members.append(member(cur))
         cur.take("}")
         return SetVal(members)
 
@@ -789,22 +794,111 @@ def fvalue_equal(functor: FunctorExpr, v1: FValue, v2: FValue) -> bool:
 
 
 class Cursor:
-    """Reading position in one line of spec-file text, with the tokens that
-    spec-file values share with functor expressions.  A name opening with a
-    double quote runs to the next one; a bare name runs up to a character of
-    `delims`.  Errors name the line `no`."""
+    """Reading position in one line of spec-file text.  The line is split
+    once, by `_TOKEN`, into tokens: a quoted name (a double quote and the
+    text up to the next one, or to the end of the line when there is none),
+    a bare name (a run of characters outside RESERVED), or one reserved
+    character; spaces and tabs only separate tokens.  An empty token closes
+    the list, so reading at the end of the line finds "".  The methods
+    index the token list; `take`, `skip` and `more` take only reserved
+    characters other than the double quote, each a token of its own.
+    Errors name the line `no`."""
 
-    __slots__ = ("text", "pos", "no")
-    delims = RESERVED
+    __slots__ = ("text", "toks", "i", "no")
 
     def __init__(self, text: str, no: int = 0):
-        self.text, self.pos, self.no = text, 0, no
+        self.text, self.no, self.i = text, no, 0
+        self.toks = _TOKEN.findall(text)
+        self.toks.append("")
 
     def error(self, msg: str) -> CoalgebraError:
         return SpecFormatError(f"line {self.no}: {msg}")
 
+    def take(self, ch: str) -> None:
+        if self.toks[self.i] != ch:
+            found = self.toks[self.i][:1] or "end of line"
+            raise self.error(f"expected {ch!r}, found {found!r}")
+        self.i += 1
+
+    def skip(self, ch: str) -> bool:
+        """Take `ch` if it comes next."""
+        if self.toks[self.i] != ch:
+            return False
+        self.i += 1
+        return True
+
+    def more(self, close: str, started: bool) -> bool:
+        """Whether another item of a comma-separated list ending at `close`
+        follows: takes `close` and gives False at the end of the list, else
+        takes the comma that goes before every item but the first."""
+        tok = self.toks[self.i]
+        if tok == close:
+            self.i += 1
+            return False
+        if started:
+            if tok != ",":
+                self.take(",")  # raises
+            self.i += 1
+        return True
+
+    def name(self) -> StateId:
+        tok = self.toks[self.i]
+        if tok in _NOT_NAMES:
+            raise self.error(f"expected a name, found {tok or 'end of line'!r}")
+        if tok[0] == '"':
+            if len(tok) == 1 or tok[-1] != '"':
+                raise self.error("unterminated quoted name")
+            tok = tok[1:-1]
+        self.i += 1
+        return tok
+
+    def integer(self) -> int:
+        """A run of decimal digits (`str.isdecimal`), which may end inside
+        a bare name; the rest of that name stays the next token."""
+        tok = self.toks[self.i]
+        if tok.isdecimal():
+            self.i += 1
+            return int(tok)
+        k = 0
+        while k < len(tok) and tok[k].isdecimal():
+            k += 1
+        if k == 0:
+            raise self.error("expected a number")
+        self.toks[self.i] = tok[k:]
+        return int(tok[:k])
+
+    def rest(self) -> str:
+        """The text of the line from the next token on, stripped."""
+        for k, m in enumerate(_TOKEN.finditer(self.text)):
+            if k == self.i:
+                return self.text[m.end() - len(self.toks[k]):].strip()
+        return ""
+
+
+# the tokens of a spec-file line (see Cursor)
+_TOKEN = re.compile('"[^"]*"?|[^%s]+|[^ \t]'
+                    % re.escape("".join(sorted(RESERVED))))
+# tokens that cannot open a name: the end of the line, and every reserved
+# character but the double quote, which opens a quoted name
+_NOT_NAMES = frozenset(RESERVED - {'"'}) | {""}
+
+
+class _ExprCursor:
+    """Reading position in a functor expression, one character at a time:
+    any whitespace separates tokens, a bare name in a set literal ends at
+    `_NAME_DELIMS`, errors carry the offset, `parens` counts the open
+    parentheses."""
+
+    __slots__ = ("text", "pos", "parens")
+
+    def __init__(self, text: str):
+        self.text, self.pos, self.parens = text, 0, 0
+
+    def error(self, msg: str) -> CoalgebraError:
+        return FunctorSyntaxError(msg, self.pos)
+
     def peek(self) -> str:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
@@ -814,27 +908,7 @@ class Cursor:
             raise self.error(f"expected {ch!r}, found {found!r}")
         self.pos += 1
 
-    def skip(self, ch: str) -> bool:
-        """Take `ch` if it comes next."""
-        if self.peek() != ch:
-            return False
-        self.pos += 1
-        return True
-
-    def at_end(self) -> bool:
-        return self.peek() == ""
-
-    def until(self, close: str, item: Callable[[], object]) -> list:
-        """Comma-separated `item()`s up to `close`, which is taken too."""
-        out = []
-        while self.peek() != close:
-            if out:
-                self.take(",")
-            out.append(item())
-        self.take(close)
-        return out
-
-    def name(self) -> StateId:
+    def name(self) -> str:
         ch = self.peek()
         if ch == '"':
             end = self.text.find('"', self.pos + 1)
@@ -844,41 +918,12 @@ class Cursor:
             self.pos = end + 1
             return out
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] not in self.delims:
+        while (self.pos < len(self.text)
+               and self.text[self.pos] not in _NAME_DELIMS):
             self.pos += 1
         if self.pos == start:
             raise self.error(f"expected a name, found {ch or 'end of line'!r}")
         return self.text[start:self.pos]
-
-    def integer(self) -> int:
-        self.peek()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected a number")
-        return int(self.text[start:self.pos])
-
-
-class _ExprCursor(Cursor):
-    """Cursor over a functor expression: any whitespace separates tokens, set
-    literals end a bare name at `_NAME_DELIMS`, errors carry the offset,
-    `parens` counts the open parentheses."""
-
-    __slots__ = ("parens",)
-    delims = _NAME_DELIMS
-
-    def __init__(self, text: str):
-        super().__init__(text)
-        self.parens = 0
-
-    def error(self, msg: str) -> CoalgebraError:
-        return FunctorSyntaxError(msg, self.pos)
-
-    def peek(self) -> str:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def word(self) -> str:
         """Maximal run of identifier characters (letters, digits, _)."""
@@ -894,7 +939,11 @@ def _parse_set_literal(cur: _ExprCursor) -> FiniteSet:
     cur.take("{")
     if cur.peek() == "}":
         raise FunctorSyntaxError("empty set is not allowed", cur.pos)
-    names = cur.until("}", cur.name)
+    names = [cur.name()]
+    while cur.peek() != "}":
+        cur.take(",")
+        names.append(cur.name())
+    cur.take("}")
     try:
         return FiniteSet(names)
     except ValueError as e:
@@ -975,7 +1024,8 @@ def _parse_product(cur: _ExprCursor) -> FunctorExpr:
 
 def _parse_coproduct(cur: _ExprCursor) -> FunctorExpr:
     summands = [_parse_product(cur)]
-    while cur.skip("+"):
+    while cur.peek() == "+":
+        cur.take("+")
         summands.append(_parse_product(cur))
     return summands[0] if len(summands) == 1 else Coproduct(tuple(summands))
 
@@ -986,7 +1036,7 @@ def parse_functor(text: str) -> FunctorExpr:
     Expressions deeper than MAX_FUNCTOR_DEPTH levels are rejected."""
     cur = _ExprCursor(text)
     f = _parse_coproduct(cur)
-    if not cur.at_end():
+    if cur.peek():
         raise FunctorSyntaxError("trailing input after functor expression", cur.pos)
     depth, layer = 0, [f]
     while layer:

@@ -10,6 +10,7 @@ running away.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from collections import deque
 
@@ -182,13 +183,22 @@ def tree_refute_by_definition(c: PointedCoalgebra,
     return None
 
 
+def _within_guard(count: int) -> None:
+    if count > _guard():
+        raise SearchSpaceTooLarge(
+            f"{count} candidate preimages, more than {_guard()}")
+
+
 def value_preimages(functor: FunctorExpr, value: FValue,
                     member_pre) -> list[FValue]:
     """All values v with fmap(member map, v) = value, where member_pre(y)
     lists the source members mapping to y.
 
     Distinct targets have disjoint preimages (the member map is a function),
-    so bag fragments and set unions below never interfere.
+    so bag fragments and set unions below never interfere.  The candidates
+    of each layer are counted before any is built, and more than the guard
+    raise SearchSpaceTooLarge; a bag candidate counts once per member it
+    lists, since one of multiplicity 10^9 alone is too large to build.
     """
     if isinstance(functor, Identity):
         return [IdVal(x) for x in member_pre(value.member)]
@@ -197,6 +207,7 @@ def value_preimages(functor: FunctorExpr, value: FValue,
     if isinstance(functor, Product):
         pools = [value_preimages(f, v, member_pre)
                  for f, v in zip(functor.factors, value.items)]
+        _within_guard(math.prod(map(len, pools)))
         return [TupleVal(combo) for combo in itertools.product(*pools)]
     if isinstance(functor, Coproduct):
         inner = value_preimages(functor.summands[value.tag], value.value,
@@ -206,21 +217,31 @@ def value_preimages(functor: FunctorExpr, value: FValue,
         letters = [a for a, _ in value.entries]
         pools = [value_preimages(functor.base, v, member_pre)
                  for _, v in value.entries]
+        _within_guard(math.prod(map(len, pools)))
         return [FunVal(zip(letters, combo))
                 for combo in itertools.product(*pools)]
     if isinstance(functor, Bag):
+        entries = [(member_pre(m), mult) for m, mult in value.entries]
+        count = math.prod(math.comb(len(pool) + mult - 1, mult)
+                          for pool, mult in entries)
+        if count == 0:
+            return []
+        _within_guard(count * max(1, sum(mult for _, mult in entries)))
         per_entry = []
-        for m, mult in value.entries:
-            pool = member_pre(m)
+        for pool, mult in entries:
             per_entry.append([
                 tuple((x, 1) for x in pick)
                 for pick in itertools.combinations_with_replacement(pool, mult)])
         return [BagVal(itertools.chain.from_iterable(parts))
                 for parts in itertools.product(*per_entry)]
     if isinstance(functor, Pow):
+        pools = [member_pre(m) for m in value.members]
+        count = math.prod(2 ** len(pool) - 1 for pool in pools)
+        if count == 0:
+            return []
+        _within_guard(count)
         per_member = []
-        for m in value.members:
-            pool = member_pre(m)
+        for pool in pools:
             subsets = [combo for k in range(1, len(pool) + 1)
                        for combo in itertools.combinations(pool, k)]
             per_member.append(subsets)

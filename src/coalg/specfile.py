@@ -18,18 +18,27 @@ under composition the member slots hold nested values.  Comments are
 full-line only (`#` opens a constant inside values).  Names are bare unless
 they contain one of the reserved characters, in which case they are written
 in double quotes; quotes and line breaks cannot occur in names.
+
+Each line is read as tokens (see `functors.Cursor`): quoted names, bare
+names and single reserved characters.  Only spaces and tabs separate tokens
+in a spec line; other whitespace characters are part of a name, like
+letters.  The functor expression after `functor:` is read by its own parser,
+which accepts any whitespace between its tokens.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 from .automata import PartialDFA
 from .base import FiniteSet, ShapeError, SpecFormatError, StateId
 from .coalgebra import Edge, Multigraph, PointedCoalgebra
-from .functors import (Cursor, FunctorExpr, FunctorSyntaxError, FValue,
-                       format_functor, parse_functor, quote_name as _quote)
+from .functors import (_NOT_NAMES, Cursor, FunctorExpr, FunctorSyntaxError,
+                       FValue, format_functor, parse_functor,
+                       quote_name as _quote)
 
-_KEYS = ("kind", "functor", "states", "point", "open",
-         "alphabet", "initial", "accepting", "vertices", "root")
+_KEYS = frozenset(("kind", "functor", "states", "point", "open",
+                   "alphabet", "initial", "accepting", "vertices", "root"))
 
 
 # --------------------------------------------------------------------------
@@ -37,23 +46,19 @@ _KEYS = ("kind", "functor", "states", "point", "open",
 
 
 class _Line(Cursor):
-    """A spec-file line being read, with the line-level tokens."""
+    """A spec-file line being read, with the line-level readers."""
 
     __slots__ = ()
 
     def expect_end(self) -> None:
-        if not self.at_end():
-            raise self.error(f"unexpected trailing text "
-                             f"{self.text[self.pos:].strip()!r}")
-
-    def rest(self) -> str:
-        out = self.text[self.pos:].strip()
-        self.pos = len(self.text)
-        return out
+        if self.toks[self.i]:
+            raise self.error(f"unexpected trailing text {self.rest()!r}")
 
     def names_rest(self) -> list[StateId]:
         out = [self.name()]
-        while self.skip(","):
+        toks = self.toks
+        while toks[self.i] == ",":
+            self.i += 1
             out.append(self.name())
         self.expect_end()
         return out
@@ -155,25 +160,35 @@ def parse_spec(text: str) -> PointedCoalgebra | PartialDFA | Multigraph:
         if not stripped or stripped.startswith("#"):
             continue
         cur = _Line(raw, no)
-        if cur.peek() != '"':
-            probe = _Line(raw, no)
-            word = probe.name()
-            if word in _KEYS and probe.peek() == ":":
-                probe.take(":")
-                if word in keys:
-                    raise probe.error(f"duplicate key {word!r}")
-                keys[word] = probe
-                continue
+        word, colon = cur.toks[0], cur.toks[1]
+        if colon == ":" and word in _KEYS:
+            cur.i = 2
+            if word in keys:
+                raise cur.error(f"duplicate key {word!r}")
+            keys[word] = cur
+            continue
+        if word in _NOT_NAMES:
+            cur.name()  # raises: no line opens with a reserved character
         body.append(cur)
 
     kind = keys.pop("kind").rest() if "kind" in keys else "coalgebra"
+    lines = _one_by_one(body)
     if kind == "coalgebra":
-        return _build_coalgebra(keys, body)
+        return _build_coalgebra(keys, lines)
     if kind == "dfa":
-        return _build_dfa(keys, body)
+        return _build_dfa(keys, lines)
     if kind == "multigraph":
-        return _build_multigraph(keys, body)
+        return _build_multigraph(keys, lines)
     raise SpecFormatError(f"unknown kind {kind!r}")
+
+
+def _one_by_one(body: list[_Line]) -> Iterator[_Line]:
+    """The body lines in order, each dropped from `body` as it is handed
+    out: a line's tokens are freed once it is read, while the values built
+    from them take their place."""
+    body.reverse()
+    while body:
+        yield body.pop()
 
 
 def _require(keys: dict[str, _Line], kind: str, needed: tuple[str, ...],

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from coalg import FiniteSet, parse_spec, to_dot
@@ -191,6 +193,19 @@ def test_is_tree_finds_a_cycle_through_a_large_multiplicity(tmp_path, capsys):
     code, out = run(capsys, "is-tree", str(spec))
     assert (code, out.splitlines()[0]) == \
         (1, "false: cycle (levels non-empty past bound)")
+
+
+def test_is_tree_oracle_refuses_a_huge_multiplicity(tmp_path, capsys):
+    spec = tmp_path / "loop.spec"
+    spec.write_text("functor: Bag\nstates: r\npoint: r\nr = [r*1000000000]\n",
+                    encoding="utf-8")
+    start = time.perf_counter()
+    code = main(["is-tree", str(spec), "--oracle"])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: ")
+    assert elapsed < 1.0
 
 
 def test_is_tree_oracle_reports_refuters(capsys):

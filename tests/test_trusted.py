@@ -1,29 +1,37 @@
-"""The constructions build the carriers, maps and coalgebras they derive with
-the unchecked `_trusted` constructors.  Each object they return is rebuilt
-here through its public, validating constructor, from its raw fields, on
-seeded random inputs: the constructor must accept it and give an equal
-object."""
+"""The constructions build the carriers, maps, coalgebras and graphs they
+derive with the unchecked `_trusted` constructors.  Each object they return
+is rebuilt here through its public, validating constructor, from its raw
+fields, on seeded random inputs: the constructor must accept it and give an
+equal object."""
 
 from __future__ import annotations
 
 import random
 
 from coalg import (
+    Bag,
     FMap,
     FiniteSet,
+    Multigraph,
     PointedCoalgebra,
     PowNotPrecise,
     TotalMap,
+    bag_to_multigraph,
+    canonical_graph,
     defined_inputs,
+    dfa_to_coalgebra,
     least_bound,
     multigraph_to_bag,
     precise_factorize,
     reach_levels,
     reachable_part,
+    reachable_subgraph,
+    reachable_vertices,
     rooted_paths,
     tree_levels,
     unravel,
 )
+from coalg.automata import _dfa_graph
 
 import generators
 
@@ -50,6 +58,12 @@ def check_coalgebra(c: PointedCoalgebra) -> None:
     check_set(c.frontier)
     assert PointedCoalgebra(c.functor, c.carrier, c.structure, c.point,
                             c.frontier) == c
+
+
+def check_graph(g: Multigraph) -> None:
+    check_set(g.vertices)
+    again = Multigraph(g.vertices, g.edges, g.root)
+    assert again == g and again._out == g._out
 
 
 def test_factorizations_are_valid():
@@ -122,3 +136,26 @@ def test_defined_inputs_and_rooted_paths_are_valid():
                               rng.randint(0, 4))
         check_coalgebra(result.tree)
         check_map(result.projection)
+
+
+def test_graph_views_are_valid():
+    rng = random.Random(31)
+    for _ in range(300):
+        c = generators.random_coalgebra(rng, open_states=True)
+        g = canonical_graph(c)
+        check_graph(g)
+        check_set(reachable_vertices(g))
+        check_graph(reachable_subgraph(g))
+        m = generators.random_multigraph(rng)
+        bag = multigraph_to_bag(m)
+        check_coalgebra(bag)
+        check_graph(bag_to_multigraph(bag))
+        check_graph(reachable_subgraph(m))
+        check_set(reachable_vertices(m))
+        c = generators.random_coalgebra(rng)
+        if isinstance(c.functor, Bag):
+            check_graph(bag_to_multigraph(c))
+        for d in (generators.random_acyclic_dfa(rng),
+                  generators.random_dfa(rng)):
+            check_graph(_dfa_graph(d))
+            check_coalgebra(dfa_to_coalgebra(d))
