@@ -10,10 +10,12 @@ Both trees are one unfolding, `_unfold`: a breadth-first walk of the rooted
 paths in letter/edge order, so truncated carriers are prefix-closed and
 reproducible.  Each path's name is its parent's name plus one label (`ε`
 for the root), so the walk costs time linear in the total length of the
-names it writes.  The automaton or graph was validated when it was built,
-and the names are checked for collisions once, so both trees and
-projections are built with the unchecked `_trusted` constructors (see
-`coalg.base`).
+names it writes.  Whether the tree is finite, and how many paths it has,
+comes first from one counting walk (`coalgebra._root_paths`), so a complete
+tree larger than the guard (`COALG_GUARD`) is refused before it is built.
+The automaton or graph was validated when it was built, and the names are
+checked for collisions once, so both trees and projections are built with
+the unchecked `_trusted` constructors (see `coalg.base`).
 """
 
 from __future__ import annotations
@@ -21,15 +23,15 @@ from __future__ import annotations
 import graphlib
 import math
 from collections import Counter
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 
 from .base import FiniteSet, Record, ShapeError, StateId, TotalMap
-from .coalgebra import (Edge, Multigraph, PointedCoalgebra, is_acyclic,
-                        reachable_subgraph, reachable_vertices)
+from .coalgebra import (Edge, Multigraph, PointedCoalgebra, _root_paths,
+                        reachable_vertices)
 from .functors import (BOTTOM, Bag, BagVal, Const, ConstVal, Coproduct,
                        Exponent, FunVal, FunctorExpr, FValue, IdVal, Identity,
                        Product, TagVal, TupleVal)
-from .unravelling import UnravelResult
+from .unravelling import UnravelResult, _within_guard
 
 # Both trees are unravellings: tree, projection, complete flag and frontier.
 DefinedInputs = RootedPaths = UnravelResult
@@ -39,15 +41,18 @@ class PartialDFA(Record):
     __slots__ = ("alphabet", "states", "accepting", "delta", "initial")
 
     def __init__(self, alphabet: FiniteSet, states: FiniteSet,
-                 accepting: frozenset[StateId],
+                 accepting: Iterable[StateId],
                  delta: dict[tuple[StateId, str], StateId], initial: StateId):
+        # checked in the order given, not in the frozen set's hash order, so
+        # the error names the same state in every run
+        accepting = tuple(accepting)
         Record.__init__(self, alphabet, states, frozenset(accepting),
                         dict(delta), initial)
         if len(self.alphabet) == 0:
             raise ShapeError("alphabet must be non-empty")
         if self.initial not in self.states:
             raise ShapeError(f"initial state {self.initial!r} not a state")
-        for q in self.accepting:
+        for q in accepting:
             if q not in self.states:
                 raise ShapeError(f"accepting state {q!r} not a state")
         for (q, a), q2 in self.delta.items():
@@ -104,15 +109,9 @@ def delta_star(d: PartialDFA, word) -> StateId | None:
     return at
 
 
-def _dfa_graph(d: PartialDFA) -> Multigraph:
-    edges = tuple(Edge(str(k), q, q2)
-                  for k, ((q, _), q2) in enumerate(d.delta.items()))
-    return Multigraph._trusted(d.states, edges, d.initial)
-
-
 def _unfold(functor: FunctorExpr, states: FiniteSet, root: StateId,
             successors: Callable[[StateId], list[tuple[str, StateId]]],
-            max_len: int, complete: bool, sep: str,
+            max_len: int, sep: str,
             build: Callable[[StateId, list[tuple[str, StateId]]], FValue],
             collision: str) -> UnravelResult:
     """The tree of rooted paths, breadth-first in successor order.
@@ -120,11 +119,17 @@ def _unfold(functor: FunctorExpr, states: FiniteSet, root: StateId,
     A path is named by its parent's name, `sep` and its last label (`ε` for
     the root), so each name costs its own length once.  `build(x, kids)`
     gives the value of a closed path ending at x from its children's
-    `(label, name)` pairs.  Unless complete, paths of length max_len stay
-    open.
+    `(label, name)` pairs.  The tree is complete when no cycle is reachable
+    (one counting walk decides it, and its counts give the tree's size,
+    checked against the guard first); otherwise paths of length max_len
+    stay open.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
+    _, counts = _root_paths(root, lambda x: ((y, 1) for _, y in successors(x)))
+    complete = counts is not None
+    if complete:
+        _within_guard(sum(counts.values()))
     names, targets, lengths = ["ε"], [root], [0]
     structure: dict[StateId, FValue] = {}
     frontier = []
@@ -161,8 +166,7 @@ def defined_inputs(d: PartialDFA, max_len: int) -> UnravelResult:
     """
     sep = "" if all(len(a) == 1 for a in d.alphabet) else "·"
     return _unfold(dfa_functor(d.alphabet), d.states, d.initial,
-                   lambda q: _transitions(d, q), max_len,
-                   is_acyclic(reachable_subgraph(_dfa_graph(d))), sep,
+                   lambda q: _transitions(d, q), max_len, sep,
                    lambda q, kids: _dfa_value(d, q, dict(kids)),
                    "word names collide; rename the alphabet letters")
 
@@ -177,7 +181,7 @@ def rooted_paths(g: Multigraph, max_len: int) -> UnravelResult:
     """
     return _unfold(Bag(), g.vertices, g.root,
                    lambda v: [(e.id, e.tgt) for e in g.out_edges(v)],
-                   max_len, is_acyclic(reachable_subgraph(g)), "·",
+                   max_len, "·",
                    lambda v, kids: BagVal((p, 1) for _, p in kids),
                    "path names collide; rename the edge ids")
 

@@ -22,6 +22,7 @@ and in code generated for each class, than most calls spend on their work.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Iterable, Iterator, Mapping
 from itertools import chain
 from operator import attrgetter
@@ -60,11 +61,19 @@ class NotAHomomorphism(CoalgebraError):
 
 
 class SearchSpaceTooLarge(CoalgebraError):
-    """A brute-force oracle refused to enumerate past its guard."""
+    """A brute-force oracle or a complete unfolding refused to go past the
+    guard (see `_guard`)."""
 
 
 class SpecFormatError(CoalgebraError):
     """A spec document is malformed; message carries the line number."""
+
+
+def _guard() -> int:
+    """The size limit, env var COALG_GUARD (default 10^7), on the candidates
+    a brute-force oracle enumerates and on the tree states a complete
+    unfolding builds."""
+    return int(os.environ.get("COALG_GUARD", "10000000"))
 
 
 def _getter(fields: tuple[str, ...]) -> Callable[[object], tuple]:

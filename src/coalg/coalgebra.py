@@ -12,13 +12,18 @@ The constructions that derive a coalgebra or a graph from a valid one
 (reachable parts, unravellings, the DFA and path trees, and the graph views
 below) build it with the unchecked `_trusted` constructors instead (see
 `coalg.base`).
+
+`_root_paths` is the one rooted walk that counts paths without building
+them: the tree decision, and the DFA, multigraph and coalgebra unfoldings
+before they build a complete tree, read reachability, acyclicity and the
+size of the tree from it.
 """
 
 from __future__ import annotations
 
 import graphlib
 from collections import deque
-from collections.abc import Mapping
+from collections.abc import Callable, Iterable, Mapping
 
 from .base import FiniteSet, Record, ShapeError, StateId, TotalMap
 from .functors import (Bag, BagVal, FunctorExpr, FValue, fmap, used_states,
@@ -200,6 +205,49 @@ def coproduct(c1: PointedCoalgebra, c2: PointedCoalgebra) -> PointedCoalgebra:
                          + [ren2[x] for x in c2.frontier])
     return PointedCoalgebra(c1.functor, carrier, structure,
                             ren1[c1.point], frontier)
+
+
+def _root_paths(root: StateId,
+                successors: Callable[[StateId], Iterable[tuple[StateId, int]]]
+                ) -> tuple[list[StateId], dict[StateId, int] | None]:
+    """One rooted walk: the states reachable from root, in breadth-first
+    discovery order, and the exact number of weighted root paths to each,
+    or None for the counts when a cycle is reachable.
+
+    `successors(x)` yields (successor, weight) pairs, one per edge; a path's
+    weight is the product of its edges' weights (slot multiplicities in a
+    coalgebra), so the counts are the copies each state gets in the complete
+    unravelling.  They come from Kahn's algorithm on the in-degrees of the
+    reached edges: paths(y) = sum of paths(x) * weight over edges x -> y, in
+    topological order.  A reachable cycle leaves some state with in-edges
+    never counted down.
+    """
+    order = [root]
+    indegree = {root: 0}
+    out: dict[StateId, list[tuple[StateId, int]]] = {}
+    # the list grows behind the walk: a breadth-first queue
+    for x in order:
+        edges = out[x] = list(successors(x))
+        for y, _ in edges:
+            if y in indegree:
+                indegree[y] += 1
+            else:
+                indegree[y] = 1
+                order.append(y)
+    counts = dict.fromkeys(order, 0)
+    counts[root] = 1
+    ready = [root] if indegree[root] == 0 else []
+    done = 0
+    while ready:
+        x = ready.pop()
+        done += 1
+        n = counts[x]
+        for y, w in out[x]:
+            counts[y] += n * w
+            indegree[y] -= 1
+            if indegree[y] == 0:
+                ready.append(y)
+    return order, counts if done == len(order) else None
 
 
 def canonical_graph(c: PointedCoalgebra) -> Multigraph:

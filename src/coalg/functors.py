@@ -858,14 +858,20 @@ class Cursor:
         tok = self.toks[self.i]
         if tok.isdecimal():
             self.i += 1
-            return int(tok)
+            return self._digits(tok)
         k = 0
         while k < len(tok) and tok[k].isdecimal():
             k += 1
         if k == 0:
             raise self.error("expected a number")
         self.toks[self.i] = tok[k:]
-        return int(tok[:k])
+        return self._digits(tok[:k])
+
+    def _digits(self, digits: str) -> int:
+        try:
+            return int(digits)
+        except ValueError:  # more digits than int() reads: an input error
+            raise self.error(f"number too long ({len(digits)} digits)") from None
 
     def rest(self) -> str:
         """The text of the line from the next token on, stripped."""
@@ -969,7 +975,11 @@ def _parse_atom(cur: _ExprCursor) -> FunctorExpr:
         word = cur.word()
         if not word.isdecimal():
             raise FunctorSyntaxError(f"bad numeral {word!r}", start)
-        n = int(word)
+        try:
+            n = int(word)
+        except ValueError:  # more digits than int() reads: an input error
+            raise FunctorSyntaxError(f"numeral too long ({len(word)} digits)",
+                                     start) from None
         if n == 0:
             raise FunctorSyntaxError("numeral 0 denotes the empty constant, "
                                      "which is not allowed", start)

@@ -11,19 +11,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from collections import deque
 
 from .base import (FiniteSet, NotAHomomorphism, Record, SearchSpaceTooLarge,
-                   ShapeError, StateId, TotalMap)
+                   ShapeError, StateId, TotalMap, _guard)
 from .coalgebra import Multigraph, PointedCoalgebra, check_morphism
 from .functors import (Bag, BagVal, Compose, Const, ConstVal, Coproduct,
                        Exponent, FunVal, FunctorExpr, FValue, IdVal, Identity,
                        Pow, Product, SetVal, TagVal, TupleVal, used_states)
-
-
-def _guard() -> int:
-    return int(os.environ.get("COALG_GUARD", "10000000"))
 
 
 class HomSet(Record):

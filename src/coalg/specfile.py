@@ -245,8 +245,7 @@ def _build_dfa(keys, body) -> PartialDFA:
     states = keys["states"].set_rest()
     initial = keys["initial"].name()
     keys["initial"].expect_end()
-    accepting = frozenset(keys["accepting"].names_rest()) \
-        if "accepting" in keys else frozenset()
+    accepting = keys["accepting"].names_rest() if "accepting" in keys else ()
     delta = {}
     for cur in body:
         word = cur.name()

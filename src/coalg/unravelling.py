@@ -1,4 +1,5 @@
-"""Tree unravelling via iterated precise factorization.
+"""Tree unravelling via iterated precise factorization, and the tree
+decision by counting root paths.
 
 Level k+1 is the middle carrier of the precise factorization of the structure
 map restricted to level k, so every slot of every level-k value gets a private
@@ -14,11 +15,18 @@ map and the tree itself are derived from the validated input coalgebra, so
 they are built with the unchecked `_trusted` constructors (see `coalg.base`):
 no tree state's value is validated.
 
-Cyclic inputs unravel forever, so the constructions take a depth cap and the
-decision procedure checks the canonical graph for reachable cycles up front
-instead of waiting for a level overflow (the two are equivalent: a copy in
-level k spawns a successor copy in level k+1 exactly along canonical-graph
-edges).
+The tree decision builds no level.  The copies a state gets in the complete
+unravelling are its weighted root paths (a slot of multiplicity n is n
+copies), and one rooted walk over the slots counts them exactly
+(`coalgebra._root_paths`): the coalgebra is a tree iff every reachable value
+is precise, no cycle is reachable, every state is reachable and the counts
+sum to the size of the carrier.  The walk is linear in the states plus
+slots, whatever the size of the tree.
+
+Cyclic inputs unravel forever, so the constructions take a depth cap, and
+`tree_unravelling` unravels completely only when the walk finds no
+reachable cycle; the sum of its counts is then the size of the tree, which
+is checked against the guard (`COALG_GUARD`) before any level is built.
 """
 
 from __future__ import annotations
@@ -26,10 +34,9 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterator
 
-from .base import (FiniteSet, Record, ShapeError, StateId, TotalMap,
-                   fresh_namer)
-from .coalgebra import (PointedCoalgebra, canonical_graph, is_acyclic,
-                        reachable_subgraph)
+from .base import (FiniteSet, Record, SearchSpaceTooLarge, ShapeError,
+                   StateId, TotalMap, _guard, fresh_namer)
+from .coalgebra import PointedCoalgebra, _root_paths
 from .factorization import FMap, precise_factorize
 from .functors import FValue, fmap, iter_slots
 
@@ -75,16 +82,32 @@ class TreeReport(Record):
     """Verdict of the tree decision with a diagnostic on failure.
 
     reason is one of "powerset-degenerate", "cycle", "not-reachable",
-    "sharing", or None when ok.  levels/projection are filled when the
-    level construction ran (they are skipped for the two early checks).
+    "sharing", or None when ok.
     """
 
-    __slots__ = ("ok", "reason", "detail", "levels", "projection")
+    __slots__ = ("ok", "reason", "detail")
 
     def __init__(self, ok: bool, reason: str | None = None,
-                 detail: str | None = None, levels: TreeLevels | None = None,
-                 projection: TotalMap | None = None):
-        Record.__init__(self, ok, reason, detail, levels, projection)
+                 detail: str | None = None):
+        Record.__init__(self, ok, reason, detail)
+
+
+def _slot_paths(c: PointedCoalgebra
+                ) -> tuple[list[StateId], dict[StateId, int] | None]:
+    """The reachable states of a total coalgebra and their root-path counts
+    (None on a reachable cycle), each slot an edge weighted by its
+    multiplicity."""
+    functor, structure = c.functor, c.structure
+    return _root_paths(c.point, lambda x: functor.slots(structure[x]))
+
+
+def _within_guard(size: int) -> None:
+    """Refuse a complete unfolding of more than COALG_GUARD tree states."""
+    limit = _guard()
+    if size > limit:
+        raise SearchSpaceTooLarge(
+            f"the complete unfolding would have {size} tree states, "
+            f"more than COALG_GUARD={limit}")
 
 
 def tree_levels(c: PointedCoalgebra, max_depth: int) -> TreeLevels:
@@ -143,34 +166,34 @@ def unravel(c: PointedCoalgebra, max_depth: int) -> UnravelResult:
 def tree_check(c: PointedCoalgebra) -> TreeReport:
     """Decide whether c is a tree; diagnose the failure if not.
 
-    Checks run in order: non-empty powerset values on reachable states
-    (nothing with successors can be a powerset tree), reachable cycles
-    (levels would never empty), then the level construction with the
-    projection checked for surjectivity (reachability) and injectivity
-    (no shared successors).
+    One walk over the slots from the point gives the reachable states and
+    their root-path counts.  Checks run in order: non-empty powerset values
+    on reachable states, in discovery order (nothing with successors can be
+    a powerset tree), reachable cycles (the levels would never empty),
+    unreached states (the projection from the levels is not surjective),
+    then shared successors: the counts sum to the size of the coproduct of
+    the levels, which is the carrier's exactly when the projection is
+    injective.
     """
     if not c.is_total():
         raise ShapeError("tree check needs a total coalgebra, found open states")
-    graph = reachable_subgraph(canonical_graph(c))
-    for x in graph.vertices:
+    reached, counts = _slot_paths(c)
+    for x in reached:
         if not c.functor.precise(c.structure[x]):
             return TreeReport(False, "powerset-degenerate",
                               f"state {x} carries a non-empty powerset value")
-    if not is_acyclic(graph):
+    if counts is None:
         return TreeReport(False, "cycle", "levels non-empty past bound")
-    tl = tree_levels(c, len(c.carrier) + 1)
-    proj = tl.projection()
-    if not proj.is_surjective():
-        image = proj.image().as_set()
-        missing = [x for x in c.carrier if x not in image]
+    if len(counts) < len(c.carrier):
+        missing = [x for x in c.carrier if x not in counts]
         return TreeReport(False, "not-reachable",
-                          f"states never reached: {', '.join(missing)}",
-                          tl, proj)
-    if not proj.is_injective():
+                          f"states never reached: {', '.join(missing)}")
+    size = sum(counts.values())
+    if size != len(c.carrier):
         return TreeReport(False, "sharing",
-                          f"coproduct of levels has {len(proj.domain)} states, "
-                          f"carrier has {len(c.carrier)}", tl, proj)
-    return TreeReport(True, levels=tl, projection=proj)
+                          f"coproduct of levels has {size} states, "
+                          f"carrier has {len(c.carrier)}")
+    return TreeReport(True)
 
 
 def is_tree(c: PointedCoalgebra) -> bool:
@@ -182,13 +205,17 @@ def tree_unravelling(c: PointedCoalgebra,
     """Full unravelling when finite, else truncated with complete=False.
 
     Finiteness is the absence of reachable cycles; in that case every root
-    path has fewer than |carrier| steps, so depth |carrier| suffices.  The
-    default truncation depth 3*|carrier| shows any cycle unrolled at least
-    three times.
+    path has fewer than |carrier| steps, so depth |carrier| suffices, and
+    the tree has as many states as there are weighted root paths, a number
+    checked against the guard before any level is built.  The default
+    truncation depth 3*|carrier| shows any cycle unrolled at least three
+    times.
     """
     if not c.is_total():
         raise ShapeError("unravelling needs a total coalgebra, found open states")
-    if is_acyclic(reachable_subgraph(canonical_graph(c))):
+    _, counts = _slot_paths(c)
+    if counts is not None:
+        _within_guard(sum(counts.values()))
         return unravel(c, len(c.carrier))
     depth = truncate_at if truncate_at is not None else 3 * len(c.carrier)
     return unravel(c, depth)

@@ -31,6 +31,7 @@ from coalg import (
     TagVal,
     TotalMap,
     TupleVal,
+    parse_functor,
 )
 
 LETTERS = ("a", "b", "c")
@@ -105,6 +106,52 @@ def random_coalgebra(rng: random.Random, max_states: int = 8, depth: int = 2,
                  for x in carrier if x not in frontier}
     return PointedCoalgebra(functor, carrier, structure, "s0",
                             FiniteSet(frontier))
+
+
+DAG_FUNCTORS = ("Bag", "Bag . (Id x 2)", "Pow")
+
+
+def random_shared_dag(rng: random.Random, max_states: int = 8,
+                      functor: str | None = None) -> PointedCoalgebra:
+    """A total coalgebra over Bag, Bag . (Id x 2) or Pow whose slot graph is
+    a DAG with shared successors.
+
+    A random recursive tree from s0 reaches every state; extra edges from
+    earlier to later states share successors, and bag multiplicities of 1
+    or 2 multiply the copies further.  Pow states without successors are
+    empty leaves, the only precise Pow values.  One draw in ten gets a back
+    edge (a reachable cycle), one in ten a state nothing reaches, so every
+    diagnosis of the tree check turns up, `sharing` most often.
+    """
+    text = functor if functor is not None else rng.choice(DAG_FUNCTORS)
+    f = parse_functor(text)
+    n = rng.randint(1, max_states)
+    succ: dict[int, list[int]] = {i: [] for i in range(n)}
+    for j in range(1, n):
+        succ[rng.randrange(j)].append(j)
+    for _ in range(rng.randint(0, n) if n > 1 else 0):
+        j = rng.randint(1, n - 1)
+        succ[rng.randrange(j)].append(j)
+    if rng.random() < 0.1:
+        i = rng.randrange(n)
+        succ[i].append(rng.randint(0, i))
+    if rng.random() < 0.1:
+        succ[n] = [rng.randrange(n)] if rng.random() < 0.5 else []
+        n += 1
+    carrier = FiniteSet(tuple(f"s{i}" for i in range(n)))
+    structure = {}
+    for i, kids in succ.items():
+        targets = list(dict.fromkeys(f"s{j}" for j in kids))
+        if text == "Pow":
+            structure[f"s{i}"] = SetVal(tuple(targets))
+        elif text == "Bag":
+            structure[f"s{i}"] = BagVal(tuple((y, rng.randint(1, 2))
+                                              for y in targets))
+        else:
+            structure[f"s{i}"] = BagVal(tuple(
+                (TupleVal((IdVal(y), ConstVal(rng.choice("01")))),
+                 rng.randint(1, 2)) for y in targets))
+    return PointedCoalgebra(f, carrier, structure, "s0")
 
 
 def random_multigraph(rng: random.Random, max_vertices: int = 8,

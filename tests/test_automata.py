@@ -11,6 +11,7 @@ from coalg import (
     FiniteSet,
     Multigraph,
     PartialDFA,
+    SearchSpaceTooLarge,
     ShapeError,
     check_morphism,
     copy_counts,
@@ -19,10 +20,12 @@ from coalg import (
     dfa_functor,
     dfa_to_coalgebra,
     graph_is_tree,
+    is_acyclic,
     is_reachable,
     is_tree,
     multigraph_to_bag,
     path_count,
+    reachable_subgraph,
     rooted_paths,
     tree_fingerprint,
     tree_unravelling,
@@ -206,3 +209,40 @@ def test_random_acyclic_dfa_inputs_are_tree_unravellings():
             tree_fingerprint(generic.tree)
         for w in result.tree.carrier:
             assert result.projection[w] is not None
+
+
+def dfa_graph(d: PartialDFA) -> Multigraph:
+    """The transition graph of a DFA, one edge per defined transition."""
+    return Multigraph(d.states, tuple(Edge(str(k), q, q2) for k, ((q, _), q2)
+                                      in enumerate(d.delta.items())),
+                      d.initial)
+
+
+def test_complete_flags_agree_with_the_reachable_graph():
+    rng = random.Random(101)
+    seen = set()
+    for _ in range(300):
+        for d in (generators.random_dfa(rng),
+                  generators.random_acyclic_dfa(rng)):
+            acyclic = is_acyclic(reachable_subgraph(dfa_graph(d)))
+            assert defined_inputs(d, 3).complete is acyclic
+            seen.add(("dfa", acyclic))
+        g = generators.random_multigraph(rng)
+        acyclic = is_acyclic(reachable_subgraph(g))
+        assert rooted_paths(g, 3).complete is acyclic
+        seen.add(("graph", acyclic))
+    assert len(seen) == 4
+
+
+def test_complete_unfoldings_are_guarded_by_their_size(monkeypatch):
+    diamond = load_fixture("diamond")
+    monkeypatch.setenv("COALG_GUARD", "1")
+    with pytest.raises(SearchSpaceTooLarge, match="2 tree states"):
+        defined_inputs(chain(), 10)
+    # a truncated word tree is not a complete one
+    assert not defined_inputs(load_fixture("loop_dfa"), 0).complete
+    monkeypatch.setenv("COALG_GUARD", "8")
+    with pytest.raises(SearchSpaceTooLarge, match="9 tree states"):
+        rooted_paths(diamond, 10)
+    monkeypatch.setenv("COALG_GUARD", "9")
+    assert len(rooted_paths(diamond, 10).tree.carrier) == 9

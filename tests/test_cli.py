@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -10,6 +14,8 @@ from coalg.specfile import LINE_BREAKS
 from coalg.cli import main
 
 from conftest import fixture_path, load_fixture
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -121,6 +127,41 @@ def test_digits_int_cannot_read_are_input_errors(tmp_path, capsys, text,
     assert err.startswith(f"error: line {line}: ")
 
 
+@pytest.mark.parametrize("text, line", [
+    ("functor: Bag\nstates: r\npoint: r\nr = [r*" + "1" * 5000 + "]\n", 4),
+    ("functor: Id + 1\nstates: r\npoint: r\nr = " + "1" * 5000 + ": #⊥\n",
+     4),
+    ("functor: " + "1" * 5000 + "\nstates: r\npoint: r\nr = #0\n", 1),
+], ids=["bag-multiplicity", "coproduct-tag", "functor-numeral"])
+def test_numbers_too_long_for_int_are_input_errors(tmp_path, capsys, text,
+                                                   line):
+    """int() refuses more than 4,300 digits by default: a bag multiplicity,
+    a coproduct tag and a functor numeral that long are input errors."""
+    spec = tmp_path / "long.spec"
+    spec.write_text(text, encoding="utf-8")
+    assert main(["check", str(spec)]) == 2
+    [err] = capsys.readouterr().err.splitlines()
+    assert err.startswith(f"error: line {line}: ")
+    assert "5000 digits" in err
+
+
+def test_dfa_errors_name_the_first_bad_accepting_state(tmp_path):
+    """Accepting states are checked in written order, not in the hash order
+    of a set, so every run names the same one."""
+    spec = tmp_path / "bad.spec"
+    spec.write_text("kind: dfa\nalphabet: a\nstates: q0\ninitial: q0\n"
+                    "accepting: x1, y2\n", encoding="utf-8")
+    path = os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    for seed in "1234":
+        env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed)
+        done = subprocess.run([sys.executable, "-m", "coalg.cli", "check",
+                               str(spec)], env=env, capture_output=True,
+                              text=True)
+        assert (done.returncode, done.stderr) == \
+            (2, "error: accepting state 'x1' not a state\n"), seed
+
+
 def test_decimal_digits_of_any_script_are_numbers(tmp_path, capsys):
     spec = tmp_path / "digit.spec"
     spec.write_text("functor: Bag + \u0663\nstates: p\npoint: p\n"
@@ -206,6 +247,37 @@ def test_is_tree_oracle_refuses_a_huge_multiplicity(tmp_path, capsys):
     assert code == 3
     assert err.startswith("error: ")
     assert elapsed < 1.0
+
+
+def write_doubling_chain(path, n=41) -> str:
+    """v0 -> v1 -> ... -> v(n-1), each slot of multiplicity 2: 2^n - 1 tree
+    states from n."""
+    lines = ["functor: Bag", "states: " + ", ".join(f"v{i}" for i in range(n)),
+             "point: v0"]
+    lines += [f"v{i} = [v{i + 1}*2]" for i in range(n - 1)]
+    lines.append(f"v{n - 1} = []")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def test_is_tree_counts_an_exponential_unravelling(tmp_path, capsys):
+    spec = write_doubling_chain(tmp_path / "chain.spec")
+    start = time.perf_counter()
+    code, out = run(capsys, "is-tree", spec)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "false: sharing (coproduct of levels has "
+                              "2199023255551 states, carrier has 41)\n")
+
+
+def test_unravel_refuses_a_complete_tree_past_the_guard(tmp_path, capsys):
+    spec = write_doubling_chain(tmp_path / "chain.spec")
+    start = time.perf_counter()
+    code = main(["unravel", spec])
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    [err] = captured.err.splitlines()
+    assert err.startswith("error: ") and "2199023255551 tree states" in err
 
 
 def test_is_tree_oracle_reports_refuters(capsys):

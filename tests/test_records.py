@@ -67,7 +67,7 @@ def cases():
         kw(ReachablePart, AB, dict(COALG.structure), IDENT, "a", COALG),
         kw(TreeLevels, (AB,), (FMAP,), (IDENT,), False),
         kw(UnravelResult, COALG, IDENT, True, FiniteSet()),
-        kw(TreeReport, False, "cycle", "a -> a", None, None),
+        kw(TreeReport, False, "cycle", "a -> a"),
         kw(PartialDFA, AB, AB, frozenset({"a"}), {("a", "a"): "b"}, "a"),
         kw(HomSet, (IDENT,), COALG, COALG),
         kw(Counterexample, COALG, IDENT),
@@ -139,8 +139,7 @@ def test_defaults():
     c = PointedCoalgebra(Bag(), AB, COALG.structure, "a")
     assert c.frontier == FiniteSet() and c.is_total()
     report = TreeReport(True)
-    assert (report.reason, report.detail, report.levels,
-            report.projection) == (None, None, None, None)
+    assert (report.reason, report.detail) == (None, None)
     assert HomReport(True, True, ()).skipped == ()
     assert BagVal().entries == () and SetVal().members == ()
 
@@ -181,8 +180,7 @@ def test_functor_and_result_reprs_are_unchanged():
         "FiniteSet(a, b)), inner=Bag))), Pow))")
     assert repr(Edge("0", "a", "b")) == "Edge(id='0', src='a', tgt='b')"
     assert repr(TreeReport(True)) == ("TreeReport(ok=True, reason=None, "
-                                      "detail=None, levels=None, "
-                                      "projection=None)")
+                                      "detail=None)")
     assert repr(COALG) == "PointedCoalgebra(2 states, point='a')"
 
 

@@ -31,7 +31,6 @@ from coalg import (
     tree_levels,
     unravel,
 )
-from coalg.automata import _dfa_graph
 
 import generators
 
@@ -157,5 +156,4 @@ def test_graph_views_are_valid():
             check_graph(bag_to_multigraph(c))
         for d in (generators.random_acyclic_dfa(rng),
                   generators.random_dfa(rng)):
-            check_graph(_dfa_graph(d))
             check_coalgebra(dfa_to_coalgebra(d))

@@ -11,7 +11,9 @@ from coalg import (
     IdVal,
     Identity,
     PointedCoalgebra,
+    SearchSpaceTooLarge,
     ShapeError,
+    canonical_graph,
     check_morphism,
     copy_counts,
     enumerate_homs,
@@ -232,3 +234,77 @@ def test_tree_check_does_not_expand_bag_multiplicities():
     sets = parse_spec("functor: Bag . Pow\nstates: r\npoint: r\n"
                       "r = [{|r|}*1000000000]\n")
     assert tree_check(sets).reason == "powerset-degenerate"
+
+
+def level_construction_check(c: PointedCoalgebra):
+    """The tree decision as the level construction gives it: the powerset
+    and cycle checks on the reachable canonical graph, then every tree level
+    built and the projection from their coproduct checked for surjectivity
+    and injectivity."""
+    graph = reachable_subgraph(canonical_graph(c))
+    for x in graph.vertices:
+        if not c.functor.precise(c.structure[x]):
+            return (False, "powerset-degenerate",
+                    f"state {x} carries a non-empty powerset value")
+    if not is_acyclic(graph):
+        return False, "cycle", "levels non-empty past bound"
+    proj = tree_levels(c, len(c.carrier) + 1).projection()
+    if not proj.is_surjective():
+        image = proj.image().as_set()
+        missing = [x for x in c.carrier if x not in image]
+        return (False, "not-reachable",
+                f"states never reached: {', '.join(missing)}")
+    if not proj.is_injective():
+        return (False, "sharing",
+                f"coproduct of levels has {len(proj.domain)} states, "
+                f"carrier has {len(c.carrier)}")
+    return True, None, None
+
+
+def test_counting_walk_agrees_with_the_level_construction():
+    rng = random.Random(89)
+    for _ in range(2000):
+        c = generators.random_coalgebra(rng)
+        report = tree_check(c)
+        assert (report.ok, report.reason, report.detail) == \
+            level_construction_check(c)
+
+
+def test_counting_walk_agrees_on_shared_dags():
+    rng = random.Random(97)
+    reasons = []
+    for _ in range(600):
+        c = generators.random_shared_dag(rng)
+        report = tree_check(c)
+        assert (report.ok, report.reason, report.detail) == \
+            level_construction_check(c)
+        reasons.append(report.reason)
+    assert reasons.count("sharing") >= 200
+    assert {"powerset-degenerate", "cycle", "not-reachable",
+            None} <= set(reasons)
+
+
+def test_sharing_counts_every_weighted_root_path():
+    n = 41
+    states = [f"v{i}" for i in range(n)]
+    structure = {x: BagVal(((y, 2),)) for x, y in zip(states, states[1:])}
+    structure[states[-1]] = BagVal()
+    chain = PointedCoalgebra(Bag(), FiniteSet(states), structure, "v0")
+    report = tree_check(chain)
+    assert report.reason == "sharing"
+    assert report.detail == (f"coproduct of levels has {2 ** n - 1} states, "
+                             f"carrier has {n}")
+    with pytest.raises(SearchSpaceTooLarge):
+        tree_unravelling(chain)
+
+
+def test_complete_unravellings_are_guarded_by_their_size(monkeypatch,
+                                                         diamond_bag):
+    monkeypatch.setenv("COALG_GUARD", "8")
+    with pytest.raises(SearchSpaceTooLarge, match="9 tree states"):
+        tree_unravelling(diamond_bag)
+    monkeypatch.setenv("COALG_GUARD", "9")
+    assert len(tree_unravelling(diamond_bag).tree.carrier) == 9
+    # a truncated unravelling of a cyclic input is not a complete one
+    monkeypatch.setenv("COALG_GUARD", "1")
+    assert not tree_unravelling(load_fixture("two_cycle")).complete
