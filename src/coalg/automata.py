@@ -7,15 +7,19 @@ A rooted multigraph is a Bag coalgebra; its rooted paths form the analogous
 tree, projecting each path to its target vertex.
 
 Both trees are one unfolding, `_unfold`: a breadth-first walk of the rooted
-paths in letter/edge order, so truncated carriers are prefix-closed and
-reproducible.  Each path's name is its parent's name plus one label (`ε`
-for the root), so the walk costs time linear in the total length of the
-names it writes.  Whether the tree is finite, and how many paths it has,
-comes first from one counting walk (`coalgebra._root_paths`), so a complete
-tree larger than the guard (`COALG_GUARD`) is refused before it is built.
-The automaton or graph was validated when it was built, and the names are
-checked for collisions once, so both trees and projections are built with
-the unchecked `_trusted` constructors (see `coalg.base`).
+paths in letter/edge order, one level at a time, so truncated carriers are
+prefix-closed and reproducible.  Whether the tree is finite, and how many
+paths it has, comes first from one counting walk (`coalgebra._root_paths`),
+so a complete tree larger than the guard (`COALG_GUARD`) is refused before
+it is built.  That walk reads each reachable state's transitions or
+out-edges once, together with the parts of a path's value that depend on
+its state alone (a word's output and undefined letters).  A path then costs
+its own value and its own name, which is its parent's name plus one label
+(`ε` for the root), so the unfolding costs time linear in the total length
+of the names it writes.  The automaton or graph was validated when it was
+built, and the names are checked for collisions once, so both trees, their
+values and projections are built with the unchecked `_trusted`
+constructors (see `coalg.base`).
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from __future__ import annotations
 import graphlib
 import math
 from collections import Counter
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable
+from itertools import repeat
 
 from .base import FiniteSet, Record, ShapeError, StateId, TotalMap
 from .coalgebra import (Edge, Multigraph, PointedCoalgebra, _root_paths,
@@ -72,24 +77,38 @@ def dfa_functor(alphabet: FiniteSet) -> FunctorExpr:
                              alphabet)))
 
 
-def _transitions(d: PartialDFA, q: StateId) -> list[tuple[str, StateId]]:
-    """The defined transitions out of q, in alphabet order."""
-    return [(a, d.delta[(q, a)]) for a in d.alphabet if (q, a) in d.delta]
+def _dfa_step(d: PartialDFA) -> Callable[[StateId], tuple]:
+    """The function giving a state q's defined letters and their targets,
+    in alphabet order, and the parts of q's value that depend on q alone:
+    the letters, q's output, and the table of its letters mapped to bottom
+    (`_dfa_value` fills in the defined ones)."""
+    no_move = TagVal(1, ConstVal(BOTTOM))
+
+    def step(q: StateId) -> tuple:
+        letters = tuple(a for a in d.alphabet if (q, a) in d.delta)
+        out = ConstVal("1" if q in d.accepting else "0")
+        return (letters, tuple(d.delta[(q, a)] for a in letters),
+                (letters, out, dict.fromkeys(d.alphabet, no_move)))
+
+    return step
 
 
-def _dfa_value(d: PartialDFA, q: StateId,
-               successor: Mapping[str, StateId]) -> TupleVal:
-    """q's output with a transition to successor[a] on each letter a it
-    maps, and bottom on the others."""
-    out = ConstVal("1" if q in d.accepting else "0")
-    return TupleVal((out, FunVal(
-        (a, TagVal(0, IdVal(successor[a])) if a in successor
-         else TagVal(1, ConstVal(BOTTOM))) for a in d.alphabet)))
+def _dfa_value(parts: tuple, targets: Iterable[StateId]) -> TupleVal:
+    """The value of a state or word whose defined letters lead to the given
+    targets, from the parts `_dfa_step` gave for its state."""
+    letters, out, template = parts
+    index = template.copy()
+    for a, w in zip(letters, targets):
+        index[a] = TagVal(0, IdVal(w))
+    return TupleVal((out, FunVal._trusted(index)))
 
 
 def dfa_to_coalgebra(d: PartialDFA) -> PointedCoalgebra:
-    structure = {q: _dfa_value(d, q, dict(_transitions(d, q)))
-                 for q in d.states}
+    step = _dfa_step(d)
+    structure = {}
+    for q in d.states:
+        _, targets, parts = step(q)
+        structure[q] = _dfa_value(parts, targets)
     return PointedCoalgebra._trusted(dfa_functor(d.alphabet), d.states,
                                      structure, d.initial,
                                      FiniteSet._trusted(()))
@@ -110,48 +129,55 @@ def delta_star(d: PartialDFA, word) -> StateId | None:
 
 
 def _unfold(functor: FunctorExpr, states: FiniteSet, root: StateId,
-            successors: Callable[[StateId], list[tuple[str, StateId]]],
+            step: Callable[[StateId], tuple[tuple[str, ...],
+                                            tuple[StateId, ...], object]],
             max_len: int, sep: str,
-            build: Callable[[StateId, list[tuple[str, StateId]]], FValue],
+            build: Callable[[object, list[StateId]], FValue],
             collision: str) -> UnravelResult:
     """The tree of rooted paths, breadth-first in successor order.
 
-    A path is named by its parent's name, `sep` and its last label (`ε` for
-    the root), so each name costs its own length once.  `build(x, kids)`
-    gives the value of a closed path ending at x from its children's
-    `(label, name)` pairs.  The tree is complete when no cycle is reachable
-    (one counting walk decides it, and its counts give the tree's size,
-    checked against the guard first); otherwise paths of length max_len
-    stay open.
+    `step(x)` gives the labels and the targets of x's successors, in order,
+    and the parts of the value of a path ending at x that depend on x alone;
+    it is called once per reachable state.  A path is named by its parent's
+    name, `sep` and its last label (`ε` for the root), so each name costs
+    its own length once.  `build(parts, kids)` gives the value of a closed
+    path from its state's parts and its children's names.  The tree is
+    complete when no cycle is reachable (one counting walk decides it, and
+    its counts give the tree's size, checked against the guard first);
+    otherwise paths of length max_len stay open.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    _, counts = _root_paths(root, lambda x: ((y, 1) for _, y in successors(x)))
+    moves = {}
+
+    def successors(x: StateId):
+        move = moves[x] = step(x)
+        return zip(move[1], repeat(1))
+
+    _, counts = _root_paths(root, successors)
     complete = counts is not None
     if complete:
         _within_guard(sum(counts.values()))
-    names, targets, lengths = ["ε"], [root], [0]
+    names, targets = ["ε"], [root]
     structure: dict[StateId, FValue] = {}
-    frontier = []
-    # the three lists grow in step behind the walk: a breadth-first queue
-    for name, x, n in zip(names, targets, lengths):
-        if not complete and n == max_len:
-            frontier.append(name)
-            continue
-        prefix = name + sep if n else ""
-        kids = []
-        for label, y in successors(x):
-            child = prefix + label
-            kids.append((label, child))
-            names.append(child)
-            targets.append(y)
-            lengths.append(n + 1)
-        structure[name] = build(x, kids)
+    start, depth = 0, 0
+    # the two lists grow in step behind the walk, one level at a time: a
+    # breadth-first queue whose level [start:] is the open frontier at the end
+    while start < len(names) and (complete or depth < max_len):
+        end = len(names)
+        for name, x in zip(names[start:end], targets[start:end]):
+            labels, ys, parts = moves[x]
+            prefix = name + sep if depth else ""
+            kids = [prefix + label for label in labels]
+            names += kids
+            targets += ys
+            structure[name] = build(parts, kids)
+        start, depth = end, depth + 1
     if len(set(names)) != len(names):
         raise ShapeError(collision)
     carrier = FiniteSet._trusted(names)
     tree = PointedCoalgebra._trusted(functor, carrier, structure, "ε",
-                                     FiniteSet._trusted(frontier))
+                                     FiniteSet._trusted(names[start:]))
     projection = TotalMap._trusted(carrier, states, dict(zip(names, targets)))
     return UnravelResult(tree, projection, complete, tree.frontier)
 
@@ -162,12 +188,12 @@ def defined_inputs(d: PartialDFA, max_len: int) -> UnravelResult:
     Complete (all of P, ignoring max_len) iff no cycle is reachable from the
     initial state; otherwise truncated to length max_len, with every word of
     exactly that length left open.  Words are named by their letters, joined
-    by `·` unless every letter is one character.
+    by `·` unless every letter is one character.  A word's value is its
+    state's value with the transitions pointed at the word's children.
     """
     sep = "" if all(len(a) == 1 for a in d.alphabet) else "·"
     return _unfold(dfa_functor(d.alphabet), d.states, d.initial,
-                   lambda q: _transitions(d, q), max_len, sep,
-                   lambda q, kids: _dfa_value(d, q, dict(kids)),
+                   _dfa_step(d), max_len, sep, _dfa_value,
                    "word names collide; rename the alphabet letters")
 
 
@@ -179,10 +205,13 @@ def rooted_paths(g: Multigraph, max_len: int) -> UnravelResult:
     max_len edges with the longest paths left open.  Paths are named by
     their edge ids joined by `·`.
     """
-    return _unfold(Bag(), g.vertices, g.root,
-                   lambda v: [(e.id, e.tgt) for e in g.out_edges(v)],
-                   max_len, "·",
-                   lambda v, kids: BagVal((p, 1) for _, p in kids),
+    def step(v: StateId):
+        out = g.out_edges(v)
+        return tuple(e.id for e in out), tuple(e.tgt for e in out), None
+
+    return _unfold(Bag(), g.vertices, g.root, step, max_len, "·",
+                   lambda _, kids: BagVal._trusted(tuple(zip(kids,
+                                                             repeat(1)))),
                    "path names collide; rename the edge ids")
 
 

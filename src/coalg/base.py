@@ -5,10 +5,11 @@ sequences with a fixed, deterministic iteration order (insertion order), so
 every construction downstream is reproducible byte for byte.
 
 Validation happens once, at the boundary: `parse_spec` and the public
-constructors (`FiniteSet(...)`, `TotalMap(...)`, and `FMap(...)` and
-`PointedCoalgebra(...)` in their modules) check every invariant.  Each of
-these classes also has one private trusted constructor, `_trusted`, which
-sets the fields and checks nothing.  The library's own constructions use it
+constructors (`FiniteSet(...)`, `TotalMap(...)`, and `FMap(...)`,
+`PointedCoalgebra(...)`, `FunVal(...)` and `BagVal(...)` in their modules)
+check or normalize every invariant.  Each of these classes also has one
+private trusted constructor, `_trusted`, which sets the fields and checks
+nothing.  The library's own constructions use it
 for objects they derive from already validated ones; its caller guarantees
 the invariants, and a dict passed to it is not copied, so it must be freshly
 built and not shared.
@@ -61,8 +62,8 @@ class NotAHomomorphism(CoalgebraError):
 
 
 class SearchSpaceTooLarge(CoalgebraError):
-    """A brute-force oracle or a complete unfolding refused to go past the
-    guard (see `_guard`)."""
+    """A brute-force oracle, an unfolding or a functor numeral refused to go
+    past the guard (see `_guard`)."""
 
 
 class SpecFormatError(CoalgebraError):
@@ -71,8 +72,8 @@ class SpecFormatError(CoalgebraError):
 
 def _guard() -> int:
     """The size limit, env var COALG_GUARD (default 10^7), on the candidates
-    a brute-force oracle enumerates and on the tree states a complete
-    unfolding builds."""
+    a brute-force oracle enumerates, on the tree states an unfolding builds
+    and on the constant a functor numeral names."""
     return int(os.environ.get("COALG_GUARD", "10000000"))
 
 

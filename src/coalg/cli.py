@@ -13,7 +13,7 @@ import sys
 
 from .automata import (PartialDFA, defined_inputs, dfa_to_coalgebra,
                        rooted_paths)
-from .base import CoalgebraError, SearchSpaceTooLarge
+from .base import CoalgebraError, SearchSpaceTooLarge, TotalMap
 from .coalgebra import (Multigraph, PointedCoalgebra, canonical_graph,
                         multigraph_to_bag)
 from .dot import to_dot
@@ -45,6 +45,14 @@ def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
     print(f"wrote {path}")
+
+
+def _write_listing(header: str, projection: TotalMap) -> None:
+    """The header line and one `  x -> h(x)` line per tree state, in one
+    write: an unbuffered or line-buffered stdout would make each line its
+    own system call."""
+    sys.stdout.write("".join([header + "\n"] + [
+        f"  {x} -> {y}\n" for x, y in projection.items()]))
 
 
 def _write_tree(args, tree: PointedCoalgebra) -> None:
@@ -148,9 +156,7 @@ def cmd_dfa_inputs(args) -> int:
     print(f"complete: {'true' if result.complete else 'false'}"
           + ("" if result.complete else f" (maxlen {maxlen})"))
     print(f"P = {_braces(result.tree.carrier)}")
-    print("delta*:")
-    for w in result.tree.carrier:
-        print(f"  {w} -> {result.projection[w]}")
+    _write_listing("delta*:", result.projection)
     _write_tree(args, result.tree)
     return 0
 
@@ -166,9 +172,7 @@ def cmd_paths(args) -> int:
     print(f"{len(result.tree.carrier)} rooted paths")
     counts = copy_counts(result.projection)
     print("targets: " + ", ".join(f"{v}={n}" for v, n in counts.items()))
-    print("t:")
-    for p in result.tree.carrier:
-        print(f"  {p} -> {result.projection[p]}")
+    _write_listing("t:", result.projection)
     _write_tree(args, result.tree)
     return 0
 

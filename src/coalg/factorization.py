@@ -11,8 +11,10 @@ factorization drive everything downstream:
   copying factorization behind tree unravellings.  The powerset functor
   admits no precise factorization of a non-empty value (PowNotPrecise).
 
-Middle elements of precise factorizations are named after their provenance:
-origin domain element, structural path, and a copy index for bag entries.
+Middle elements of precise factorizations are named after their provenance
+(origin domain element, structural path, and a copy index for bag entries)
+unless the caller names them: the tree unravelling names each one after the
+state it projects to, as it is made.
 
 `FMap(...)` validates every value against the functor and the codomain.  Both
 factorizations take an FMap that is already valid (checked by that
@@ -23,7 +25,7 @@ carriers, maps and values are valid by construction.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections.abc import Callable, Iterator, Mapping
 
 from .base import (FiniteSet, NotIsomorphic, Record, ShapeError, StateId,
                    TotalMap, fresh_namer)
@@ -115,25 +117,33 @@ def least_bound(f: FMap) -> LeastBound:
     return LeastBound(sub, g, m)
 
 
-def precise_factorize(f: FMap) -> PreciseFactorization:
+def precise_factorize(f: FMap,
+                      name: Callable[[str, StateId], StateId] | None = None
+                      ) -> PreciseFactorization:
     """Factor f through a middle carrier whose every element is used once.
+
+    `name(prefix, member)` names the middle element made for one slot
+    occurrence: `prefix` is its provenance path and `member` the state it
+    maps to under h.  It is called once per slot, in middle order, and must
+    return a fresh name each time.  By default the provenance path itself
+    names the element, with a `~n` counter when it is taken.
 
     Raises PowNotPrecise when a powerset layer carries a non-empty value.
     """
-    order: list[StateId] = []
     h_map: dict[StateId, StateId] = {}
-    alloc = fresh_namer()
+    if name is None:
+        alloc = fresh_namer()
+        name = lambda prefix, member: alloc(prefix)
 
     def emit(prefix: str, member: Member) -> Member:
         if not isinstance(member, str):
             raise ShapeError(f"unfactored inner value at {prefix!r}")
-        name = alloc(prefix)
-        order.append(name)
-        h_map[name] = member
-        return name
+        r = name(prefix, member)
+        h_map[r] = member
+        return r
 
     new_values = f.functor.factor([(x, f.values[x]) for x in f.domain], emit)
-    middle = FiniteSet._trusted(order)
+    middle = FiniteSet._trusted(h_map)
     p = FMap._trusted(f.domain, middle, f.functor,
                       dict(zip(f.domain, new_values)))
     h = TotalMap._trusted(middle, f.codomain, h_map)

@@ -6,7 +6,8 @@ A functor expression is one of::
 
 with `^` binding tightest, then `.` (right-associative), then `x`, then `+`.
 The numeral 1 abbreviates the constant singleton {⊥}; a numeral n >= 2
-abbreviates {0,...,n-1}.  Set-literal names holding a delimiter are written
+abbreviates {0,...,n-1}, and one above the guard (`COALG_GUARD`) is refused
+before the set is built.  Set-literal names holding a delimiter are written
 in double quotes.
 
 Values are immutable and normalized on construction: bag entries with equal
@@ -33,8 +34,8 @@ from collections.abc import Callable, Iterable, Iterator, Mapping
 from typing import Union
 
 from .base import (CoalgebraError, FiniteSet, FunctorSyntaxError, NotIsomorphic,
-                   PowNotPrecise, Record, ShapeError, SpecFormatError, StateId,
-                   TotalMap)
+                   PowNotPrecise, Record, SearchSpaceTooLarge, ShapeError,
+                   SpecFormatError, StateId, TotalMap, _guard)
 
 BOTTOM = "⊥"
 
@@ -114,6 +115,14 @@ class FunVal(Record):
             raise ValueError("duplicate letter in exponent value")
         _set(self, "_index", index)
 
+    @classmethod
+    def _trusted(cls, index: dict[str, "FValue"]) -> "FunVal":
+        """Unchecked and uncopied: the caller guarantees that `index` is a
+        fresh dict from letters to values, in entry order."""
+        v = cls.__new__(cls)
+        _set(v, "_index", index)
+        return v
+
     @property
     def entries(self) -> tuple[tuple[str, "FValue"], ...]:
         return tuple(self._index.items())
@@ -153,6 +162,14 @@ class BagVal(Record):
                 continue
             merged[m] = merged.get(m, 0) + n
         _set(self, "entries", tuple(merged.items()))
+
+    @classmethod
+    def _trusted(cls, entries: tuple[tuple[Member, int], ...]) -> "BagVal":
+        """Unchecked: the caller guarantees distinct members with positive
+        multiplicities, the stored form the constructor would give."""
+        v = cls.__new__(cls)
+        _set(v, "entries", entries)
+        return v
 
     def multiplicity(self, m: Member) -> int:
         return dict(self.entries).get(m, 0)
@@ -209,7 +226,8 @@ class FunctorExpr(Record):
     map(value, fn): the value with `fn` applied to every member slot;
     slots(value): (member, weight) per slot, in order;
     factor(items, emit): (prefix, value) items rebuilt column by column,
-      `emit(prefix, member)` called once per slot occurrence;
+      `emit(prefix, member)` called once per slot occurrence and giving a
+      distinct member each time, so rebuilt bags have nothing to merge;
     precise(value): False when `factor` raises PowNotPrecise on the value,
       decided without expanding bag multiplicities;
     pair(va, vb, img_a, img_b): matched slots of two values with equal images;
@@ -508,7 +526,8 @@ class Exponent(FunctorExpr):
     def factor(self, items, emit):
         cols = [self.base.factor([(f"{p}.{a}", v[a]) for p, v in items], emit)
                 for a in self.alphabet]
-        return [FunVal(zip(self.alphabet, row)) for row in zip(*cols)]
+        return [FunVal._trusted(dict(zip(self.alphabet, row)))
+                for row in zip(*cols)]
 
     def precise(self, value):
         return all(self.base.precise(v) for _, v in value.entries)
@@ -634,7 +653,7 @@ class Bag(FunctorExpr):
             for i, (m, n) in enumerate(v.entries):
                 seg = m if isinstance(m, str) else f"e{i}"
                 entries.extend((emit(f"{p}/{seg}#{k}", m), 1) for k in range(1, n + 1))
-            out.append(BagVal(entries))
+            out.append(BagVal._trusted(tuple(entries)))
         return out
 
     def pair(self, va, vb, img_a, img_b):
@@ -983,6 +1002,11 @@ def _parse_atom(cur: _ExprCursor) -> FunctorExpr:
         if n == 0:
             raise FunctorSyntaxError("numeral 0 denotes the empty constant, "
                                      "which is not allowed", start)
+        limit = _guard()
+        if n > limit:
+            raise SearchSpaceTooLarge(
+                f"numeral {n} would make a constant of more than "
+                f"COALG_GUARD={limit} elements")
         if n == 1:
             return Const(FiniteSet((BOTTOM,)))
         return Const(FiniteSet(str(i) for i in range(n)))

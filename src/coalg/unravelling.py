@@ -7,13 +7,16 @@ copy of its successor.  The coproduct of all levels is the unravelled tree;
 the coalgebra is itself a tree iff the combined projection is a bijection
 onto the carrier.
 
-Each step costs time linear in the states plus slots of its level (one
-precise factorization, one renaming, and fresh names that resume their
-counters), and the coproduct's carrier and projection are one pass over the
-levels, so a whole unravelling is linear in the tree it builds.  Every level,
-map and the tree itself are derived from the validated input coalgebra, so
-they are built with the unchecked `_trusted` constructors (see `coalg.base`):
-no tree state's value is validated.
+Each step is one precise factorization, which names every middle element
+`<k>:<projected state>` as it makes it (fresh names resume their counters),
+so its middle, p and h are the next level, its step map and its projection:
+each tree state's value is built once and named once.  A step costs time
+linear in the states plus slots of its level, and the coproduct's carrier
+and projection are one pass over the levels, so a whole unravelling is
+linear in the tree it builds.  Every level, map and the tree itself are
+derived from the validated input coalgebra, so they are built with the
+unchecked `_trusted` constructors (see `coalg.base`): no tree state's value
+is validated.
 
 The tree decision builds no level.  The copies a state gets in the complete
 unravelling are its weighted root paths (a slot of multiplicity n is n
@@ -27,6 +30,9 @@ Cyclic inputs unravel forever, so the constructions take a depth cap, and
 `tree_unravelling` unravels completely only when the walk finds no
 reachable cycle; the sum of its counts is then the size of the tree, which
 is checked against the guard (`COALG_GUARD`) before any level is built.
+A depth-capped unravelling is guarded too: before level 1 is built, the
+size of every level up to the cap is predicted from the copies of each
+state on the level before, and the prediction stops at the guard.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from .base import (FiniteSet, Record, SearchSpaceTooLarge, ShapeError,
                    StateId, TotalMap, _guard, fresh_namer)
 from .coalgebra import PointedCoalgebra, _root_paths
 from .factorization import FMap, precise_factorize
-from .functors import FValue, fmap, iter_slots
+from .functors import FValue, iter_slots
 
 
 class TreeLevels(Record):
@@ -110,17 +116,52 @@ def _within_guard(size: int) -> None:
             f"more than COALG_GUARD={limit}")
 
 
+def _tree_size(c: PointedCoalgebra, max_depth: int) -> int:
+    """The number of states of the unravelling of a total c to max_depth;
+    SearchSpaceTooLarge when it is more than COALG_GUARD.
+
+    Level k+1 has count_{k+1}[y] = sum of count_k[x] * mult(x -> y) copies
+    of y, so the levels' sizes follow from the distinct states of each level
+    without building a copy.  Each slot read stands for at least one state
+    of the next level, and the walk stops at the first level that takes the
+    total past the guard, so it reads no more slots than the tree has
+    states, nor more than the guard plus one pass over the input's slots.
+    """
+    limit = _guard()
+    slots, structure = c.functor.slots, c.structure
+    level, total = {c.point: 1}, 1
+    for _ in range(max_depth):
+        nxt: dict[StateId, int] = {}
+        for x, n in level.items():
+            for y, w in slots(structure[x]):
+                nxt[y] = nxt.get(y, 0) + n * w
+        if not nxt:
+            break
+        total += sum(nxt.values())
+        if total > limit:
+            raise SearchSpaceTooLarge(
+                f"the unravelling to depth {max_depth} would have more than "
+                f"COALG_GUARD={limit} tree states")
+        level = nxt
+    return total
+
+
 def tree_levels(c: PointedCoalgebra, max_depth: int) -> TreeLevels:
     """Iterate precise factorization of c . h_k, at most max_depth steps.
 
     Stops early once a level is empty (the unravelling is finite and fully
     built); otherwise the last level is left without a step map and the
-    result is marked truncated.
+    result is marked truncated.  The size of the levels is checked against
+    the guard (`COALG_GUARD`) before level 1 is built.  Each factorization
+    names its middle elements `<k>:<projected state>` as it makes them, so
+    its middle, p and h are level k, its step map and its projection as
+    they stand.
     """
     if not c.is_total():
         raise ShapeError("tree levels need a total coalgebra, found open states")
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
+    _tree_size(c, max_depth)
     alloc = fresh_namer()
     root = alloc(f"0:{c.point}")
     levels = [FiniteSet._trusted((root,))]
@@ -130,16 +171,12 @@ def tree_levels(c: PointedCoalgebra, max_depth: int) -> TreeLevels:
         cur, h = levels[-1], projections[-1]
         f = FMap._trusted(cur, c.carrier, c.functor,
                           {x: c.structure[h[x]] for x in cur})
-        middle, p, hm = precise_factorize(f).parts()
-        depth = len(step_maps) + 1
-        ren = {r: alloc(f"{depth}:{hm[r]}") for r in middle}
-        nxt = FiniteSet._trusted(ren.values())
-        levels.append(nxt)
-        projections.append(TotalMap._trusted(
-            nxt, c.carrier, {ren[r]: hm[r] for r in middle}))
-        step_maps.append(FMap._trusted(
-            cur, nxt, c.functor,
-            {x: fmap(c.functor, ren, p.value(x)) for x in cur}))
+        tag = f"{len(step_maps) + 1}:"
+        middle, p, hm = precise_factorize(
+            f, lambda prefix, y: alloc(tag + y)).parts()
+        levels.append(middle)
+        step_maps.append(p)
+        projections.append(hm)
     return TreeLevels(tuple(levels), tuple(step_maps), tuple(projections),
                       truncated=len(levels[-1]) > 0)
 

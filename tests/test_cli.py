@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import os
 import pathlib
 import subprocess
@@ -280,6 +281,58 @@ def test_unravel_refuses_a_complete_tree_past_the_guard(tmp_path, capsys):
     assert err.startswith("error: ") and "2199023255551 tree states" in err
 
 
+def run_capped(*argv):
+    """main(argv) in a child process whose address space is capped at 1 GB,
+    so that a construction which runs away fails there instead of taking
+    the machine's memory: (exit code, stderr, seconds spent in main)."""
+    probe = ("import resource, sys, time\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))\n"
+             "from coalg.cli import main\n"
+             "start = time.perf_counter()\n"
+             "code = main(sys.argv[1:])\n"
+             "print(time.perf_counter() - start)\n"
+             "sys.exit(code)\n")
+    path = os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", probe, *argv],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60)
+    seconds = float(done.stdout) if done.returncode in (0, 3) else None
+    return done.returncode, done.stderr, seconds
+
+
+def test_unravel_refuses_a_depth_cap_past_the_guard(tmp_path):
+    spec = tmp_path / "loop.spec"
+    spec.write_text("functor: Bag\nstates: r\npoint: r\nr = [r*1000000000]\n",
+                    encoding="utf-8")
+    code, err, seconds = run_capped("unravel", str(spec), "--depth", "2")
+    assert code == 3 and seconds < 1.0
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and "depth 2" in line
+
+
+@pytest.mark.parametrize("numeral, code", [(100, 0), (101, 3)])
+def test_functor_numerals_are_bounded_by_the_guard(tmp_path, capsys,
+                                                   monkeypatch, numeral, code):
+    monkeypatch.setenv("COALG_GUARD", "100")
+    spec = tmp_path / "const.spec"
+    spec.write_text(f"functor: {numeral}\nstates: r\npoint: r\nr = #7\n",
+                    encoding="utf-8")
+    assert main(["check", str(spec)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") if code else err == ""
+
+
+def test_a_huge_functor_numeral_is_refused_at_once(tmp_path):
+    spec = tmp_path / "const.spec"
+    spec.write_text("functor: 100000000000\nstates: r\npoint: r\nr = #7\n",
+                    encoding="utf-8")
+    code, err, seconds = run_capped("check", str(spec))
+    assert code == 3 and seconds < 1.0
+    [line] = err.splitlines()
+    assert line.startswith("error: numeral 100000000000 ")
+
+
 def test_is_tree_oracle_reports_refuters(capsys):
     code, out = run(capsys, "is-tree", fixture_path("shared_leaf"),
                     "--oracle")
@@ -395,6 +448,39 @@ def test_paths_report(capsys):
     assert lines[1] == "9 rooted paths"
     assert lines[2] == "targets: r=1, p=1, q=3, v=4"
     assert "  e_rp·e_pq1·e_qv -> v" in lines
+
+
+class CountingStdout(io.StringIO):
+    """A stdout that counts the calls of its write method."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+LOOPS = {
+    "dfa-inputs": "kind: dfa\nalphabet: a, b\nstates: q\ninitial: q\n"
+                  "trans q a q\ntrans q b q\n",
+    "paths": "kind: multigraph\nvertices: p\nroot: p\n"
+             "edge e1 p p\nedge e2 p p\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(LOOPS))
+def test_listings_are_not_written_line_by_line(tmp_path, monkeypatch,
+                                               command):
+    spec = tmp_path / "loop.spec"
+    spec.write_text(LOOPS[command], encoding="utf-8")
+    out = CountingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main([command, str(spec), "--maxlen", "10"]) == 0
+    # 2^11 - 1 words or paths, one listing line each
+    assert len(out.getvalue().splitlines()) > 2047
+    assert out.writes < 10
 
 
 def test_paths_rejects_other_kinds(capsys):

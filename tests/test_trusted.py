@@ -1,8 +1,11 @@
-"""The constructions build the carriers, maps, coalgebras and graphs they
-derive with the unchecked `_trusted` constructors.  Each object they return
-is rebuilt here through its public, validating constructor, from its raw
-fields, on seeded random inputs: the constructor must accept it and give an
-equal object."""
+"""The constructions build the carriers, maps, coalgebras, graphs and the
+exponent and bag values they derive with the unchecked `_trusted`
+constructors.  Each object they return is rebuilt here through its public,
+validating constructor, from its raw fields, on seeded random inputs: the
+constructor must accept it and give an equal object.  Every value is also
+rebuilt through the public value constructors (`FunVal(...)`, `BagVal(...)`
+and the others, by the functor's identity action), which must give it back
+in the same stored form."""
 
 from __future__ import annotations
 
@@ -20,6 +23,7 @@ from coalg import (
     canonical_graph,
     defined_inputs,
     dfa_to_coalgebra,
+    fmap,
     least_bound,
     multigraph_to_bag,
     precise_factorize,
@@ -46,10 +50,17 @@ def check_map(m: TotalMap) -> None:
     assert TotalMap(m.domain, m.codomain, m._mapping) == m
 
 
+def check_value(functor, value) -> None:
+    again = fmap(functor, lambda m: m, value)
+    assert again == value and repr(again) == repr(value)
+
+
 def check_fmap(f: FMap) -> None:
     check_set(f.domain)
     check_set(f.codomain)
     assert FMap(f.domain, f.codomain, f.functor, f.values) == f
+    for _, v in f.items():
+        check_value(f.functor, v)
 
 
 def check_coalgebra(c: PointedCoalgebra) -> None:
@@ -57,6 +68,8 @@ def check_coalgebra(c: PointedCoalgebra) -> None:
     check_set(c.frontier)
     assert PointedCoalgebra(c.functor, c.carrier, c.structure, c.point,
                             c.frontier) == c
+    for v in c.structure.values():
+        check_value(c.functor, v)
 
 
 def check_graph(g: Multigraph) -> None:

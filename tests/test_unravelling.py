@@ -7,22 +7,29 @@ import pytest
 from coalg import (
     Bag,
     BagVal,
+    FMap,
     FiniteSet,
     IdVal,
     Identity,
     PointedCoalgebra,
+    PowNotPrecise,
     SearchSpaceTooLarge,
     ShapeError,
+    TotalMap,
     canonical_graph,
     check_morphism,
     copy_counts,
     enumerate_homs,
+    fmap,
+    fresh_namer,
     is_acyclic,
     is_reachable,
     is_tree,
+    parse_functor,
     parse_spec,
     multigraph_to_bag,
     path_count,
+    precise_factorize,
     reachable_subgraph,
     tree_check,
     tree_fingerprint,
@@ -30,6 +37,7 @@ from coalg import (
     tree_unravelling,
     unravel,
 )
+from coalg.unravelling import _tree_size
 
 import generators
 from conftest import load_fixture
@@ -305,6 +313,94 @@ def test_complete_unravellings_are_guarded_by_their_size(monkeypatch,
         tree_unravelling(diamond_bag)
     monkeypatch.setenv("COALG_GUARD", "9")
     assert len(tree_unravelling(diamond_bag).tree.carrier) == 9
-    # a truncated unravelling of a cyclic input is not a complete one
+    # a truncated unravelling of a cyclic input is guarded by its
+    # predicted size too: depth 6 on the 2-cycle gives 7 states
+    monkeypatch.setenv("COALG_GUARD", "6")
+    with pytest.raises(SearchSpaceTooLarge, match="depth 6"):
+        tree_unravelling(load_fixture("two_cycle"))
+    monkeypatch.setenv("COALG_GUARD", "7")
+    result = tree_unravelling(load_fixture("two_cycle"))
+    assert not result.complete and len(result.tree.carrier) == 7
+
+
+def factor_then_rename(c: PointedCoalgebra, max_depth: int):
+    """The tree levels built in two passes per level: a precise
+    factorization with its own provenance names, then every middle element
+    renamed `<k>:<projected state>` and every value rebuilt by fmap."""
+    alloc = fresh_namer()
+    root = alloc(f"0:{c.point}")
+    levels = [FiniteSet((root,))]
+    projections = [TotalMap(levels[0], c.carrier, {root: c.point})]
+    step_maps = []
+    while len(levels[-1]) > 0 and len(step_maps) < max_depth:
+        cur, h = levels[-1], projections[-1]
+        f = FMap(cur, c.carrier, c.functor,
+                 {x: c.structure[h[x]] for x in cur})
+        middle, p, hm = precise_factorize(f).parts()
+        depth = len(step_maps) + 1
+        ren = {r: alloc(f"{depth}:{hm[r]}") for r in middle}
+        nxt = FiniteSet(ren.values())
+        levels.append(nxt)
+        projections.append(TotalMap(nxt, c.carrier,
+                                    {ren[r]: hm[r] for r in middle}))
+        step_maps.append(FMap(cur, nxt, c.functor,
+                              {x: fmap(c.functor, ren, p.value(x))
+                               for x in cur}))
+    return levels, step_maps, projections, len(levels[-1]) > 0
+
+
+NAMING_FUNCTORS = ("Bag", "Bag . (Id x 2)", "(Id + 1)^{a,b}",
+                   "(Bag + Id x 2)^{a,b}", "Id x Id + Bag + 1")
+
+
+def test_one_pass_naming_matches_factor_then_rename():
+    rng = random.Random(101)
+    for i in range(150):
+        functor = parse_functor(NAMING_FUNCTORS[i % len(NAMING_FUNCTORS)])
+        carrier = FiniteSet(f"s{k}" for k in range(rng.randint(1, 6)))
+        structure = {x: generators.random_value(rng, functor, carrier)
+                     for x in carrier}
+        c = PointedCoalgebra(functor, carrier, structure, "s0")
+        for depth in range(5):
+            tl = tree_levels(c, depth)
+            levels, step_maps, projections, truncated = \
+                factor_then_rename(c, depth)
+            assert list(tl.levels) == levels
+            assert list(tl.projections) == projections
+            assert list(tl.step_maps) == step_maps
+            # the stored order of every value too, which the emitted bytes
+            # follow
+            for t, old in zip(tl.step_maps, step_maps):
+                assert [repr(v) for _, v in t.items()] == \
+                    [repr(v) for _, v in old.items()]
+            assert tl.truncated == truncated
+
+
+def test_predicted_sizes_equal_the_unravellings():
+    rng = random.Random(103)
+    for _ in range(300):
+        c = generators.random_coalgebra(rng)
+        for depth in range(5):
+            try:
+                size = len(unravel(c, depth).tree.carrier)
+            except PowNotPrecise:
+                continue
+            assert _tree_size(c, depth) == size
+
+
+def test_depth_capped_unravellings_are_guarded_by_their_prediction(
+        monkeypatch):
+    # 1 + 100 + 100^2 states to depth 2
+    loop = parse_spec("functor: Bag\nstates: r\npoint: r\nr = [r*100]\n")
+    monkeypatch.setenv("COALG_GUARD", "10100")
+    with pytest.raises(SearchSpaceTooLarge, match="depth 2"):
+        unravel(loop, 2)
+    assert len(unravel(loop, 1).tree.carrier) == 101
+    # the guard is checked before the non-empty powerset value is factored
+    sets = parse_spec("functor: Pow\nstates: r\npoint: r\nr = {|r|}\n")
     monkeypatch.setenv("COALG_GUARD", "1")
-    assert not tree_unravelling(load_fixture("two_cycle")).complete
+    with pytest.raises(SearchSpaceTooLarge):
+        unravel(sets, 1)
+    monkeypatch.setenv("COALG_GUARD", "2")
+    with pytest.raises(PowNotPrecise):
+        unravel(sets, 1)
