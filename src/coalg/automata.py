@@ -11,9 +11,13 @@ paths in letter/edge order, one level at a time, so truncated carriers are
 prefix-closed and reproducible.  Whether the tree is finite, and how many
 paths it has, comes first from one counting walk (`coalgebra._root_paths`),
 so a complete tree larger than the guard (`COALG_GUARD`) is refused before
-it is built.  That walk reads each reachable state's transitions or
+it is built.  A truncated tree (a reachable cycle) is refused the same way:
+its size to `max_len` is predicted by the level recurrence of the
+depth-capped unravelling (`unravelling._tree_size`), with weight 1 per
+letter or edge.  That walk reads each reachable state's transitions or
 out-edges once, together with the parts of a path's value that depend on
-its state alone (a word's output and undefined letters).  A path then costs
+its state alone (a word's output and undefined letters), and the prediction
+reads them from the walk's cache.  A path then costs
 its own value and its own name, which is its parent's name plus one label
 (`ε` for the root), so the unfolding costs time linear in the total length
 of the names it writes.  The automaton or graph was validated when it was
@@ -36,7 +40,7 @@ from .coalgebra import (Edge, Multigraph, PointedCoalgebra, _root_paths,
 from .functors import (BOTTOM, Bag, BagVal, Const, ConstVal, Coproduct,
                        Exponent, FunVal, FunctorExpr, FValue, IdVal, Identity,
                        Product, TagVal, TupleVal)
-from .unravelling import UnravelResult, _within_guard
+from .unravelling import UnravelResult, _tree_size, _within_guard
 
 # Both trees are unravellings: tree, projection, complete flag and frontier.
 DefinedInputs = RootedPaths = UnravelResult
@@ -144,7 +148,8 @@ def _unfold(functor: FunctorExpr, states: FiniteSet, root: StateId,
     path from its state's parts and its children's names.  The tree is
     complete when no cycle is reachable (one counting walk decides it, and
     its counts give the tree's size, checked against the guard first);
-    otherwise paths of length max_len stay open.
+    otherwise paths of length max_len stay open, and the tree's size is
+    predicted, and checked against the guard, before a path is named.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
@@ -158,6 +163,8 @@ def _unfold(functor: FunctorExpr, states: FiniteSet, root: StateId,
     complete = counts is not None
     if complete:
         _within_guard(sum(counts.values()))
+    else:
+        _tree_size(root, lambda x: zip(moves[x][1], repeat(1)), max_len)
     names, targets = ["ε"], [root]
     structure: dict[StateId, FValue] = {}
     start, depth = 0, 0

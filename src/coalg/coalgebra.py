@@ -29,6 +29,9 @@ from .base import FiniteSet, Record, ShapeError, StateId, TotalMap
 from .functors import (Bag, BagVal, FunctorExpr, FValue, fmap, used_states,
                        validate_value)
 
+# a state's out-edges as (successor, weight) pairs
+Successors = Callable[[StateId], Iterable[tuple[StateId, int]]]
+
 
 class PointedCoalgebra(Record):
     __slots__ = ("functor", "carrier", "structure", "point", "frontier")
@@ -207,8 +210,7 @@ def coproduct(c1: PointedCoalgebra, c2: PointedCoalgebra) -> PointedCoalgebra:
                             ren1[c1.point], frontier)
 
 
-def _root_paths(root: StateId,
-                successors: Callable[[StateId], Iterable[tuple[StateId, int]]]
+def _root_paths(root: StateId, successors: Successors
                 ) -> tuple[list[StateId], dict[StateId, int] | None]:
     """One rooted walk: the states reachable from root, in breadth-first
     discovery order, and the exact number of weighted root paths to each,

@@ -1,12 +1,19 @@
-"""Iterative reachability via least bounds.
+"""Iterative reachability via least bounds, and the level iteration it
+shares with the tree unravelling.
 
-Level k+1 collects the states actually used by the structure values of level
-k; the construction starts at the point and stops once the cumulative union
-stops growing.  The union of all levels carries the reachable part, and the
-coalgebra is reachable iff that union is the whole carrier.
+`_iterate` is the paper's generalized reachability as one loop: level k+1
+is the middle of a factorization of the structure composed with
+h_k: level_k -> carrier, its p is the step map of level k and its h is
+h_{k+1}, and the iteration stops at the first level that adds no state to
+the union of the levels before it.  With least bounds (`reach_levels`) the
+levels are the states used by the level before, h_k are their inclusions,
+and the union of all levels carries the reachable part; the coalgebra is
+reachable iff that union is the whole carrier.  With precise
+factorizations and fresh names (`unravelling.tree_levels`) the levels are
+the tree's, and the stop rule ends the iteration at the first empty level.
 
 Each step costs time linear in the states plus slots of its level: the
-least bound is one pass over the level's values, and the stop test checks
+factorization is one pass over the level's values, and the stop test checks
 the new level against a set of the states seen so far.
 
 The input coalgebra was validated when it was built; every level, step map,
@@ -17,7 +24,7 @@ validated again.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 
 from .base import FiniteSet, Record, StateId, TotalMap
 from .coalgebra import PointedCoalgebra
@@ -58,31 +65,51 @@ class ReachablePart(Record):
         Record.__init__(self, sub, structure, embedding, point, coalgebra)
 
 
+def _iterate(c: PointedCoalgebra, h0: TotalMap,
+             factor: Callable[[FMap, int], tuple[FiniteSet, FMap, TotalMap]],
+             max_depth: int | None = None) -> tuple[tuple, tuple, tuple]:
+    """The iteration both constructions are instances of: the levels, the
+    step maps and the maps h_k: level_k -> carrier, from h0.
+
+    Level k+1 is the middle of `factor(f, k+1)`, where f = c . h_k on the
+    states of level k whose image is not open; its p is the step map of
+    level k and its h is h_{k+1}, so fmap(h_{k+1}, p(x)) = c(h_k(x)).  The
+    iteration stops after max_depth steps, or at the first level that adds
+    no state to the union of the levels before it, which is still recorded:
+    no later level could add one.  On fresh names (the tree levels) that
+    level is the empty one.
+    """
+    structure, frontier, h = c.structure, c.frontier, h0
+    step_maps, maps = [], [h0]
+    seen = set(h0.domain)
+    while max_depth is None or len(step_maps) < max_depth:
+        cur = h.domain
+        if len(frontier):
+            cur = FiniteSet._trusted(x for x in cur if h[x] not in frontier)
+        f = FMap._trusted(cur, c.carrier, c.functor,
+                          {x: structure[h[x]] for x in cur})
+        middle, p, h = factor(f, len(maps))
+        step_maps.append(p)
+        maps.append(h)
+        if seen.issuperset(middle):
+            break
+        seen.update(middle)
+    # level k is the domain of h_k
+    return tuple(h.domain for h in maps), tuple(step_maps), tuple(maps)
+
+
 def reach_levels(c: PointedCoalgebra) -> LevelSequence:
-    """Run the levels construction until the union stabilizes.
+    """The iteration with least bounds, from the point, until the union
+    stabilizes; each level's inclusion is its least bound's m.
 
     The first level whose states are all already known is still recorded
-    (it may be non-empty, e.g. on a cycle); no further level can add a new
-    state after that, so the union is complete.
+    (it may be non-empty, e.g. on a cycle).
     """
-    levels = [FiniteSet._trusted((c.point,))]
-    inclusions = [TotalMap._trusted(levels[0], c.carrier, {c.point: c.point})]
-    step_maps: list[FMap] = []
-    seen = {c.point}
-    while True:
-        closed = FiniteSet._trusted(x for x in levels[-1]
-                                    if x not in c.frontier)
-        f = FMap._trusted(closed, c.carrier, c.functor,
-                          {x: c.structure[x] for x in closed})
-        nxt, g, _ = least_bound(f).parts()
-        levels.append(nxt)
-        inclusions.append(TotalMap._trusted(nxt, c.carrier,
-                                            dict(zip(nxt, nxt))))
-        step_maps.append(g)
-        if seen.issuperset(nxt):
-            break
-        seen.update(nxt)
-    return LevelSequence(tuple(levels), tuple(inclusions), tuple(step_maps))
+    point = FiniteSet._trusted((c.point,))
+    levels, step_maps, inclusions = _iterate(
+        c, TotalMap._trusted(point, c.carrier, {c.point: c.point}),
+        lambda f, k: least_bound(f).parts())
+    return LevelSequence(levels, inclusions, step_maps)
 
 
 def reachable_part(c: PointedCoalgebra) -> ReachablePart:
@@ -96,4 +123,5 @@ def reachable_part(c: PointedCoalgebra) -> ReachablePart:
 
 
 def is_reachable(c: PointedCoalgebra) -> bool:
-    return reachable_part(c).sub.as_set() == c.carrier.as_set()
+    """The union of the levels is the carrier; nothing is restricted."""
+    return len(reach_levels(c).union()) == len(c.carrier)

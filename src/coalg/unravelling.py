@@ -5,7 +5,10 @@ Level k+1 is the middle carrier of the precise factorization of the structure
 map restricted to level k, so every slot of every level-k value gets a private
 copy of its successor.  The coproduct of all levels is the unravelled tree;
 the coalgebra is itself a tree iff the combined projection is a bijection
-onto the carrier.
+onto the carrier.  The levels come from the iteration that also gives the
+reachability levels (`reachability._iterate`), with precise factorization in
+place of the least bound: the paper's tree construction as an instance of
+its generalized reachability.
 
 Each step is one precise factorization, which names every middle element
 `<k>:<projected state>` as it makes it (fresh names resume their counters),
@@ -33,6 +36,8 @@ is checked against the guard (`COALG_GUARD`) before any level is built.
 A depth-capped unravelling is guarded too: before level 1 is built, the
 size of every level up to the cap is predicted from the copies of each
 state on the level before, and the prediction stops at the guard.
+`_tree_size` is that prediction for any rooted unfolding with weighted
+edges; the truncated word and path trees of `coalg.automata` use it too.
 """
 
 from __future__ import annotations
@@ -42,9 +47,10 @@ from collections.abc import Iterator
 
 from .base import (FiniteSet, Record, SearchSpaceTooLarge, ShapeError,
                    StateId, TotalMap, _guard, fresh_namer)
-from .coalgebra import PointedCoalgebra, _root_paths
+from .coalgebra import PointedCoalgebra, Successors, _root_paths
 from .factorization import FMap, precise_factorize
 from .functors import FValue, iter_slots
+from .reachability import _iterate
 
 
 class TreeLevels(Record):
@@ -98,13 +104,11 @@ class TreeReport(Record):
         Record.__init__(self, ok, reason, detail)
 
 
-def _slot_paths(c: PointedCoalgebra
-                ) -> tuple[list[StateId], dict[StateId, int] | None]:
-    """The reachable states of a total coalgebra and their root-path counts
-    (None on a reachable cycle), each slot an edge weighted by its
-    multiplicity."""
-    functor, structure = c.functor, c.structure
-    return _root_paths(c.point, lambda x: functor.slots(structure[x]))
+def _slot_edges(c: PointedCoalgebra) -> Successors:
+    """The out-edges of a total c's states: their slots, each weighted by
+    its multiplicity."""
+    slots, structure = c.functor.slots, c.structure
+    return lambda x: slots(structure[x])
 
 
 def _within_guard(size: int) -> None:
@@ -116,24 +120,25 @@ def _within_guard(size: int) -> None:
             f"more than COALG_GUARD={limit}")
 
 
-def _tree_size(c: PointedCoalgebra, max_depth: int) -> int:
-    """The number of states of the unravelling of a total c to max_depth;
+def _tree_size(root: StateId, successors: Successors, max_depth: int) -> int:
+    """The number of states of the unfolding from root to max_depth, where
+    `successors(x)` gives x's out-edges as (successor, weight) pairs and an
+    edge of weight w makes w copies of its successor for each copy of x;
     SearchSpaceTooLarge when it is more than COALG_GUARD.
 
-    Level k+1 has count_{k+1}[y] = sum of count_k[x] * mult(x -> y) copies
+    Level k+1 has count_{k+1}[y] = sum of count_k[x] * weight(x -> y) copies
     of y, so the levels' sizes follow from the distinct states of each level
-    without building a copy.  Each slot read stands for at least one state
+    without building a copy.  Each edge read stands for at least one state
     of the next level, and the walk stops at the first level that takes the
-    total past the guard, so it reads no more slots than the tree has
-    states, nor more than the guard plus one pass over the input's slots.
+    total past the guard, so it reads no more edges than the tree has
+    states, nor more than the guard plus one pass over the input's edges.
     """
     limit = _guard()
-    slots, structure = c.functor.slots, c.structure
-    level, total = {c.point: 1}, 1
+    level, total = {root: 1}, 1
     for _ in range(max_depth):
         nxt: dict[StateId, int] = {}
         for x, n in level.items():
-            for y, w in slots(structure[x]):
+            for y, w in successors(x):
                 nxt[y] = nxt.get(y, 0) + n * w
         if not nxt:
             break
@@ -147,7 +152,7 @@ def _tree_size(c: PointedCoalgebra, max_depth: int) -> int:
 
 
 def tree_levels(c: PointedCoalgebra, max_depth: int) -> TreeLevels:
-    """Iterate precise factorization of c . h_k, at most max_depth steps.
+    """The iteration with precise factorizations, at most max_depth steps.
 
     Stops early once a level is empty (the unravelling is finite and fully
     built); otherwise the last level is left without a step map and the
@@ -161,23 +166,18 @@ def tree_levels(c: PointedCoalgebra, max_depth: int) -> TreeLevels:
         raise ShapeError("tree levels need a total coalgebra, found open states")
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
-    _tree_size(c, max_depth)
+    _tree_size(c.point, _slot_edges(c), max_depth)
     alloc = fresh_namer()
     root = alloc(f"0:{c.point}")
-    levels = [FiniteSet._trusted((root,))]
-    projections = [TotalMap._trusted(levels[0], c.carrier, {root: c.point})]
-    step_maps: list[FMap] = []
-    while len(levels[-1]) > 0 and len(step_maps) < max_depth:
-        cur, h = levels[-1], projections[-1]
-        f = FMap._trusted(cur, c.carrier, c.functor,
-                          {x: c.structure[h[x]] for x in cur})
-        tag = f"{len(step_maps) + 1}:"
-        middle, p, hm = precise_factorize(
-            f, lambda prefix, y: alloc(tag + y)).parts()
-        levels.append(middle)
-        step_maps.append(p)
-        projections.append(hm)
-    return TreeLevels(tuple(levels), tuple(step_maps), tuple(projections),
+
+    def factor(f: FMap, k: int) -> tuple[FiniteSet, FMap, TotalMap]:
+        tag = f"{k}:"
+        return precise_factorize(f, lambda prefix, y: alloc(tag + y)).parts()
+
+    levels, step_maps, projections = _iterate(
+        c, TotalMap._trusted(FiniteSet._trusted((root,)), c.carrier,
+                             {root: c.point}), factor, max_depth)
+    return TreeLevels(levels, step_maps, projections,
                       truncated=len(levels[-1]) > 0)
 
 
@@ -214,7 +214,7 @@ def tree_check(c: PointedCoalgebra) -> TreeReport:
     """
     if not c.is_total():
         raise ShapeError("tree check needs a total coalgebra, found open states")
-    reached, counts = _slot_paths(c)
+    reached, counts = _root_paths(c.point, _slot_edges(c))
     for x in reached:
         if not c.functor.precise(c.structure[x]):
             return TreeReport(False, "powerset-degenerate",
@@ -250,7 +250,7 @@ def tree_unravelling(c: PointedCoalgebra,
     """
     if not c.is_total():
         raise ShapeError("unravelling needs a total coalgebra, found open states")
-    _, counts = _slot_paths(c)
+    _, counts = _root_paths(c.point, _slot_edges(c))
     if counts is not None:
         _within_guard(sum(counts.values()))
         return unravel(c, len(c.carrier))

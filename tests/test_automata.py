@@ -31,6 +31,8 @@ from coalg import (
     tree_unravelling,
 )
 
+from coalg.unravelling import _tree_size
+
 import generators
 from conftest import load_fixture
 
@@ -246,3 +248,40 @@ def test_complete_unfoldings_are_guarded_by_their_size(monkeypatch):
         rooted_paths(diamond, 10)
     monkeypatch.setenv("COALG_GUARD", "9")
     assert len(rooted_paths(diamond, 10).tree.carrier) == 9
+
+
+def test_truncated_sizes_are_predicted_exactly():
+    rng = random.Random(109)
+    cyclic = {"dfa": 0, "graph": 0}
+    for _ in range(100):
+        d = generators.random_dfa(rng)
+        letters = lambda q: [(d.delta[(q, a)], 1) for a in d.alphabet
+                             if (q, a) in d.delta]
+        g = generators.random_multigraph(rng)
+        edges = lambda v: [(e.tgt, 1) for e in g.edges if e.src == v]
+        for kind, unfold, obj, root, succ in (
+                ("dfa", defined_inputs, d, d.initial, letters),
+                ("graph", rooted_paths, g, g.root, edges)):
+            if unfold(obj, 0).complete:
+                continue
+            cyclic[kind] += 1
+            for max_len in range(6):
+                size = len(unfold(obj, max_len).tree.carrier)
+                assert _tree_size(root, succ, max_len) == size
+    assert min(cyclic.values()) >= 40
+
+
+def test_truncated_unfoldings_are_guarded_by_their_prediction(monkeypatch):
+    # one looping letter: 6 words up to length 5
+    monkeypatch.setenv("COALG_GUARD", "5")
+    with pytest.raises(SearchSpaceTooLarge, match="depth 5"):
+        defined_inputs(load_fixture("loop_dfa"), 5)
+    monkeypatch.setenv("COALG_GUARD", "6")
+    assert len(defined_inputs(load_fixture("loop_dfa"), 5).tree.carrier) == 6
+    loop = Multigraph(FiniteSet(("p",)), (Edge("e1", "p", "p"),
+                                          Edge("e2", "p", "p")), "p")
+    # 1 + 2 + 4 paths up to length 2
+    with pytest.raises(SearchSpaceTooLarge, match="depth 2"):
+        rooted_paths(loop, 2)
+    monkeypatch.setenv("COALG_GUARD", "7")
+    assert len(rooted_paths(loop, 2).tree.carrier) == 7

@@ -311,6 +311,25 @@ def test_unravel_refuses_a_depth_cap_past_the_guard(tmp_path):
     assert line.startswith("error: ") and "depth 2" in line
 
 
+TRUNCATED_RUNAWAYS = {
+    "paths": "kind: multigraph\nvertices: p\nroot: p\n"
+             "edge e1 p p\nedge e2 p p\n",
+    "dfa-inputs": "kind: dfa\nalphabet: a, b\nstates: q\ninitial: q\n"
+                  "trans q a q\ntrans q b q\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(TRUNCATED_RUNAWAYS))
+def test_truncated_unfoldings_are_refused_at_once(tmp_path, command):
+    # 2^41 - 1 words or paths up to length 40
+    spec = tmp_path / "loop.spec"
+    spec.write_text(TRUNCATED_RUNAWAYS[command], encoding="utf-8")
+    code, err, seconds = run_capped(command, str(spec), "--maxlen", "40")
+    assert code == 3 and seconds < 1.0
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and "depth 40" in line
+
+
 @pytest.mark.parametrize("numeral, code", [(100, 0), (101, 3)])
 def test_functor_numerals_are_bounded_by_the_guard(tmp_path, capsys,
                                                    monkeypatch, numeral, code):

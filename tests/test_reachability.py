@@ -3,17 +3,21 @@ from __future__ import annotations
 import random
 
 from coalg import (
+    FMap,
     FiniteSet,
     IdVal,
     Identity,
     PointedCoalgebra,
+    TotalMap,
     bfs_reachable,
     canonical_graph,
     check_morphism,
     fmap,
     is_reachable,
+    least_bound,
     reach_levels,
     reachable_part,
+    tree_levels,
 )
 
 import generators
@@ -44,17 +48,81 @@ def test_step_maps_factor_each_level_into_the_next(diamond_bag):
         assert all(incl[x] == x for x in level)
 
 
+def check_level_squares(c: PointedCoalgebra, levels, step_maps, maps):
+    """The square law of one run of the level iteration, reachability or
+    tree levels alike: h_k has domain level k, step map k is defined on the
+    states of level k whose image is not open and lands in level k+1, and
+    fmap(h_{k+1}, t_k(x)) = c(h_k(x))."""
+    assert len(levels) == len(maps) == len(step_maps) + 1
+    for level, h in zip(levels, maps):
+        assert h.domain == level
+        assert h.codomain == c.carrier
+    for k, step in enumerate(step_maps):
+        assert step.codomain == levels[k + 1]
+        assert list(step.domain) == [x for x in levels[k]
+                                     if maps[k][x] not in c.frontier]
+        for x in step.domain:
+            assert fmap(c.functor, maps[k + 1], step.values[x]) == \
+                c.structure[maps[k][x]]
+
+
 def test_level_squares_commute():
     rng = random.Random(39)
     cases = [load_fixture("diamond_bag"), load_fixture("signature_cycle")]
     cases += [generators.random_coalgebra(rng, open_states=True)
-              for _ in range(60)]
+              for _ in range(300)]
     for c in cases:
         seq = reach_levels(c)
-        for step, incl in zip(seq.step_maps, seq.inclusions[1:]):
-            for x in step.domain:
-                assert fmap(c.functor, incl, step.values[x]) == \
-                    c.structure[x]
+        check_level_squares(c, seq.levels, seq.step_maps, seq.inclusions)
+
+
+def test_tree_level_squares_commute():
+    rng = random.Random(40)
+    for _ in range(300):
+        c = generators.random_coalgebra(rng, pow_free=True)
+        for depth in range(5):
+            tl = tree_levels(c, depth)
+            check_level_squares(c, tl.levels, tl.step_maps, tl.projections)
+
+
+def reach_levels_by_hand(c: PointedCoalgebra):
+    """The levels construction as its own loop: least bounds of the
+    structure on each level's closed states, and each level's inclusion
+    built as an identity map, until the union stops growing."""
+    levels = [FiniteSet((c.point,))]
+    inclusions = [TotalMap(levels[0], c.carrier, {c.point: c.point})]
+    step_maps = []
+    seen = {c.point}
+    while True:
+        closed = FiniteSet(x for x in levels[-1] if x not in c.frontier)
+        f = FMap(closed, c.carrier, c.functor,
+                 {x: c.structure[x] for x in closed})
+        nxt, g, _ = least_bound(f).parts()
+        levels.append(nxt)
+        inclusions.append(TotalMap(nxt, c.carrier, dict(zip(nxt, nxt))))
+        step_maps.append(g)
+        if seen.issuperset(nxt):
+            break
+        seen.update(nxt)
+    return levels, inclusions, step_maps
+
+
+def test_levels_match_the_loop_written_out():
+    rng = random.Random(47)
+    opened = 0
+    # about one draw in five has open states
+    while opened < 300:
+        c = generators.random_coalgebra(rng, open_states=True)
+        opened += len(c.frontier) > 0
+        seq = reach_levels(c)
+        levels, inclusions, step_maps = reach_levels_by_hand(c)
+        assert list(seq.levels) == levels
+        assert list(seq.inclusions) == inclusions
+        assert list(seq.step_maps) == step_maps
+        # the stored order of every value too
+        for t, old in zip(seq.step_maps, step_maps):
+            assert [repr(v) for _, v in t.items()] == \
+                [repr(v) for _, v in old.items()]
 
 
 def test_disjoint_double_copy_is_not_reachable(two_tree_copies):
