@@ -13,6 +13,11 @@ The constructions that derive a coalgebra or a graph from a valid one
 below) build it with the unchecked `_trusted` constructors instead (see
 `coalg.base`).
 
+Every walk over a coalgebra's slots (the reachability levels, the path
+counts, the size prediction, the canonical graph, DOT and fingerprints)
+reads its successor table, which the first walk builds and keeps on it:
+each state's value is read for its slots once.  The oracles do not use it.
+
 `_root_paths` is the one rooted walk that counts paths without building
 them: the tree decision, and the DFA, multigraph and coalgebra unfoldings
 before they build a complete tree, read reachability, acyclicity and the
@@ -26,15 +31,16 @@ from collections import deque
 from collections.abc import Callable, Iterable, Mapping
 
 from .base import FiniteSet, Record, ShapeError, StateId, TotalMap
-from .functors import (Bag, BagVal, FunctorExpr, FValue, fmap, used_states,
-                       validate_value)
+from .functors import Bag, BagVal, FunctorExpr, FValue, fmap, validate_value
 
 # a state's out-edges as (successor, weight) pairs
 Successors = Callable[[StateId], Iterable[tuple[StateId, int]]]
 
 
 class PointedCoalgebra(Record):
-    __slots__ = ("functor", "carrier", "structure", "point", "frontier")
+    # `_succ` (the successor table) is not a field
+    __slots__ = ("functor", "carrier", "structure", "point", "frontier",
+                 "_succ")
 
     def __init__(self, functor: FunctorExpr, carrier: FiniteSet,
                  structure: Mapping[StateId, FValue], point: StateId,
@@ -80,6 +86,18 @@ class PointedCoalgebra(Record):
 
     def is_total(self) -> bool:
         return len(self.frontier) == 0
+
+    def successor_table(self) -> dict[StateId, tuple[tuple[StateId, int], ...]]:
+        """Each closed state's slots as (successor, weight) pairs, in slot
+        order; built on first use by `FunctorExpr.edges`, which checks
+        nothing: the values were validated when c was built."""
+        try:
+            return self._succ
+        except AttributeError:
+            edges = self.functor.edges
+            table = {x: edges(v) for x, v in self.structure.items()}
+            object.__setattr__(self, "_succ", table)
+            return table
 
     def __repr__(self) -> str:
         return (f"PointedCoalgebra({len(self.carrier)} states, "
@@ -226,10 +244,10 @@ def _root_paths(root: StateId, successors: Successors
     """
     order = [root]
     indegree = {root: 0}
-    out: dict[StateId, list[tuple[StateId, int]]] = {}
+    out: dict[StateId, tuple[tuple[StateId, int], ...]] = {}
     # the list grows behind the walk: a breadth-first queue
     for x in order:
-        edges = out[x] = list(successors(x))
+        edges = out[x] = tuple(successors(x))
         for y, _ in edges:
             if y in indegree:
                 indegree[y] += 1
@@ -259,11 +277,10 @@ def canonical_graph(c: PointedCoalgebra) -> Multigraph:
     use bag_to_multigraph for the multiplicity-faithful view of a bag
     coalgebra.  Edges are named by their position, so names never collide.
     """
+    table = c.successor_table()
     edges = []
     for x in c.carrier:
-        if x in c.frontier:
-            continue
-        for y in used_states(c.functor, c.structure[x]):
+        for y in dict.fromkeys(y for y, _ in table.get(x, ())):
             edges.append(Edge(str(len(edges)), x, y))
     return Multigraph._trusted(c.carrier, tuple(edges), c.point)
 

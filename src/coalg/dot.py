@@ -11,8 +11,7 @@ from __future__ import annotations
 from .automata import PartialDFA, dfa_functor
 from .base import FiniteSet, ShapeError, fresh_namer
 from .coalgebra import Multigraph, PointedCoalgebra
-from .functors import (Bag, Const, Exponent, FunctorExpr, Product, TagVal,
-                       used_states)
+from .functors import Bag, Const, Exponent, FunctorExpr, Product, TagVal
 
 
 def _esc(name: str) -> str:
@@ -69,7 +68,7 @@ def _coalgebra_dot(c: PointedCoalgebra) -> str:
             for y, n in v.entries:
                 edges.append((x, y, f"×{n}" if n > 1 else None))
         else:
-            for y in used_states(c.functor, v):
+            for y in dict.fromkeys(y for y, _ in c.successor_table()[x]):
                 edges.append((x, y, None))
     return _render(c.carrier, c.point, edges, accepting, c.frontier.as_set())
 

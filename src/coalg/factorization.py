@@ -25,7 +25,9 @@ carriers, maps and values are valid by construction.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
+from itertools import chain
+from operator import itemgetter
 
 from .base import (FiniteSet, NotIsomorphic, Record, ShapeError, StateId,
                    TotalMap, fresh_namer)
@@ -106,12 +108,19 @@ class LeastBound(Record):
         return (self.sub, self.g, self.m)
 
 
-def least_bound(f: FMap) -> LeastBound:
+def least_bound(f: FMap,
+                edges: Callable[[StateId], Iterable[tuple[StateId, int]]]
+                | None = None) -> LeastBound:
     """Restrict f's codomain to the states it actually uses, in first-use
-    order; one pass over the slots of f's values."""
-    slots = f.functor.slots
+    order; one pass over the slots of f's values, or over `edges(x)` for
+    each x when given (the reachability levels pass a successor table).
+    """
+    if edges is None:
+        rows = map(f.functor.slots, map(f.values.__getitem__, f.domain))
+    else:
+        rows = map(edges, f.domain)
     sub = FiniteSet._trusted(dict.fromkeys(
-        z for x in f.domain for z, _ in slots(f.values[x])))
+        map(itemgetter(0), chain.from_iterable(rows))))
     g = FMap._trusted(f.domain, sub, f.functor, dict(f.values))
     m = TotalMap._trusted(sub, f.codomain, dict(zip(sub, sub)))
     return LeastBound(sub, g, m)

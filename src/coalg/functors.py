@@ -31,6 +31,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping
+from itertools import repeat
 from typing import Union
 
 from .base import (CoalgebraError, FiniteSet, FunctorSyntaxError, NotIsomorphic,
@@ -224,7 +225,8 @@ class FunctorExpr(Record):
     children(): the direct subexpressions;
     validate(value, member, path): shape check, `member(m, path)` per slot;
     map(value, fn): the value with `fn` applied to every member slot;
-    slots(value): (member, weight) per slot, in order;
+    edges(value): (member, weight) per slot, in order, as one tuple (a
+      bag's own entries);
     factor(items, emit): (prefix, value) items rebuilt column by column,
       `emit(prefix, member)` called once per slot occurrence and giving a
       distinct member each time, so rebuilt bags have nothing to merge;
@@ -233,9 +235,10 @@ class FunctorExpr(Record):
     pair(va, vb, img_a, img_b): matched slots of two values with equal images;
     fingerprint(value, leaf): name-free canonical text;
     parse(cur, member) / show(value, member): spec-file value syntax.
-    Members are state ids, or inner values under composition.  `validate`,
-    `map` and `slots` check each node's value class, product arity and
-    coproduct tag; the other operations take values that `validate` accepted.
+    Members are state ids, or inner values under composition.  `validate`
+    and `map` check each node's value class, product arity and coproduct
+    tag; the other operations take values that `validate` accepted.
+    `slots(value)` is `edges` after `validate`'s shape check.
     """
 
     __slots__ = ()
@@ -258,6 +261,10 @@ class FunctorExpr(Record):
 
     def precise(self, value: FValue) -> bool:
         return True
+
+    def slots(self, value: FValue) -> Iterator[tuple[Member, int]]:
+        self.validate(value, lambda m, path: None, "value")
+        return iter(self.edges(value))
 
 
 def _pair_by_image(ms_a, ms_b, img_a, img_b) -> Iterator[tuple[Member, Member]]:
@@ -292,8 +299,8 @@ class Identity(FunctorExpr):
     def map(self, value, fn):
         return IdVal(fn(self.expect(value).member))
 
-    def slots(self, value):
-        yield (self.expect(value).member, 1)
+    def edges(self, value):
+        return ((value.member, 1),)
 
     def factor(self, items, emit):
         return [IdVal(emit(p, v.member)) for p, v in items]
@@ -340,9 +347,8 @@ class Const(FunctorExpr):
     def map(self, value, fn):
         return self.expect(value)
 
-    def slots(self, value):
-        self.expect(value)
-        return iter(())
+    def edges(self, value):
+        return ()
 
     def factor(self, items, emit):
         return [v for _, v in items]
@@ -392,9 +398,11 @@ class Product(FunctorExpr):
         return TupleVal(tuple(g.map(v, fn)
                               for g, v in zip(self.factors, self._items(value))))
 
-    def slots(self, value):
-        for g, v in zip(self.factors, self._items(value)):
-            yield from g.slots(v)
+    def edges(self, value):
+        out = ()
+        for g, v in zip(self.factors, value.items):
+            out += g.edges(v)
+        return out
 
     def factor(self, items, emit):
         cols = [g.factor([(f"{p}.{i}", v.items[i]) for p, v in items], emit)
@@ -454,8 +462,8 @@ class Coproduct(FunctorExpr):
     def map(self, value, fn):
         return TagVal(value.tag, self._summand(value).map(value.value, fn))
 
-    def slots(self, value):
-        return self._summand(value).slots(value.value)
+    def edges(self, value):
+        return self.summands[value.tag].edges(value.value)
 
     def factor(self, items, emit):
         out: list = [None] * len(items)
@@ -518,10 +526,11 @@ class Exponent(FunctorExpr):
         self.expect(value)
         return FunVal((a, self.base.map(value[a], fn)) for a in self.alphabet)
 
-    def slots(self, value):
-        self.expect(value)
+    def edges(self, value):
+        out = ()
         for a in self.alphabet:
-            yield from self.base.slots(value[a])
+            out += self.base.edges(value[a])
+        return out
 
     def factor(self, items, emit):
         cols = [self.base.factor([(f"{p}.{a}", v[a]) for p, v in items], emit)
@@ -588,10 +597,12 @@ class Compose(FunctorExpr):
     def map(self, value, fn):
         return self.outer.map(value, lambda m: self.inner.map(m, fn))
 
-    def slots(self, value):
-        for m, n in self.outer.slots(value):
-            for m2, n2 in self.inner.slots(m):
-                yield (m2, n * n2)
+    def edges(self, value):
+        inner = self.inner.edges
+        out = []
+        for m, n in self.outer.edges(value):
+            out += inner(m) if n == 1 else [(m2, n * n2) for m2, n2 in inner(m)]
+        return tuple(out)
 
     def factor(self, items, emit):
         # the outer slots of every item first, then all their inner values in
@@ -608,7 +619,7 @@ class Compose(FunctorExpr):
 
     def precise(self, value):
         return self.outer.precise(value) and all(
-            self.inner.precise(m) for m, _ in self.outer.slots(value))
+            self.inner.precise(m) for m, _ in self.outer.edges(value))
 
     def pair(self, va, vb, img_a, img_b):
         outer = self.outer.pair(va, vb, lambda m: self.inner.map(m, img_a),
@@ -643,8 +654,8 @@ class Bag(FunctorExpr):
     def map(self, value, fn):
         return BagVal((fn(m), n) for m, n in self.expect(value).entries)
 
-    def slots(self, value):
-        return iter(self.expect(value).entries)
+    def edges(self, value):
+        return value.entries
 
     def factor(self, items, emit):
         out = []
@@ -694,8 +705,8 @@ class Pow(FunctorExpr):
     def map(self, value, fn):
         return SetVal(fn(m) for m in self.expect(value).members)
 
-    def slots(self, value):
-        return ((m, 1) for m in self.expect(value).members)
+    def edges(self, value):
+        return tuple(zip(value.members, repeat(1)))
 
     def factor(self, items, emit):
         for p, v in items:

@@ -123,17 +123,21 @@ def reachable_by_definition(c: PointedCoalgebra) -> bool:
 
 
 def bfs_reachable(g: Multigraph) -> FiniteSet:
-    """Textbook breadth-first closure from the root."""
+    """Textbook breadth-first closure from the root, over its own
+    adjacency lists (not the library's out-edge index)."""
+    adjacency: dict[StateId, list[StateId]] = {}
+    for e in g.edges:
+        adjacency.setdefault(e.src, []).append(e.tgt)
     seen = {g.root}
     out = [g.root]
     queue = deque([g.root])
     while queue:
         u = queue.popleft()
-        for e in g.edges:
-            if e.src == u and e.tgt not in seen:
-                seen.add(e.tgt)
-                out.append(e.tgt)
-                queue.append(e.tgt)
+        for v in adjacency.get(u, ()):
+            if v not in seen:
+                seen.add(v)
+                out.append(v)
+                queue.append(v)
     return FiniteSet(out)
 
 
@@ -145,7 +149,9 @@ def tree_refute_by_definition(c: PointedCoalgebra,
     split; a found counterexample disproves tree-ness, while None only says
     no refuter exists up to size_bound (not a proof).  Search order is by
     carrier size, then point images, then structure choices, so the first
-    hit is minimal and reproducible.
+    hit is minimal and reproducible.  Size n costs |C|^n steps (|C|^(n-1)
+    image maps, each with a fibre dict over C), checked against the guard
+    before the size is searched.
     """
     if size_bound > 6:
         raise SearchSpaceTooLarge("refutation search is limited to size 6")
@@ -154,6 +160,11 @@ def tree_refute_by_definition(c: PointedCoalgebra,
     budget = _guard()
     work = 0
     for n in range(1, size_bound + 1):
+        steps = len(c.carrier) ** n
+        if steps > budget:
+            raise SearchSpaceTooLarge(
+                f"refutation search at size {n} needs {steps} steps of "
+                f"image maps, more than {budget}")
         carrier = FiniteSet(f"x{i}" for i in range(1, n + 1))
         rest = list(carrier)[1:]
         for images in itertools.product(c.carrier, repeat=n - 1):

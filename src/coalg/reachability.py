@@ -14,7 +14,9 @@ the tree's, and the stop rule ends the iteration at the first empty level.
 
 Each step costs time linear in the states plus slots of its level: the
 factorization is one pass over the level's values, and the stop test checks
-the new level against a set of the states seen so far.
+the new level against a set of the states seen so far.  The least bounds
+read the slots from the coalgebra's successor table, so a state on several
+levels, or in several calls, has its value read once.
 
 The input coalgebra was validated when it was built; every level, step map,
 inclusion and the reachable part are derived from it, so they are built with
@@ -106,9 +108,10 @@ def reach_levels(c: PointedCoalgebra) -> LevelSequence:
     (it may be non-empty, e.g. on a cycle).
     """
     point = FiniteSet._trusted((c.point,))
+    edges = c.successor_table().__getitem__
     levels, step_maps, inclusions = _iterate(
         c, TotalMap._trusted(point, c.carrier, {c.point: c.point}),
-        lambda f, k: least_bound(f).parts())
+        lambda f, k: least_bound(f, edges).parts())
     return LevelSequence(levels, inclusions, step_maps)
 
 

@@ -27,7 +27,8 @@ copies), and one rooted walk over the slots counts them exactly
 (`coalgebra._root_paths`): the coalgebra is a tree iff every reachable value
 is precise, no cycle is reachable, every state is reachable and the counts
 sum to the size of the carrier.  The walk is linear in the states plus
-slots, whatever the size of the tree.
+slots, whatever the size of the tree.  It reads the coalgebra's successor
+table, as do the size prediction below and `tree_fingerprint`.
 
 Cyclic inputs unravel forever, so the constructions take a depth cap, and
 `tree_unravelling` unravels completely only when the walk finds no
@@ -49,7 +50,7 @@ from .base import (FiniteSet, Record, SearchSpaceTooLarge, ShapeError,
                    StateId, TotalMap, _guard, fresh_namer)
 from .coalgebra import PointedCoalgebra, Successors, _root_paths
 from .factorization import FMap, precise_factorize
-from .functors import FValue, iter_slots
+from .functors import FValue
 from .reachability import _iterate
 
 
@@ -102,13 +103,6 @@ class TreeReport(Record):
     def __init__(self, ok: bool, reason: str | None = None,
                  detail: str | None = None):
         Record.__init__(self, ok, reason, detail)
-
-
-def _slot_edges(c: PointedCoalgebra) -> Successors:
-    """The out-edges of a total c's states: their slots, each weighted by
-    its multiplicity."""
-    slots, structure = c.functor.slots, c.structure
-    return lambda x: slots(structure[x])
 
 
 def _within_guard(size: int) -> None:
@@ -166,7 +160,7 @@ def tree_levels(c: PointedCoalgebra, max_depth: int) -> TreeLevels:
         raise ShapeError("tree levels need a total coalgebra, found open states")
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
-    _tree_size(c.point, _slot_edges(c), max_depth)
+    _tree_size(c.point, c.successor_table().__getitem__, max_depth)
     alloc = fresh_namer()
     root = alloc(f"0:{c.point}")
 
@@ -214,7 +208,7 @@ def tree_check(c: PointedCoalgebra) -> TreeReport:
     """
     if not c.is_total():
         raise ShapeError("tree check needs a total coalgebra, found open states")
-    reached, counts = _root_paths(c.point, _slot_edges(c))
+    reached, counts = _root_paths(c.point, c.successor_table().__getitem__)
     for x in reached:
         if not c.functor.precise(c.structure[x]):
             return TreeReport(False, "powerset-degenerate",
@@ -250,7 +244,7 @@ def tree_unravelling(c: PointedCoalgebra,
     """
     if not c.is_total():
         raise ShapeError("unravelling needs a total coalgebra, found open states")
-    _, counts = _root_paths(c.point, _slot_edges(c))
+    _, counts = _root_paths(c.point, c.successor_table().__getitem__)
     if counts is not None:
         _within_guard(sum(counts.values()))
         return unravel(c, len(c.carrier))
@@ -275,6 +269,7 @@ def tree_fingerprint(c: PointedCoalgebra) -> str:
     rejected.
     """
     memo: dict[StateId, str] = {x: "?" for x in c.frontier}
+    table = c.successor_table()
     # explicit DFS stack of (state, its remaining slots): states are
     # fingerprinted in post-order, so long chains need no recursion
     path: list[tuple[StateId, Iterator]] = []
@@ -282,7 +277,7 @@ def tree_fingerprint(c: PointedCoalgebra) -> str:
 
     def enter(x: StateId) -> None:
         on_path.add(x)
-        path.append((x, iter_slots(c.functor, c.structure[x])))
+        path.append((x, iter(table[x])))
 
     if c.point not in memo:
         enter(c.point)

@@ -297,7 +297,9 @@ def run_capped(*argv):
     done = subprocess.run([sys.executable, "-c", probe, *argv],
                           env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=60)
-    seconds = float(done.stdout) if done.returncode in (0, 3) else None
+    # the time is the last line: a verdict may be printed before a refusal
+    seconds = (float(done.stdout.splitlines()[-1])
+               if done.returncode in (0, 3) else None)
     return done.returncode, done.stderr, seconds
 
 
@@ -350,6 +352,34 @@ def test_a_huge_functor_numeral_is_refused_at_once(tmp_path):
     assert code == 3 and seconds < 1.0
     [line] = err.splitlines()
     assert line.startswith("error: numeral 100000000000 ")
+
+
+def bag_chain(path, n):
+    """A Bag chain c0 -> c1 -> ... -> c<n-1>, written to path."""
+    lines = ["functor: Bag", "states: " + ", ".join(f"c{i}" for i in range(n)),
+             "point: c0"]
+    lines += [f"c{i} = [c{i + 1}]" for i in range(n - 1)] + [f"c{n - 1} = []"]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def test_is_tree_oracle_refuses_a_30_state_chain_at_once(tmp_path):
+    # the refutation search at size 5 would walk 30^4 image maps, each
+    # with a fibre dict over the 30 states
+    code, err, seconds = run_capped("is-tree", "--oracle",
+                                    bag_chain(tmp_path / "chain.spec", 30))
+    assert code == 3 and seconds < 10.0
+    [line] = err.splitlines()
+    assert line.startswith("error: refutation search at size 5 ")
+
+
+def test_reachable_oracle_on_a_long_chain_is_linear(tmp_path):
+    # the breadth-first oracle runs before the definitional one refuses
+    code, err, seconds = run_capped("reachable", "--oracle",
+                                    bag_chain(tmp_path / "chain.spec", 20000))
+    assert code == 3 and seconds < 5.0
+    [line] = err.splitlines()
+    assert line == "error: definitional check is limited to 5 states"
 
 
 def test_is_tree_oracle_reports_refuters(capsys):
