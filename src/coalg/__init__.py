@@ -10,16 +10,14 @@ oracles validate the definitional properties on tiny instances.
 
 from .automata import (DefinedInputs, PartialDFA, RootedPaths,
                        defined_inputs, delta_star, dfa_functor,
-                       dfa_to_coalgebra, graph_is_tree, path_count,
-                       rooted_paths)
+                       dfa_to_coalgebra, rooted_paths)
 from .base import (CoalgebraError, FiniteSet, FunctorSyntaxError,
                    NotAHomomorphism, NotIsomorphic, PowNotPrecise,
                    SearchSpaceTooLarge, ShapeError, SpecFormatError, StateId,
                    TotalMap, fresh_namer)
 from .coalgebra import (Edge, HomReport, Multigraph, PointedCoalgebra,
-                        bag_to_multigraph, canonical_graph, check_morphism,
-                        coproduct, is_acyclic, multigraph_to_bag,
-                        reachable_subgraph, reachable_vertices)
+                        canonical_graph, check_morphism, coproduct,
+                        is_acyclic, multigraph_to_bag, reachable_subgraph)
 from .dot import to_dot
 from .factorization import (FMap, LeastBound, PreciseFactorization,
                             factorization_iso, is_precise, least_bound,
@@ -27,8 +25,7 @@ from .factorization import (FMap, LeastBound, PreciseFactorization,
 from .functors import (BOTTOM, Bag, BagVal, Compose, Const, ConstVal,
                        Coproduct, Exponent, FunVal, FunctorExpr, FValue,
                        IdVal, Identity, Pow, Product, SetVal, TagVal,
-                       TupleVal, fmap, format_functor, fvalue_equal,
-                       iter_slots, leaf_count, map_members, parse_functor,
+                       TupleVal, fmap, format_functor, parse_functor,
                        used_states, validate_value)
 from .oracles import (Counterexample, HomSet, bfs_reachable, enumerate_homs,
                       is_split_epi, reachable_by_definition,

@@ -28,15 +28,11 @@ constructors (see `coalg.base`).
 
 from __future__ import annotations
 
-import graphlib
-import math
-from collections import Counter
 from collections.abc import Callable, Iterable
 from itertools import repeat
 
 from .base import FiniteSet, Record, ShapeError, StateId, TotalMap
-from .coalgebra import (Edge, Multigraph, PointedCoalgebra, _root_paths,
-                        reachable_vertices)
+from .coalgebra import Multigraph, PointedCoalgebra, _root_paths
 from .functors import (BOTTOM, Bag, BagVal, Const, ConstVal, Coproduct,
                        Exponent, FunVal, FunctorExpr, FValue, IdVal, Identity,
                        Product, TagVal, TupleVal)
@@ -220,47 +216,3 @@ def rooted_paths(g: Multigraph, max_len: int) -> UnravelResult:
                    lambda _, kids: BagVal._trusted(tuple(zip(kids,
                                                              repeat(1)))),
                    "path names collide; rename the edge ids")
-
-
-def path_count(g: Multigraph, v: StateId):
-    """|Path(root, v)| as an int, or math.inf when a cycle lies on a route.
-
-    Any path from the root to v stays inside R ∩ B (reachable from the root,
-    able to reach v), so a cycle there pumps infinitely many paths and an
-    acyclic induced graph admits a topological dynamic program.
-    """
-    if v not in g.vertices:
-        raise ShapeError(f"unknown vertex {v!r}")
-    reach = reachable_vertices(g)
-    if v not in reach:
-        return 0
-    reverse = Multigraph(g.vertices, tuple(Edge(e.id, e.tgt, e.src)
-                                           for e in g.edges), v)
-    coreach = reachable_vertices(reverse)
-    inside = reach.as_set() & coreach.as_set()
-    edges = [e for e in g.edges if e.src in inside and e.tgt in inside]
-    ts = graphlib.TopologicalSorter({u: set() for u in inside})
-    for e in edges:
-        ts.add(e.tgt, e.src)
-    try:
-        order = list(ts.static_order())
-    except graphlib.CycleError:
-        return math.inf
-    counts = {u: 0 for u in inside}
-    counts[g.root] = 1
-    incoming: dict[StateId, list[StateId]] = {u: [] for u in inside}
-    for e in edges:
-        incoming[e.tgt].append(e.src)
-    for u in order:
-        counts[u] += sum(counts[w] for w in incoming[u])
-    return counts[v]
-
-
-def graph_is_tree(g: Multigraph) -> bool:
-    """Exactly one rooted path per vertex: every vertex is reachable from the
-    root, the root has no in-edge and every other vertex exactly one."""
-    indegree = Counter(e.tgt for e in g.edges)
-    return (indegree[g.root] == 0
-            and all(indegree[v] == 1 for v in g.vertices if v != g.root)
-            and len(reachable_vertices(g)) == len(g.vertices))
-

@@ -141,7 +141,7 @@ def cmd_unravel(args) -> int:
     print("copies: " + ", ".join(f"{y}={n}" for y, n in counts.items()))
     if not result.complete:
         print(f"frontier: {_braces(result.frontier)}")
-    if result.complete and result.projection.is_bijective():
+    if result.complete and all(n == 1 for n in counts.values()):
         print("note: input is already a tree")
     _write_tree(args, result.tree)
     return 0

@@ -1,4 +1,5 @@
-"""Pointed coalgebras, homomorphism checking, coproducts, multigraph views.
+"""Pointed coalgebras and rooted multigraphs, homomorphism checking,
+coproducts.
 
 A pointed coalgebra fixes a functor, a finite carrier, a structure map, and a
 distinguished point.  Carriers may declare a `frontier` of open states with no
@@ -9,9 +10,9 @@ coalgebras have an empty frontier.
 `PointedCoalgebra(...)` validates the point, the frontier and every structure
 value against the carrier; `Multigraph(...)` validates its root and edges.
 The constructions that derive a coalgebra or a graph from a valid one
-(reachable parts, unravellings, the DFA and path trees, and the graph views
-below) build it with the unchecked `_trusted` constructors instead (see
-`coalg.base`).
+(reachable parts, unravellings, the DFA and path trees, the canonical graph
+and the reachable subgraph) build it with the unchecked `_trusted`
+constructors instead (see `coalg.base`).
 
 Every walk over a coalgebra's slots (the reachability levels, the path
 counts, the size prediction, the canonical graph, DOT and fingerprints)
@@ -273,9 +274,8 @@ def _root_paths(root: StateId, successors: Successors
 def canonical_graph(c: PointedCoalgebra) -> Multigraph:
     """Simple directed graph with an edge x -> y whenever y occurs in c(x).
 
-    Frontier states contribute no out-edges.  Multiplicities are forgotten;
-    use bag_to_multigraph for the multiplicity-faithful view of a bag
-    coalgebra.  Edges are named by their position, so names never collide.
+    Frontier states contribute no out-edges and multiplicities are
+    forgotten.  Edges are named by their position, so names never collide.
     """
     table = c.successor_table()
     edges = []
@@ -293,36 +293,6 @@ def multigraph_to_bag(g: Multigraph) -> PointedCoalgebra:
                                      FiniteSet._trusted(()))
 
 
-def bag_to_multigraph(c: PointedCoalgebra) -> Multigraph:
-    """Multigraph with c(u)(v) parallel edges u -> v; inverse of
-    multigraph_to_bag up to edge names, which are the edges' positions."""
-    if not isinstance(c.functor, Bag):
-        raise ShapeError("bag_to_multigraph needs a Bag coalgebra")
-    if not c.is_total():
-        raise ShapeError("coalgebra has open states")
-    edges = []
-    for u in c.carrier:
-        for v, n in c.structure[u].entries:
-            for _ in range(n):
-                edges.append(Edge(str(len(edges)), u, v))
-    return Multigraph._trusted(c.carrier, tuple(edges), c.point)
-
-
-def reachable_vertices(g: Multigraph) -> FiniteSet:
-    """Vertices with a directed path from the root, in BFS discovery order."""
-    order = [g.root]
-    seen = {g.root}
-    queue = deque([g.root])
-    while queue:
-        u = queue.popleft()
-        for e in g.out_edges(u):
-            if e.tgt not in seen:
-                seen.add(e.tgt)
-                order.append(e.tgt)
-                queue.append(e.tgt)
-    return FiniteSet._trusted(order)
-
-
 def is_acyclic(g: Multigraph) -> bool:
     ts = graphlib.TopologicalSorter({v: set() for v in g.vertices})
     for e in g.edges:
@@ -335,7 +305,16 @@ def is_acyclic(g: Multigraph) -> bool:
 
 
 def reachable_subgraph(g: Multigraph) -> Multigraph:
-    """Induced subgraph on the root-reachable vertices."""
-    verts = reachable_vertices(g)
-    edges = tuple(e for e in g.edges if e.src in verts)
-    return Multigraph._trusted(verts, edges, g.root)
+    """Induced subgraph on the root-reachable vertices, in breadth-first
+    discovery order."""
+    order = [g.root]
+    seen = {g.root}
+    queue = deque([g.root])
+    while queue:
+        for e in g.out_edges(queue.popleft()):
+            if e.tgt not in seen:
+                seen.add(e.tgt)
+                order.append(e.tgt)
+                queue.append(e.tgt)
+    edges = tuple(e for e in g.edges if e.src in seen)
+    return Multigraph._trusted(FiniteSet._trusted(order), edges, g.root)

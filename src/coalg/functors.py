@@ -22,8 +22,10 @@ the text syntax of its expressions and values.  Spec-file values are read
 from the tokens of their line (`Cursor`); functor expressions are read one
 character at a time (`_ExprCursor`).  Composite constructors recurse into
 their parts; `Compose` runs the outer operation with the inner one applied
-at each member slot.  Adding a constructor touches one class.  The
-module-level functions below are the entry points the other modules call.
+at each member slot.  Adding a constructor touches one class.  Other
+modules call the methods directly; the three entry points below
+(`used_states`, `fmap`, `validate_value`) add a check that bottom members
+are state ids.
 """
 
 from __future__ import annotations
@@ -742,23 +744,6 @@ class Pow(FunctorExpr):
 # entry points
 
 
-def map_members(functor: FunctorExpr, value: FValue,
-                fn: Callable[[Member], Member]) -> FValue:
-    """Rebuild `value` with `fn` applied to every bottom member slot.
-
-    This is the functor's action on maps, generalized to an arbitrary member
-    transform; `fmap` is the instance where `fn` relabels state ids.  Bag
-    images merge multiplicities of collided members; Pow images collapse
-    duplicates.
-    """
-    return functor.map(value, fn)
-
-
-def iter_slots(functor: FunctorExpr, value: FValue) -> Iterator[tuple[Member, int]]:
-    """Yield every bottom member slot with its multiplicity weight."""
-    return functor.slots(value)
-
-
 def used_states(functor: FunctorExpr, value: FValue) -> FiniteSet:
     """States that actually occur in the value, in first-occurrence order."""
     out: list[StateId] = []
@@ -770,11 +755,6 @@ def used_states(functor: FunctorExpr, value: FValue) -> FiniteSet:
             seen.add(m)
             out.append(m)
     return FiniteSet(out)
-
-
-def leaf_count(functor: FunctorExpr, value: FValue) -> int:
-    """Number of bottom member slots, counting multiplicity."""
-    return sum(n for _, n in functor.slots(value))
 
 
 def fmap(functor: FunctorExpr, h, value: FValue) -> FValue:
@@ -806,17 +786,6 @@ def validate_value(functor: FunctorExpr, value: FValue,
             raise ShapeError(f"{path}: state {m!r} not in carrier")
 
     functor.validate(value, check_member, "value")
-
-
-def fvalue_equal(functor: FunctorExpr, v1: FValue, v2: FValue) -> bool:
-    """Structural equality of two values of the same functor.
-
-    Both values are shape-checked first; bags compare by multiplicity,
-    powerset values as sets, exponent values pointwise.
-    """
-    validate_value(functor, v1)
-    validate_value(functor, v2)
-    return v1 == v2
 
 
 # --------------------------------------------------------------------------

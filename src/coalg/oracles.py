@@ -149,9 +149,10 @@ def tree_refute_by_definition(c: PointedCoalgebra,
     split; a found counterexample disproves tree-ness, while None only says
     no refuter exists up to size_bound (not a proof).  Search order is by
     carrier size, then point images, then structure choices, so the first
-    hit is minimal and reproducible.  Size n costs |C|^n steps (|C|^(n-1)
-    image maps, each with a fibre dict over C), checked against the guard
-    before the size is searched.
+    hit is minimal and reproducible.  Size n costs at most |C|^n steps
+    (|C|^(n-1) image maps of n states each), checked against the guard
+    before the size is searched.  An image map is dropped at its first
+    state whose value has no preimage, before its TotalMap is built.
     """
     if size_bound > 6:
         raise SearchSpaceTooLarge("refutation search is limited to size 6")
@@ -166,26 +167,29 @@ def tree_refute_by_definition(c: PointedCoalgebra,
                 f"refutation search at size {n} needs {steps} steps of "
                 f"image maps, more than {budget}")
         carrier = FiniteSet(f"x{i}" for i in range(1, n + 1))
-        rest = list(carrier)[1:]
+        names = list(carrier)
         for images in itertools.product(c.carrier, repeat=n - 1):
-            mapping = {"x1": c.point, **dict(zip(rest, images))}
-            h = TotalMap(carrier, c.carrier, mapping)
-            pre = {y: [x for x in carrier if mapping[x] == y]
-                   for y in c.carrier}
-            choices = [value_preimages(c.functor, c.structure[mapping[x]],
-                                       lambda y: pre[y])
-                       for x in carrier]
-            if any(not ch for ch in choices):
-                continue
-            for values in itertools.product(*choices):
-                work += 1
-                if work > budget:
-                    raise SearchSpaceTooLarge(
-                        f"refutation search exceeded {budget} candidates")
-                source = PointedCoalgebra(c.functor, carrier,
-                                          dict(zip(carrier, values)), "x1")
-                if not is_split_epi(h, source, c):
-                    return Counterexample(source, h)
+            targets = (c.point, *images)
+            pre: dict[StateId, list[StateId]] = {}
+            for x, y in zip(names, targets):
+                pre.setdefault(y, []).append(x)
+            choices = []
+            for y in targets:
+                choices.append(value_preimages(c.functor, c.structure[y],
+                                               lambda m: pre.get(m, [])))
+                if not choices[-1]:
+                    break
+            else:
+                h = TotalMap(carrier, c.carrier, dict(zip(names, targets)))
+                for values in itertools.product(*choices):
+                    work += 1
+                    if work > budget:
+                        raise SearchSpaceTooLarge(
+                            f"refutation search exceeded {budget} candidates")
+                    source = PointedCoalgebra(c.functor, carrier,
+                                              dict(zip(carrier, values)), "x1")
+                    if not is_split_epi(h, source, c):
+                        return Counterexample(source, h)
     return None
 
 

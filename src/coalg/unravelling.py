@@ -231,16 +231,14 @@ def is_tree(c: PointedCoalgebra) -> bool:
     return tree_check(c).ok
 
 
-def tree_unravelling(c: PointedCoalgebra,
-                     truncate_at: int | None = None) -> UnravelResult:
+def tree_unravelling(c: PointedCoalgebra) -> UnravelResult:
     """Full unravelling when finite, else truncated with complete=False.
 
     Finiteness is the absence of reachable cycles; in that case every root
     path has fewer than |carrier| steps, so depth |carrier| suffices, and
     the tree has as many states as there are weighted root paths, a number
-    checked against the guard before any level is built.  The default
-    truncation depth 3*|carrier| shows any cycle unrolled at least three
-    times.
+    checked against the guard before any level is built.  The truncation
+    depth 3*|carrier| shows any cycle unrolled at least three times.
     """
     if not c.is_total():
         raise ShapeError("unravelling needs a total coalgebra, found open states")
@@ -248,8 +246,7 @@ def tree_unravelling(c: PointedCoalgebra,
     if counts is not None:
         _within_guard(sum(counts.values()))
         return unravel(c, len(c.carrier))
-    depth = truncate_at if truncate_at is not None else 3 * len(c.carrier)
-    return unravel(c, depth)
+    return unravel(c, 3 * len(c.carrier))
 
 
 def copy_counts(projection: TotalMap) -> dict[StateId, int]:

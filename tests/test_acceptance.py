@@ -22,7 +22,6 @@ from coalg import (
     enumerate_homs,
     factorization_iso,
     fmap,
-    graph_is_tree,
     is_reachable,
     is_split_epi,
     is_tree,
@@ -37,6 +36,7 @@ from coalg import (
 
 import generators
 from conftest import FIXTURE_NAMES, load_fixture
+from graph_reference import graph_is_tree
 
 TREE_FIXTURES = ("two_leaf_tree", "fork_tree", "pow_empty",
                  "singleton_bottom")

@@ -19,12 +19,10 @@ from coalg import (
     delta_star,
     dfa_functor,
     dfa_to_coalgebra,
-    graph_is_tree,
     is_acyclic,
     is_reachable,
     is_tree,
     multigraph_to_bag,
-    path_count,
     reachable_subgraph,
     rooted_paths,
     tree_fingerprint,
@@ -35,6 +33,7 @@ from coalg.unravelling import _tree_size
 
 import generators
 from conftest import load_fixture
+from graph_reference import graph_is_tree, path_count
 
 
 def chain() -> PartialDFA:

@@ -284,7 +284,8 @@ def test_unravel_refuses_a_complete_tree_past_the_guard(tmp_path, capsys):
 def run_capped(*argv):
     """main(argv) in a child process whose address space is capped at 1 GB,
     so that a construction which runs away fails there instead of taking
-    the machine's memory: (exit code, stderr, seconds spent in main)."""
+    the machine's memory: (exit code, stdout lines, stderr, seconds spent
+    in main)."""
     probe = ("import resource, sys, time\n"
              "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))\n"
              "from coalg.cli import main\n"
@@ -298,16 +299,16 @@ def run_capped(*argv):
                           env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=60)
     # the time is the last line: a verdict may be printed before a refusal
-    seconds = (float(done.stdout.splitlines()[-1])
-               if done.returncode in (0, 3) else None)
-    return done.returncode, done.stderr, seconds
+    out = done.stdout.splitlines()
+    seconds = float(out.pop()) if done.returncode in (0, 3) else None
+    return done.returncode, out, done.stderr, seconds
 
 
 def test_unravel_refuses_a_depth_cap_past_the_guard(tmp_path):
     spec = tmp_path / "loop.spec"
     spec.write_text("functor: Bag\nstates: r\npoint: r\nr = [r*1000000000]\n",
                     encoding="utf-8")
-    code, err, seconds = run_capped("unravel", str(spec), "--depth", "2")
+    code, _, err, seconds = run_capped("unravel", str(spec), "--depth", "2")
     assert code == 3 and seconds < 1.0
     [line] = err.splitlines()
     assert line.startswith("error: ") and "depth 2" in line
@@ -326,7 +327,7 @@ def test_truncated_unfoldings_are_refused_at_once(tmp_path, command):
     # 2^41 - 1 words or paths up to length 40
     spec = tmp_path / "loop.spec"
     spec.write_text(TRUNCATED_RUNAWAYS[command], encoding="utf-8")
-    code, err, seconds = run_capped(command, str(spec), "--maxlen", "40")
+    code, _, err, seconds = run_capped(command, str(spec), "--maxlen", "40")
     assert code == 3 and seconds < 1.0
     [line] = err.splitlines()
     assert line.startswith("error: ") and "depth 40" in line
@@ -348,7 +349,7 @@ def test_a_huge_functor_numeral_is_refused_at_once(tmp_path):
     spec = tmp_path / "const.spec"
     spec.write_text("functor: 100000000000\nstates: r\npoint: r\nr = #7\n",
                     encoding="utf-8")
-    code, err, seconds = run_capped("check", str(spec))
+    code, _, err, seconds = run_capped("check", str(spec))
     assert code == 3 and seconds < 1.0
     [line] = err.splitlines()
     assert line.startswith("error: numeral 100000000000 ")
@@ -364,19 +365,28 @@ def bag_chain(path, n):
 
 
 def test_is_tree_oracle_refuses_a_30_state_chain_at_once(tmp_path):
-    # the refutation search at size 5 would walk 30^4 image maps, each
-    # with a fibre dict over the 30 states
-    code, err, seconds = run_capped("is-tree", "--oracle",
-                                    bag_chain(tmp_path / "chain.spec", 30))
+    # the refutation search at size 5 would walk 30^4 image maps of 5
+    # states each
+    code, _, err, seconds = run_capped("is-tree", "--oracle",
+                                       bag_chain(tmp_path / "chain.spec", 30))
     assert code == 3 and seconds < 10.0
     [line] = err.splitlines()
     assert line.startswith("error: refutation search at size 5 ")
 
 
+def test_is_tree_oracle_on_a_14_state_chain_drops_image_maps_early(tmp_path):
+    # size 6 passes the guard (14^6 steps), but almost every image map is
+    # dropped at its first state whose value has no preimage
+    code, out, err, seconds = run_capped(
+        "is-tree", "--oracle", bag_chain(tmp_path / "chain.spec", 14))
+    assert code == 0 and err == "" and seconds < 10.0
+    assert out == ["true", "oracle: no refuter found (not a proof)"]
+
+
 def test_reachable_oracle_on_a_long_chain_is_linear(tmp_path):
     # the breadth-first oracle runs before the definitional one refuses
-    code, err, seconds = run_capped("reachable", "--oracle",
-                                    bag_chain(tmp_path / "chain.spec", 20000))
+    code, _, err, seconds = run_capped(
+        "reachable", "--oracle", bag_chain(tmp_path / "chain.spec", 20000))
     assert code == 3 and seconds < 5.0
     [line] = err.splitlines()
     assert line == "error: definitional check is limited to 5 states"

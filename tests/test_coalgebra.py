@@ -6,8 +6,6 @@ import pytest
 
 from coalg import (
     BOTTOM,
-    Bag,
-    BagVal,
     ConstVal,
     CoalgebraError,
     Edge,
@@ -20,7 +18,7 @@ from coalg import (
     TagVal,
     TotalMap,
     TupleVal,
-    bag_to_multigraph,
+    bfs_reachable,
     canonical_graph,
     check_morphism,
     coproduct,
@@ -28,7 +26,6 @@ from coalg import (
     multigraph_to_bag,
     parse_functor,
     reachable_subgraph,
-    reachable_vertices,
     used_states,
 )
 
@@ -142,30 +139,18 @@ def test_multigraph_to_bag_matches_the_hand_written_coalgebra(diamond_bag):
     assert multigraph_to_bag(load_fixture("diamond")) == diamond_bag
 
 
+def bag_edges(c: PointedCoalgebra) -> list[tuple[str, str]]:
+    """The (source, target) pairs of a Bag coalgebra, one per unit of
+    multiplicity, sorted."""
+    return sorted((u, v) for u in c.carrier
+                  for v, n in c.structure[u].entries for _ in range(n))
+
+
 def test_bag_round_trip_preserves_edge_multiplicities():
     g = load_fixture("diamond")
-    back = bag_to_multigraph(multigraph_to_bag(g))
-    assert back.vertices.as_set() == g.vertices.as_set()
-    assert sorted((e.src, e.tgt) for e in back.edges) == \
-        sorted((e.src, e.tgt) for e in g.edges)
-
-
-def test_bag_to_multigraph_edge_ids_never_collide():
-    # a -> b>c and a>b -> c would both be "a>b>c#1" if named by endpoints
-    c = PointedCoalgebra(Bag(), FiniteSet(("a", "b>c", "a>b", "c")),
-                         {"a": BagVal((("b>c", 1),)),
-                          "a>b": BagVal((("c", 2),)),
-                          "b>c": BagVal(), "c": BagVal()}, "a")
-    g = bag_to_multigraph(c)
-    assert len({e.id for e in g.edges}) == 3
-    assert multigraph_to_bag(g) == c
-
-
-def test_bag_to_multigraph_requires_a_total_bag_coalgebra():
-    c = PointedCoalgebra(Identity(), FiniteSet(("p",)), {"p": IdVal("p")},
-                         "p")
-    with pytest.raises(ShapeError):
-        bag_to_multigraph(c)
+    c = multigraph_to_bag(g)
+    assert c.carrier.as_set() == g.vertices.as_set()
+    assert bag_edges(c) == sorted((e.src, e.tgt) for e in g.edges)
 
 
 def test_multigraph_edge_ids_are_non_empty_strings():
@@ -178,7 +163,8 @@ def test_multigraph_edge_ids_are_non_empty_strings():
 
 def test_reachable_vertices_in_discovery_order():
     g = load_fixture("diamond")
-    assert list(reachable_vertices(g)) == ["r", "p", "q", "v"]
+    assert list(reachable_subgraph(g).vertices) == list(bfs_reachable(g)) \
+        == ["r", "p", "q", "v"]
 
 
 def test_reachable_subgraph_drops_unreached_parts():
@@ -195,19 +181,13 @@ def test_acyclicity_checks():
     assert not is_acyclic(two)
 
 
-def test_bag_coalgebras_survive_the_graph_round_trip(diamond_bag):
-    assert multigraph_to_bag(bag_to_multigraph(diamond_bag)) == diamond_bag
-
-
 def test_random_bag_round_trips():
     rng = random.Random(31)
     for _ in range(100):
         g = generators.random_multigraph(rng)
         c = multigraph_to_bag(g)
-        back = bag_to_multigraph(c)
-        assert sorted((e.src, e.tgt) for e in back.edges) == \
-            sorted((e.src, e.tgt) for e in g.edges)
-        assert multigraph_to_bag(back) == c
+        assert c.carrier == g.vertices and c.point == g.root
+        assert bag_edges(c) == sorted((e.src, e.tgt) for e in g.edges)
 
 
 def test_canonical_graph_edges_are_exactly_the_used_states():

@@ -28,10 +28,6 @@ from coalg import (
     TupleVal,
     format_functor,
     fmap,
-    fvalue_equal,
-    iter_slots,
-    leaf_count,
-    map_members,
     parse_functor,
     used_states,
     validate_value,
@@ -135,15 +131,15 @@ def test_used_states_and_leaf_count():
     f = parse_functor("Id x Id + 1")
     v = TagVal(0, TupleVal((IdVal("q"), IdVal("q"))))
     assert list(used_states(f, v)) == ["q"]
-    assert leaf_count(f, v) == 2
-    assert leaf_count(f, TagVal(1, ConstVal(BOTTOM))) == 0
+    assert sum(n for _, n in f.slots(v)) == 2
+    assert list(f.slots(TagVal(1, ConstVal(BOTTOM)))) == []
 
 
 def test_used_states_threads_through_composition():
     f = Compose(Bag(), Product((Identity(), Identity())))
     v = BagVal(((TupleVal((IdVal("a"), IdVal("b"))), 2),))
     assert used_states(f, v).as_set() == {"a", "b"}
-    assert leaf_count(f, v) == 4
+    assert sum(n for _, n in f.slots(v)) == 4
 
 
 def test_validate_value_rejects_wrong_shapes():
@@ -242,11 +238,13 @@ def test_parse_functor_bounds_the_nesting_depth():
         parse_functor("(" * 5000 + "Id" + ")" * 5000)
 
 
-def test_fvalue_equal_shape_checks_both_sides():
+def test_pow_values_collapse_duplicates_and_are_shape_checked():
     f = Pow()
-    assert fvalue_equal(f, SetVal(("q", "q")), SetVal(("q",)))
+    twice = SetVal(("q", "q"))
+    assert twice == SetVal(("q",))
+    validate_value(f, twice)
     with pytest.raises(ShapeError):
-        fvalue_equal(f, SetVal(("q",)), IdVal("q"))
+        validate_value(f, IdVal("q"))
 
 
 def test_member_maps_reject_wrong_shapes():
@@ -255,11 +253,11 @@ def test_member_maps_reject_wrong_shapes():
     with pytest.raises(ShapeError):
         fmap(f, {"q": "p"}, short)
     with pytest.raises(ShapeError):
-        list(iter_slots(f, short))
+        list(f.slots(short))
     with pytest.raises(ShapeError):
-        map_members(f, TagVal(-1, ConstVal(BOTTOM)), lambda m: m)
+        f.map(TagVal(-1, ConstVal(BOTTOM)), lambda m: m)
     with pytest.raises(ShapeError):
-        leaf_count(f, TagVal(2, ConstVal(BOTTOM)))
+        list(f.slots(TagVal(2, ConstVal(BOTTOM))))
     with pytest.raises(ShapeError):
         used_states(Bag(), SetVal(("q",)))
 

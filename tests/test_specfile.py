@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coalg import (
     BOTTOM,
@@ -27,7 +29,7 @@ from coalg import (
     parse_functor,
     parse_spec,
     parse_value,
-    tree_unravelling,
+    unravel,
 )
 from coalg.specfile import LINE_BREAKS
 
@@ -105,7 +107,7 @@ def test_names_holding_line_breaks_are_not_emitted(brk):
 
 
 def test_open_coalgebras_round_trip(two_cycle):
-    truncated = tree_unravelling(two_cycle, truncate_at=2).tree
+    truncated = unravel(two_cycle, 2).tree
     assert len(truncated.frontier) == 1
     again = parse_spec(emit_spec(truncated))
     assert again == truncated
@@ -196,9 +198,28 @@ def test_dfa_with_odd_letters_unravels_and_round_trips():
                    frozenset({"q1"}), {("q0", "a b"): "q1", ("q1", "c"): "q1"},
                    "q0")
     assert parse_spec(emit_spec(d)) == d
-    tree = tree_unravelling(dfa_to_coalgebra(d), truncate_at=3).tree
+    tree = unravel(dfa_to_coalgebra(d), 3).tree
     assert 'functor: 2 x (Id + 1)^{"a b",c}' in emit_spec(tree)
     assert parse_spec(emit_spec(tree)) == tree
+
+
+# every object kind the spec format writes; coalgebras over every
+# constructor (functors three deep), with open states
+DRAWS = {
+    "coalgebra": lambda rng: generators.random_coalgebra(rng, depth=3,
+                                                         open_states=True),
+    "dfa": generators.random_dfa,
+    "acyclic dfa": generators.random_acyclic_dfa,
+    "multigraph": generators.random_multigraph,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(DRAWS)),
+       st.integers(min_value=0, max_value=2**32).map(random.Random))
+def test_emitted_documents_parse_back_to_the_same_object(kind, rng):
+    x = DRAWS[kind](rng)
+    assert parse_spec(emit_spec(x)) == x
 
 
 def test_random_documents_with_odd_names_round_trip():

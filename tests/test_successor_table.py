@@ -12,9 +12,9 @@ import pytest
 
 from coalg import (Bag, CoalgebraError, Compose, Const, Coproduct, Exponent,
                    Identity, PointedCoalgebra, Pow, Product, canonical_graph,
-                   emit_spec, iter_slots, least_bound, parse_spec,
-                   reach_levels, tree_check, tree_fingerprint,
-                   tree_unravelling)
+                   emit_spec, is_acyclic, least_bound, parse_spec,
+                   reach_levels, reachable_subgraph, tree_check,
+                   tree_fingerprint, tree_unravelling, unravel)
 from coalg import cli
 
 import generators
@@ -39,7 +39,7 @@ def test_table_holds_the_slots_of_every_closed_state():
             if x in c.frontier:
                 assert x not in table
             else:
-                assert table[x] == tuple(iter_slots(c.functor, c.structure[x]))
+                assert table[x] == tuple(c.functor.slots(c.structure[x]))
         assert c.successor_table() is table
     assert seen == set(CONSTRUCTORS)
 
@@ -86,8 +86,16 @@ def outcome(walk, c):
         return type(e), str(e)
 
 
+def unravelling(c):
+    """The tree of `tree_unravelling`, with a reachable cycle cut at depth
+    4 instead of 3|C|, which on bag weights of 2 is too large to build."""
+    if is_acyclic(reachable_subgraph(canonical_graph(c))):
+        return tree_unravelling(c).tree
+    return unravel(c, 4).tree
+
+
 WALKS = (reach_levels, tree_check, lambda c: canonical_graph(c).edges,
-         tree_fingerprint, lambda c: tree_unravelling(c, 4).tree)
+         tree_fingerprint, unravelling)
 
 
 def test_each_walk_gives_the_same_on_a_table_built_by_another():

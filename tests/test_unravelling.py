@@ -28,7 +28,6 @@ from coalg import (
     parse_functor,
     parse_spec,
     multigraph_to_bag,
-    path_count,
     precise_factorize,
     reachable_subgraph,
     tree_check,
@@ -41,6 +40,7 @@ from coalg.unravelling import _tree_size
 
 import generators
 from conftest import load_fixture
+from graph_reference import path_count
 
 
 def test_tree_level_sizes_of_the_diamond(diamond_bag):
