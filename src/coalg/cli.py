@@ -13,7 +13,8 @@ import sys
 
 from .automata import (PartialDFA, defined_inputs, dfa_to_coalgebra,
                        rooted_paths)
-from .base import CoalgebraError, SearchSpaceTooLarge, TotalMap
+from .base import (CoalgebraError, SearchSpaceTooLarge, SpecFormatError,
+                   TotalMap)
 from .coalgebra import (Multigraph, PointedCoalgebra, canonical_graph,
                         multigraph_to_bag)
 from .dot import to_dot
@@ -26,7 +27,13 @@ from .unravelling import copy_counts, tree_check, tree_unravelling, unravel
 
 def _load(path: str):
     with open(path, encoding="utf-8") as fh:
-        return parse_spec(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SpecFormatError(
+                f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
+            ) from None
+    return parse_spec(text)
 
 
 def _as_coalgebra(obj) -> PointedCoalgebra:

@@ -12,12 +12,18 @@ value against the carrier; `Multigraph(...)` validates its root and edges.
 The constructions that derive a coalgebra or a graph from a valid one
 (reachable parts, unravellings, the DFA and path trees, the canonical graph
 and the reachable subgraph) build it with the unchecked `_trusted`
-constructors instead (see `coalg.base`).
+constructors instead (see `coalg.base`).  The spec parser, which checks each
+value as it reads it, builds with `_trusted` and then runs the carrier
+checks of the public constructor alone (`_check()`), without its second
+pass over the values.
 
 Every walk over a coalgebra's slots (the reachability levels, the path
 counts, the size prediction, the canonical graph, DOT and fingerprints)
 reads its successor table, which the first walk builds and keeps on it:
 each state's value is read for its slots once.  The oracles do not use it.
+The reachability levels are kept on the coalgebra the same way (see
+`reachability.reach_levels`).  Neither is a field: equality, repr, copies
+and pickles do not see them, and a copy starts without them.
 
 `_root_paths` is the one rooted walk that counts paths without building
 them: the tree decision, and the DFA, multigraph and coalgebra unfoldings
@@ -39,9 +45,10 @@ Successors = Callable[[StateId], Iterable[tuple[StateId, int]]]
 
 
 class PointedCoalgebra(Record):
-    # `_succ` (the successor table) is not a field
+    # `_succ` (the successor table) and `_levels` (the reachability levels,
+    # kept by `reachability.reach_levels`) are not fields
     __slots__ = ("functor", "carrier", "structure", "point", "frontier",
-                 "_succ")
+                 "_succ", "_levels")
 
     def __init__(self, functor: FunctorExpr, carrier: FiniteSet,
                  structure: Mapping[StateId, FValue], point: StateId,
@@ -53,18 +60,30 @@ class PointedCoalgebra(Record):
         """The checks of the public constructor; a method of its own, which
         the benchmark's span recorder (perfbench/spans.py) times by name."""
         object.__setattr__(self, "structure", dict(self.structure))
+        self._check(validate_value)
+
+    def _check(self, check_value: Callable | None = None) -> None:
+        """The point, the frontier, a structure entry for each closed state
+        (and `check_value(functor, value, carrier)` on it, when given), then
+        no entry for any other state: the first failure raises.  Without
+        `check_value` these are the carrier checks alone, for values that
+        were checked as they were built (see `specfile`)."""
         if self.point not in self.carrier:
             raise ShapeError(f"point {self.point!r} not in carrier")
         for x in self.frontier:
             if x not in self.carrier:
                 raise ShapeError(f"frontier state {x!r} not in carrier")
-        closed = [x for x in self.carrier if x not in self.frontier]
-        for x in closed:
-            if x not in self.structure:
+        structure = self.structure
+        carrier, frontier = self.carrier.as_set(), self.frontier.as_set()
+        for x in self.carrier:
+            if x in frontier:
+                continue
+            if x not in structure:
                 raise ShapeError(f"no structure for state {x!r}")
-            validate_value(self.functor, self.structure[x], self.carrier)
-        for x in self.structure:
-            if x not in self.carrier or x in self.frontier:
+            if check_value is not None:
+                check_value(self.functor, structure[x], self.carrier)
+        for x in structure:
+            if x not in carrier or x in frontier:
                 raise ShapeError(f"structure given for unexpected state {x!r}")
 
     @classmethod

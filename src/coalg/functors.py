@@ -163,7 +163,11 @@ class BagVal(Record):
                 raise ValueError(f"negative multiplicity {n} for {m!r}")
             if n == 0:
                 continue
-            merged[m] = merged.get(m, 0) + n
+            # one hash for a new member; a duplicate is merged with a second
+            size = len(merged)
+            old = merged.setdefault(m, n)
+            if len(merged) == size:
+                merged[m] = old + n
         _set(self, "entries", tuple(merged.items()))
 
     @classmethod
@@ -365,7 +369,12 @@ class Const(FunctorExpr):
 
     def parse(self, cur, member):
         cur.take("#")
-        return ConstVal(cur.name())
+        element = cur.name()
+        if element not in self.values:
+            # the one value check the shape-first read leaves open: noted,
+            # so that the caller's validation reports it (see Cursor)
+            cur.outside = True
+        return ConstVal(element)
 
     def show(self, value, member):
         return "#" + quote_name(value.element)
@@ -801,12 +810,16 @@ class Cursor:
     the list, so reading at the end of the line finds "".  The methods
     index the token list; `take`, `skip` and `more` take only reserved
     characters other than the double quote, each a token of its own.
-    Errors name the line `no`."""
+    Errors name the line `no`.  `outside` is set when a constant read from
+    the line lies outside its set: `parse` reads the members of a value
+    against the carrier and its shape against the functor, so this is the
+    one fault of a parsed value that `validate_value` would still find."""
 
-    __slots__ = ("text", "toks", "i", "no")
+    __slots__ = ("text", "toks", "i", "no", "outside")
 
     def __init__(self, text: str, no: int = 0):
         self.text, self.no, self.i = text, no, 0
+        self.outside = False
         self.toks = _TOKEN.findall(text)
         self.toks.append("")
 

@@ -16,7 +16,10 @@ Each step costs time linear in the states plus slots of its level: the
 factorization is one pass over the level's values, and the stop test checks
 the new level against a set of the states seen so far.  The least bounds
 read the slots from the coalgebra's successor table, so a state on several
-levels, or in several calls, has its value read once.
+levels has its value read once.  The levels are a fact about the coalgebra:
+`reach_levels` keeps them on it, so `reachable_part`, `is_reachable` and
+every later call read the kept levels, and the iteration runs once per
+coalgebra.
 
 The input coalgebra was validated when it was built; every level, step map,
 inclusion and the reachable part are derived from it, so they are built with
@@ -105,14 +108,22 @@ def reach_levels(c: PointedCoalgebra) -> LevelSequence:
     stabilizes; each level's inclusion is its least bound's m.
 
     The first level whose states are all already known is still recorded
-    (it may be non-empty, e.g. on a cycle).
+    (it may be non-empty, e.g. on a cycle).  The levels are a fact about c:
+    the first call builds them and keeps them on c, later calls return the
+    same object.
     """
+    try:
+        return c._levels
+    except AttributeError:
+        pass
     point = FiniteSet._trusted((c.point,))
     edges = c.successor_table().__getitem__
     levels, step_maps, inclusions = _iterate(
         c, TotalMap._trusted(point, c.carrier, {c.point: c.point}),
         lambda f, k: least_bound(f, edges).parts())
-    return LevelSequence(levels, inclusions, step_maps)
+    seq = LevelSequence(levels, inclusions, step_maps)
+    object.__setattr__(c, "_levels", seq)
+    return seq
 
 
 def reachable_part(c: PointedCoalgebra) -> ReachablePart:

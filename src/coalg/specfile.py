@@ -24,6 +24,14 @@ names and single reserved characters.  Only spaces and tabs separate tokens
 in a spec line; other whitespace characters are part of a name, like
 letters.  The functor expression after `functor:` is read by its own parser,
 which accepts any whitespace between its tokens.
+
+A coalgebra value is checked once, as it is read: its shape comes from the
+functor and each member is looked up in the carrier.  A constant outside its
+set is only noted on the line (`Cursor.outside`); a document with one is
+built by the checking `PointedCoalgebra(...)`, which reports the first such
+value in carrier order, after every line has parsed.  Any other document is
+built by `PointedCoalgebra._trusted`, after the constructor's carrier checks
+alone (`PointedCoalgebra._check()`): the values are trusted.
 """
 
 from __future__ import annotations
@@ -224,6 +232,7 @@ def _build_coalgebra(keys, body) -> PointedCoalgebra:
         return m
 
     structure = {}
+    outside = False
     for cur in body:
         x = cur.name()
         if x not in known:
@@ -233,8 +242,17 @@ def _build_coalgebra(keys, body) -> PointedCoalgebra:
         cur.take("=")
         structure[x] = functor.parse(cur, member)
         cur.expect_end()
+        outside = outside or cur.outside
     try:
-        return PointedCoalgebra(functor, states, structure, point, frontier)
+        if outside:
+            # reported by the checking constructor, in carrier order
+            return PointedCoalgebra(functor, states, structure, point,
+                                    frontier)
+        # every value was read against the functor and the carrier
+        c = PointedCoalgebra._trusted(functor, states, structure, point,
+                                      frontier)
+        c._check()
+        return c
     except ShapeError as exc:
         raise SpecFormatError(str(exc)) from exc
 

@@ -582,3 +582,19 @@ def test_dot_writes_files(tmp_path, capsys):
 
 def test_missing_file_is_an_input_error(capsys):
     assert main(["reachable", "/no/such/file.spec"]) == 2
+
+
+COMMANDS = ("check", "reachable", "is-tree", "unravel", "dfa-inputs",
+            "paths", "dot")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys,
+                                                   command):
+    spec = tmp_path / "bytes.spec"
+    spec.write_bytes(b"\xff\xfe\x00bad")
+    assert main([command, str(spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and "not UTF-8" in line

@@ -178,6 +178,49 @@ def test_bags_merge_and_drop_zeroes():
         BagVal((("q", -1),))
 
 
+def test_bag_duplicates_merge_in_first_occurrence_order():
+    v = BagVal((("q", 1), ("r", 2), ("q", 2), ("s", 1), ("r", 1)))
+    assert v.entries == (("q", 3), ("r", 3), ("s", 1))
+    pairs = TupleVal((IdVal("a"), ConstVal("0")))
+    w = BagVal(((pairs, 1), (IdVal("b"), 1),
+                (TupleVal((IdVal("a"), ConstVal("0"))), 4)))
+    assert w.entries == ((pairs, 5), (IdVal("b"), 1))
+    assert w.entries[0][0] is pairs
+
+
+class Hashed(str):
+    """A state id that counts how often it is hashed."""
+
+    hashes = 0
+
+    def __hash__(self):
+        Hashed.hashes += 1
+        return str.__hash__(self)
+
+
+def test_bag_members_are_hashed_once_unless_duplicated():
+    Hashed.hashes = 0
+    BagVal(((Hashed("q"), 1), (Hashed("r"), 2), (Hashed("s"), 1)))
+    assert Hashed.hashes == 3
+    Hashed.hashes = 0
+    BagVal(((Hashed("q"), 1), (Hashed("q"), 2)))
+    assert Hashed.hashes == 3
+
+
+def test_bag_zeros_are_dropped_wherever_they_stand():
+    assert BagVal((("q", 0),)).entries == ()
+    assert BagVal((("q", 0), ("r", 1), ("q", 2))).entries == \
+        (("r", 1), ("q", 2))
+    assert BagVal((("q", 2), ("q", 0), ("r", 0))).entries == (("q", 2),)
+
+
+def test_a_negative_multiplicity_after_a_duplicate_is_refused():
+    with pytest.raises(ValueError, match="negative multiplicity -1 for 'q'"):
+        BagVal((("q", 1), ("q", 2), ("q", -1)))
+    with pytest.raises(ValueError, match="negative multiplicity -3 for 'r'"):
+        BagVal((("q", 1), ("q", 1), ("r", -3), ("s", -1)))
+
+
 def test_sets_deduplicate():
     assert SetVal(("q", "q", "r")) == SetVal(("r", "q"))
 

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
+
+import pytest
 
 from coalg import (
     FMap,
@@ -19,9 +23,10 @@ from coalg import (
     reachable_part,
     tree_levels,
 )
+from coalg import cli, reachability
 
 import generators
-from conftest import load_fixture
+from conftest import fixture_path, load_fixture
 
 
 def test_levels_of_the_diamond(diamond_bag):
@@ -169,3 +174,59 @@ def test_levels_agree_with_graph_search():
         c = generators.random_coalgebra(rng, open_states=True)
         sub = reachable_part(c).sub
         assert sub.as_set() == bfs_reachable(canonical_graph(c)).as_set()
+
+
+def twin(c: PointedCoalgebra) -> PointedCoalgebra:
+    return PointedCoalgebra(c.functor, c.carrier, c.structure, c.point,
+                            c.frontier)
+
+
+def test_levels_are_built_once_and_kept():
+    rng = random.Random(47)
+    for _ in range(100):
+        c = generators.random_coalgebra(rng, open_states=True)
+        seq = reach_levels(c)
+        assert reach_levels(c) is seq
+        assert seq == reach_levels(twin(c))
+
+
+def test_kept_levels_are_invisible_to_equality_copies_and_pickles():
+    rng = random.Random(53)
+    for _ in range(100):
+        c = generators.random_coalgebra(rng, open_states=True)
+        fresh = twin(c)
+        reach_levels(c)
+        assert c == fresh and fresh == c
+        assert repr(c) == repr(fresh)
+        assert pickle.dumps(c) == pickle.dumps(fresh)
+        for copied in (copy.copy(c), copy.deepcopy(c),
+                       pickle.loads(pickle.dumps(c))):
+            assert copied == c
+            with pytest.raises(AttributeError):
+                copied._levels
+    with pytest.raises(AttributeError):
+        c._levels = None
+
+
+def test_parts_and_verdicts_from_kept_levels_match_fresh_ones():
+    rng = random.Random(59)
+    for _ in range(300):
+        c = generators.random_coalgebra(rng, depth=3, open_states=True)
+        reach_levels(c)
+        assert reachable_part(c) == reachable_part(twin(c))
+        assert is_reachable(c) == is_reachable(twin(c))
+
+
+@pytest.mark.parametrize("fixture", ["diamond_bag", "two_tree_copies",
+                                     "chain_dfa", "diamond"])
+def test_one_reachable_call_iterates_once(monkeypatch, capsys, fixture):
+    calls = []
+
+    def counted(*args, original=reachability._iterate, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(reachability, "_iterate", counted)
+    cli.main(["reachable", fixture_path(fixture)])
+    assert len(calls) == 1
+    capsys.readouterr()

@@ -31,6 +31,7 @@ from coalg import (
     parse_value,
     unravel,
 )
+from coalg import coalgebra, functors
 from coalg.specfile import LINE_BREAKS
 
 import generators
@@ -236,3 +237,77 @@ def test_random_documents_with_odd_names_round_trip():
             {ren[x]: fmap(c.functor, ren, v) for x, v in c.structure.items()},
             ren[c.point], FiniteSet(ren[x] for x in c.frontier))
         assert parse_spec(emit_spec(c)) == c
+
+
+@pytest.fixture
+def value_checks(monkeypatch):
+    """The values handed to `validate_value`, wherever it is called from."""
+    seen: list[object] = []
+
+    def counted(functor, value, carrier=None,
+                original=functors.validate_value):
+        seen.append(value)
+        return original(functor, value, carrier)
+
+    monkeypatch.setattr(functors, "validate_value", counted)
+    monkeypatch.setattr(coalgebra, "validate_value", counted)
+    return seen
+
+
+def dfa_shaped() -> PointedCoalgebra:
+    d = PartialDFA(FiniteSet(("a", "b")), FiniteSet(("q0", "q1", "q2")),
+                   ("q2",), {("q0", "a"): "q1", ("q1", "b"): "q2",
+                             ("q2", "a"): "q0"}, "q0")
+    return dfa_to_coalgebra(d)
+
+
+@pytest.mark.parametrize("functor", generators.DAG_FUNCTORS[:2])
+def test_valid_documents_are_parsed_without_a_second_value_check(
+        value_checks, functor):
+    rng = random.Random(61)
+    draws = [generators.random_shared_dag(rng, max_states=10, functor=functor)
+             for _ in range(30)]
+    value_checks.clear()
+    parsed = [parse_spec(emit_spec(c)) for c in draws]
+    assert value_checks == []
+    assert parsed == draws
+
+
+def test_a_valid_dfa_shaped_document_is_parsed_without_a_second_check(
+        value_checks):
+    c = dfa_shaped()
+    parsed = parse_spec(emit_spec(c))
+    assert value_checks == []
+    assert parsed == c
+
+
+BAD_CONSTANT = ("functor: 2 x Id\nstates: p, q\npoint: p\n"
+                "p = (#5, @q)\nq = (#0, @p)\n")
+
+
+def test_a_constant_outside_its_set_is_reported_as_before(value_checks):
+    with pytest.raises(SpecFormatError) as err:
+        parse_spec(BAD_CONSTANT)
+    assert str(err.value) == "value.0: '5' not in constant set {0,1}"
+    assert value_checks
+
+
+def test_a_later_syntax_error_wins_over_a_constant_outside_its_set():
+    with pytest.raises(SpecFormatError) as err:
+        parse_spec(BAD_CONSTANT.replace("q = (#0, @p)", "q = (#0, @x)"))
+    assert str(err.value) == "line 5: state 'x' not in the carrier"
+
+
+def test_the_first_bad_constant_in_carrier_order_is_reported():
+    text = ("functor: 2 x Id\nstates: p, q\npoint: p\n"
+            "q = (#7, @p)\np = (#5, @q)\n")
+    with pytest.raises(SpecFormatError) as err:
+        parse_spec(text)
+    assert str(err.value) == "value.0: '5' not in constant set {0,1}"
+
+
+def test_a_missing_state_before_a_bad_constant_is_reported_first():
+    text = "functor: 2 x Id\nstates: p, q\npoint: p\nq = (#7, @p)\n"
+    with pytest.raises(SpecFormatError) as err:
+        parse_spec(text)
+    assert str(err.value) == "no structure for state 'p'"
