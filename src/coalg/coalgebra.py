@@ -14,8 +14,8 @@ The constructions that derive a coalgebra or a graph from a valid one
 and the reachable subgraph) build it with the unchecked `_trusted`
 constructors instead (see `coalg.base`).  The spec parser, which checks each
 value as it reads it, builds with `_trusted` and then runs the carrier
-checks of the public constructor alone (`_check()`), without its second
-pass over the values.
+checks of the public constructor alone (`_check(values=False)`), without
+its second pass over the values.
 
 Every walk over a coalgebra's slots (the reachability levels, the path
 counts, the size prediction, the canonical graph, DOT and fingerprints)
@@ -60,14 +60,14 @@ class PointedCoalgebra(Record):
         """The checks of the public constructor; a method of its own, which
         the benchmark's span recorder (perfbench/spans.py) times by name."""
         object.__setattr__(self, "structure", dict(self.structure))
-        self._check(validate_value)
+        self._check(values=True)
 
-    def _check(self, check_value: Callable | None = None) -> None:
+    def _check(self, values: bool) -> None:
         """The point, the frontier, a structure entry for each closed state
-        (and `check_value(functor, value, carrier)` on it, when given), then
-        no entry for any other state: the first failure raises.  Without
-        `check_value` these are the carrier checks alone, for values that
-        were checked as they were built (see `specfile`)."""
+        (and `validate_value` on it, when `values`), then no entry for any
+        other state: the first failure raises.  Without `values` these are
+        the carrier checks alone, for values that were checked as they were
+        built (see `specfile`)."""
         if self.point not in self.carrier:
             raise ShapeError(f"point {self.point!r} not in carrier")
         for x in self.frontier:
@@ -80,8 +80,8 @@ class PointedCoalgebra(Record):
                 continue
             if x not in structure:
                 raise ShapeError(f"no structure for state {x!r}")
-            if check_value is not None:
-                check_value(self.functor, structure[x], self.carrier)
+            if values:
+                validate_value(self.functor, structure[x], self.carrier)
         for x in structure:
             if x not in carrier or x in frontier:
                 raise ShapeError(f"structure given for unexpected state {x!r}")

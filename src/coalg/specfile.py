@@ -27,11 +27,11 @@ which accepts any whitespace between its tokens.
 
 A coalgebra value is checked once, as it is read: its shape comes from the
 functor and each member is looked up in the carrier.  A constant outside its
-set is only noted on the line (`Cursor.outside`); a document with one is
-built by the checking `PointedCoalgebra(...)`, which reports the first such
-value in carrier order, after every line has parsed.  Any other document is
-built by `PointedCoalgebra._trusted`, after the constructor's carrier checks
-alone (`PointedCoalgebra._check()`): the values are trusted.
+set is only noted on the line (`Cursor.outside`).  Every document is built
+by `PointedCoalgebra._trusted` and then given the constructor's carrier
+checks (`PointedCoalgebra._check`); only a document with such a constant
+has its values checked again there, which reports the first bad value in
+carrier order, after every line has parsed.
 """
 
 from __future__ import annotations
@@ -243,18 +243,15 @@ def _build_coalgebra(keys, body) -> PointedCoalgebra:
         structure[x] = functor.parse(cur, member)
         cur.expect_end()
         outside = outside or cur.outside
+    c = PointedCoalgebra._trusted(functor, states, structure, point, frontier)
     try:
-        if outside:
-            # reported by the checking constructor, in carrier order
-            return PointedCoalgebra(functor, states, structure, point,
-                                    frontier)
-        # every value was read against the functor and the carrier
-        c = PointedCoalgebra._trusted(functor, states, structure, point,
-                                      frontier)
-        c._check()
-        return c
+        # every value was read against the functor and the carrier; a
+        # constant outside its set is reported by `validate_value`, in
+        # carrier order
+        c._check(values=outside)
     except ShapeError as exc:
         raise SpecFormatError(str(exc)) from exc
+    return c
 
 
 def _build_dfa(keys, body) -> PartialDFA:

@@ -392,6 +392,17 @@ def test_reachable_oracle_on_a_long_chain_is_linear(tmp_path):
     assert line == "error: definitional check is limited to 5 states"
 
 
+@pytest.mark.parametrize("command",
+                         ["check", "reachable", "is-tree", "unravel", "dot"])
+def test_every_walk_ends_on_a_20000_state_chain(tmp_path, command):
+    # one state per level: a recursive walk or a per-level cost that is
+    # not constant shows here, under the 1 GB cap
+    code, out, err, seconds = run_capped(
+        command, bag_chain(tmp_path / "chain.spec", 20000))
+    assert code == 0 and err == "" and seconds < 10.0
+    assert out
+
+
 def test_is_tree_oracle_reports_refuters(capsys):
     code, out = run(capsys, "is-tree", fixture_path("shared_leaf"),
                     "--oracle")
