@@ -15,15 +15,18 @@ it is built.  A truncated tree (a reachable cycle) is refused the same way:
 its size to `max_len` is predicted by the level recurrence of the
 depth-capped unravelling (`unravelling._tree_size`), with weight 1 per
 letter or edge.  That walk reads each reachable state's transitions or
-out-edges once, together with the parts of a path's value that depend on
-its state alone (a word's output and undefined letters), and the prediction
-reads them from the walk's cache.  A path then costs
-its own value and its own name, which is its parent's name plus one label
-(`ε` for the root), so the unfolding costs time linear in the total length
-of the names it writes.  The automaton or graph was validated when it was
-built, and the names are checked for collisions once, so both trees, their
-values and projections are built with the unchecked `_trusted`
-constructors (see `coalg.base`).
+out-edges once, together with a word's output (the part of its value that
+depends on its state alone), and the prediction reads them from the walk's
+cache.  A path then costs its own name, which is its parent's name plus
+one label (`ε` for the root), and its entry in the projection, so a listing
+of the paths and their targets costs time linear in the total length of the
+names it writes.  The paths' values are the tree's business alone: they are
+built when the result's `tree` is first read (see
+`unravelling.UnravelResult`), one value per closed path, and never for a
+listing.  The automaton or graph was validated when it was built, and the
+names are checked for collisions once, so both trees, their values and
+projections are built with the unchecked `_trusted` constructors (see
+`coalg.base`).
 """
 
 from __future__ import annotations
@@ -77,38 +80,54 @@ def dfa_functor(alphabet: FiniteSet) -> FunctorExpr:
                              alphabet)))
 
 
-def _dfa_step(d: PartialDFA) -> Callable[[StateId], tuple]:
-    """The function giving a state q's defined letters and their targets,
-    in alphabet order, and the parts of q's value that depend on q alone:
-    the letters, q's output, and the table of its letters mapped to bottom
-    (`_dfa_value` fills in the defined ones)."""
-    no_move = TagVal(1, ConstVal(BOTTOM))
+# A state's move: the labels (letters or edge ids) of its successors and
+# their targets, in order, and the part of the value of a path ending at
+# the state that depends on the state alone (a word's output, or None).
+Move = tuple[tuple[str, ...], tuple[StateId, ...], object]
 
-    def step(q: StateId) -> tuple:
+
+def _dfa_step(d: PartialDFA) -> Callable[[StateId], Move]:
+    """The function giving a state q's move: its defined letters in
+    alphabet order, their targets, and q's output."""
+    def step(q: StateId) -> Move:
         letters = tuple(a for a in d.alphabet if (q, a) in d.delta)
-        out = ConstVal("1" if q in d.accepting else "0")
         return (letters, tuple(d.delta[(q, a)] for a in letters),
-                (letters, out, dict.fromkeys(d.alphabet, no_move)))
+                ConstVal("1" if q in d.accepting else "0"))
 
     return step
 
 
-def _dfa_value(parts: tuple, targets: Iterable[StateId]) -> TupleVal:
+def _dfa_values(alphabet: FiniteSet) -> Callable[[Move, list[StateId]],
+                                                 TupleVal]:
+    """The value builder of an automaton: the value of a state or word from
+    its move and the targets of its defined letters, by `_dfa_value` on one
+    table of every letter mapped to bottom, built here once."""
+    template = dict.fromkeys(alphabet, TagVal(1, ConstVal(BOTTOM)))
+    return lambda move, targets: _dfa_value(template, move, targets)
+
+
+def _dfa_value(template: dict, move: Move,
+               targets: Iterable[StateId]) -> TupleVal:
     """The value of a state or word whose defined letters lead to the given
-    targets, from the parts `_dfa_step` gave for its state."""
-    letters, out, template = parts
+    targets: its output, and the template with those letters filled in."""
+    letters, _, out = move
     index = template.copy()
     for a, w in zip(letters, targets):
         index[a] = TagVal(0, IdVal(w))
     return TupleVal((out, FunVal._trusted(index)))
 
 
+def _path_value(move: Move, kids: list[StateId]) -> BagVal:
+    """The value of a closed path: each of its children once."""
+    return BagVal._trusted(tuple(zip(kids, repeat(1))))
+
+
 def dfa_to_coalgebra(d: PartialDFA) -> PointedCoalgebra:
-    step = _dfa_step(d)
+    step, value = _dfa_step(d), _dfa_values(d.alphabet)
     structure = {}
     for q in d.states:
-        _, targets, parts = step(q)
-        structure[q] = _dfa_value(parts, targets)
+        move = step(q)
+        structure[q] = value(move, move[1])
     return PointedCoalgebra._trusted(dfa_functor(d.alphabet), d.states,
                                      structure, d.initial,
                                      FiniteSet._trusted(()))
@@ -129,27 +148,26 @@ def delta_star(d: PartialDFA, word) -> StateId | None:
 
 
 def _unfold(functor: FunctorExpr, states: FiniteSet, root: StateId,
-            step: Callable[[StateId], tuple[tuple[str, ...],
-                                            tuple[StateId, ...], object]],
-            max_len: int, sep: str,
-            build: Callable[[object, list[StateId]], FValue],
+            step: Callable[[StateId], Move], max_len: int, sep: str,
+            build: Callable[[Move, list[StateId]], FValue],
             collision: str) -> UnravelResult:
     """The tree of rooted paths, breadth-first in successor order.
 
-    `step(x)` gives the labels and the targets of x's successors, in order,
-    and the parts of the value of a path ending at x that depend on x alone;
-    it is called once per reachable state.  A path is named by its parent's
-    name, `sep` and its last label (`ε` for the root), so each name costs
-    its own length once.  `build(parts, kids)` gives the value of a closed
-    path from its state's parts and its children's names.  The tree is
+    `step(x)` gives x's move; it is called once per reachable state.  A
+    path is named by its parent's name, `sep` and its last label (`ε` for
+    the root), so each name costs its own length once.  The tree is
     complete when no cycle is reachable (one counting walk decides it, and
     its counts give the tree's size, checked against the guard first);
     otherwise paths of length max_len stay open, and the tree's size is
     predicted, and checked against the guard, before a path is named.
+    The walk gives the names, the projection and the frontier; the tree
+    waits for the first read of the result's `tree`, which gives each closed
+    path the value `build(move, kids)` from its state's move and its
+    children's names.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    moves = {}
+    moves: dict[StateId, Move] = {}
 
     def successors(x: StateId):
         move = moves[x] = step(x)
@@ -162,27 +180,39 @@ def _unfold(functor: FunctorExpr, states: FiniteSet, root: StateId,
     else:
         _tree_size(root, lambda x: zip(moves[x][1], repeat(1)), max_len)
     names, targets = ["ε"], [root]
-    structure: dict[StateId, FValue] = {}
     start, depth = 0, 0
     # the two lists grow in step behind the walk, one level at a time: a
     # breadth-first queue whose level [start:] is the open frontier at the end
     while start < len(names) and (complete or depth < max_len):
         end = len(names)
         for name, x in zip(names[start:end], targets[start:end]):
-            labels, ys, parts = moves[x]
+            labels, ys, _ = moves[x]
             prefix = name + sep if depth else ""
-            kids = [prefix + label for label in labels]
-            names += kids
+            names += [prefix + label for label in labels]
             targets += ys
-            structure[name] = build(parts, kids)
         start, depth = end, depth + 1
-    if len(set(names)) != len(names):
+    projected = dict(zip(names, targets))
+    if len(projected) != len(names):
         raise ShapeError(collision)
     carrier = FiniteSet._trusted(names)
-    tree = PointedCoalgebra._trusted(functor, carrier, structure, "ε",
-                                     FiniteSet._trusted(names[start:]))
-    projection = TotalMap._trusted(carrier, states, dict(zip(names, targets)))
-    return UnravelResult(tree, projection, complete, tree.frontier)
+    frontier = FiniteSet._trusted(names[start:])
+
+    def grow() -> PointedCoalgebra:
+        # the closed paths' children are the paths after the root, in the
+        # walk's order: each closed path's are the next len(labels) names
+        structure: dict[StateId, FValue] = {}
+        first = 1
+        for name, x in zip(names[:start], targets):
+            move = moves[x]
+            last = first + len(move[0])
+            structure[name] = build(move, names[first:last])
+            first = last
+        return PointedCoalgebra._trusted(functor, carrier, structure, "ε",
+                                         frontier)
+
+    return UnravelResult._deferred(
+        grow, TotalMap._trusted(carrier, states, projected), complete,
+        frontier)
 
 
 def defined_inputs(d: PartialDFA, max_len: int) -> UnravelResult:
@@ -192,11 +222,12 @@ def defined_inputs(d: PartialDFA, max_len: int) -> UnravelResult:
     initial state; otherwise truncated to length max_len, with every word of
     exactly that length left open.  Words are named by their letters, joined
     by `·` unless every letter is one character.  A word's value is its
-    state's value with the transitions pointed at the word's children.
+    state's value with the transitions pointed at the word's children; the
+    values are built when the result's `tree` is first read.
     """
     sep = "" if all(len(a) == 1 for a in d.alphabet) else "·"
     return _unfold(dfa_functor(d.alphabet), d.states, d.initial,
-                   _dfa_step(d), max_len, sep, _dfa_value,
+                   _dfa_step(d), max_len, sep, _dfa_values(d.alphabet),
                    "word names collide; rename the alphabet letters")
 
 
@@ -206,13 +237,12 @@ def rooted_paths(g: Multigraph, max_len: int) -> UnravelResult:
 
     Complete iff the root-reachable part is acyclic; otherwise truncated to
     max_len edges with the longest paths left open.  Paths are named by
-    their edge ids joined by `·`.
+    their edge ids joined by `·`.  The values are built when the result's
+    `tree` is first read.
     """
-    def step(v: StateId):
+    def step(v: StateId) -> Move:
         out = g.out_edges(v)
         return tuple(e.id for e in out), tuple(e.tgt for e in out), None
 
     return _unfold(Bag(), g.vertices, g.root, step, max_len, "·",
-                   lambda _, kids: BagVal._trusted(tuple(zip(kids,
-                                                             repeat(1)))),
-                   "path names collide; rename the edge ids")
+                   _path_value, "path names collide; rename the edge ids")

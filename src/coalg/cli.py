@@ -22,7 +22,8 @@ from .oracles import (bfs_reachable, reachable_by_definition,
                       tree_refute_by_definition)
 from .reachability import is_reachable, reach_levels, reachable_part
 from .specfile import emit_spec, parse_spec
-from .unravelling import copy_counts, tree_check, tree_unravelling, unravel
+from .unravelling import (UnravelResult, copy_counts, tree_check,
+                          tree_unravelling, unravel)
 
 
 def _load(path: str):
@@ -62,12 +63,14 @@ def _write_listing(header: str, projection: TotalMap) -> None:
         f"  {x} -> {y}\n" for x, y in projection.items()]))
 
 
-def _write_tree(args, tree: PointedCoalgebra) -> None:
-    """The --emit spec file and the --dot rendering, where asked for."""
+def _write_tree(args, result: UnravelResult) -> None:
+    """The --emit spec file and the --dot rendering of the result's tree,
+    where asked for: only these read the tree (and so build a deferred
+    one's values)."""
     if args.emit:
-        _write(args.emit, emit_spec(tree))
+        _write(args.emit, emit_spec(result.tree))
     if args.dot:
-        _write(args.dot, to_dot(tree))
+        _write(args.dot, to_dot(result.tree))
 
 
 def _max_len(args, size: int) -> int:
@@ -150,7 +153,7 @@ def cmd_unravel(args) -> int:
         print(f"frontier: {_braces(result.frontier)}")
     if result.complete and all(n == 1 for n in counts.values()):
         print("note: input is already a tree")
-    _write_tree(args, result.tree)
+    _write_tree(args, result)
     return 0
 
 
@@ -162,9 +165,9 @@ def cmd_dfa_inputs(args) -> int:
     result = defined_inputs(obj, maxlen)
     print(f"complete: {'true' if result.complete else 'false'}"
           + ("" if result.complete else f" (maxlen {maxlen})"))
-    print(f"P = {_braces(result.tree.carrier)}")
+    print(f"P = {_braces(result.projection.domain)}")
     _write_listing("delta*:", result.projection)
-    _write_tree(args, result.tree)
+    _write_tree(args, result)
     return 0
 
 
@@ -176,11 +179,11 @@ def cmd_paths(args) -> int:
     result = rooted_paths(obj, maxlen)
     print(f"complete: {'true' if result.complete else 'false'}"
           + ("" if result.complete else f" (maxlen {maxlen})"))
-    print(f"{len(result.tree.carrier)} rooted paths")
+    print(f"{len(result.projection.domain)} rooted paths")
     counts = copy_counts(result.projection)
     print("targets: " + ", ".join(f"{v}={n}" for v, n in counts.items()))
     _write_listing("t:", result.projection)
-    _write_tree(args, result.tree)
+    _write_tree(args, result)
     return 0
 
 

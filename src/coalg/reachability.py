@@ -137,5 +137,7 @@ def reachable_part(c: PointedCoalgebra) -> ReachablePart:
 
 
 def is_reachable(c: PointedCoalgebra) -> bool:
-    """The union of the levels is the carrier; nothing is restricted."""
-    return len(reach_levels(c).union()) == len(c.carrier)
+    """The union of the levels is the carrier; nothing is restricted.  The
+    levels' states are all in the carrier, so it is enough to count the
+    distinct ones, without building the union as a carrier."""
+    return len(set().union(*reach_levels(c).levels)) == len(c.carrier)

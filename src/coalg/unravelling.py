@@ -44,7 +44,7 @@ edges; the truncated word and path trees of `coalg.automata` use it too.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 
 from .base import (FiniteSet, Record, SearchSpaceTooLarge, ShapeError,
                    StateId, TotalMap, _guard, fresh_namer)
@@ -84,11 +84,48 @@ class TreeLevels(Record):
 
 
 class UnravelResult(Record):
-    __slots__ = ("tree", "projection", "complete", "frontier")
+    """An unravelling: the tree, its projection onto the input, whether it
+    is complete, and its frontier.
+
+    A result made by `_deferred` holds, in place of its tree, the function
+    that builds it: the first read of `tree` calls that function once and
+    keeps the tree it gives.  The word and path trees of `coalg.automata`
+    are made so, and their listings read the projection alone, so a listing
+    costs the tree's names and never its values.  The function is not a
+    field: a deferred result compares, prints, copies and pickles as the
+    result built with its tree, and each of these reads the tree.
+    """
+
+    # `_grow` (the deferred tree's builder, until the first read) is not a
+    # field
+    __slots__ = ("tree", "projection", "complete", "frontier", "_grow")
 
     def __init__(self, tree: PointedCoalgebra, projection: TotalMap,
                  complete: bool, frontier: FiniteSet):
         Record.__init__(self, tree, projection, complete, frontier)
+
+    @classmethod
+    def _deferred(cls, grow: Callable[[], PointedCoalgebra],
+                  projection: TotalMap, complete: bool,
+                  frontier: FiniteSet) -> "UnravelResult":
+        """The result whose tree is `grow()`, called on the first read of
+        `tree`; `projection.domain` is the tree's carrier and `frontier` its
+        frontier."""
+        r = cls.__new__(cls)
+        for name, value in (("projection", projection), ("complete", complete),
+                            ("frontier", frontier), ("_grow", grow)):
+            object.__setattr__(r, name, value)
+        return r
+
+    def __getattr__(self, name: str):
+        # reached only when a slot is unset: `tree` on a deferred result
+        if name != "tree":
+            raise AttributeError(f"{type(self).__name__!r} object has no "
+                                 f"attribute {name!r}")
+        tree = self._grow()
+        object.__setattr__(self, "tree", tree)
+        object.__delattr__(self, "_grow")
+        return tree
 
 
 class TreeReport(Record):
