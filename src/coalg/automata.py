@@ -23,16 +23,21 @@ of the paths and their targets costs time linear in the total length of the
 names it writes.  The paths' values are the tree's business alone: they are
 built when the result's `tree` is first read (see
 `unravelling.UnravelResult`), one value per closed path, and never for a
-listing.  The automaton or graph was validated when it was built, and the
-names are checked for collisions once, so both trees, their values and
-projections are built with the unchecked `_trusted` constructors (see
+listing.  Until then a deferred tree holds each path's name once, as a key
+of the projection's dict, which is also the dict of the tree's carrier; a
+second dict of the open paths, for the frontier; and one move per reachable
+state.  The walk's own lists of names and targets are not kept: the tree's
+values are built from the projection's dict, which lists the paths in the
+walk's order.  The automaton or graph was validated when it was built,
+and the names are checked for collisions once, so both trees, their values
+and projections are built with the unchecked `_trusted` constructors (see
 `coalg.base`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
-from itertools import repeat
+from itertools import islice, repeat
 
 from .base import FiniteSet, Record, ShapeError, StateId, TotalMap
 from .coalgebra import Multigraph, PointedCoalgebra, _root_paths
@@ -130,7 +135,7 @@ def dfa_to_coalgebra(d: PartialDFA) -> PointedCoalgebra:
         structure[q] = value(move, move[1])
     return PointedCoalgebra._trusted(dfa_functor(d.alphabet), d.states,
                                      structure, d.initial,
-                                     FiniteSet._trusted(()))
+                                     FiniteSet._trusted({}))
 
 
 def delta_star(d: PartialDFA, word) -> StateId | None:
@@ -194,19 +199,18 @@ def _unfold(functor: FunctorExpr, states: FiniteSet, root: StateId,
     projected = dict(zip(names, targets))
     if len(projected) != len(names):
         raise ShapeError(collision)
-    carrier = FiniteSet._trusted(names)
-    frontier = FiniteSet._trusted(names[start:])
+    carrier = FiniteSet._trusted(projected)
+    frontier = FiniteSet._trusted(dict.fromkeys(islice(names, start, None)))
 
     def grow() -> PointedCoalgebra:
-        # the closed paths' children are the paths after the root, in the
-        # walk's order: each closed path's are the next len(labels) names
+        # the projection's dict lists the paths in the walk's order, and the
+        # closed paths' children are the paths after the root: each closed
+        # path's are the next len(labels) of them
         structure: dict[StateId, FValue] = {}
-        first = 1
-        for name, x in zip(names[:start], targets):
+        kids = islice(projected, 1, None)
+        for name, x in islice(projected.items(), start):
             move = moves[x]
-            last = first + len(move[0])
-            structure[name] = build(move, names[first:last])
-            first = last
+            structure[name] = build(move, list(islice(kids, len(move[0]))))
         return PointedCoalgebra._trusted(functor, carrier, structure, "ε",
                                          frontier)
 

@@ -2,7 +2,9 @@
 
 State identifiers are plain strings.  Carriers are `FiniteSet`s: duplicate-free
 sequences with a fixed, deterministic iteration order (insertion order), so
-every construction downstream is reproducible byte for byte.
+every construction downstream is reproducible byte for byte.  A `FiniteSet`
+holds its elements once, as the keys of one insertion-ordered dict whose
+values it never reads.
 
 Validation happens once, at the boundary: `parse_spec` and the public
 constructors (`FiniteSet(...)`, `TotalMap(...)`, and `FMap(...)`,
@@ -12,7 +14,10 @@ private trusted constructor, `_trusted`, which sets the fields and checks
 nothing.  The library's own constructions use it
 for objects they derive from already validated ones; its caller guarantees
 the invariants, and a dict passed to it is not copied, so it must be freshly
-built and not shared.
+built and not shared, with one exception: `FiniteSet._trusted` may adopt the
+private mapping of the `TotalMap` whose domain the set is (a construction
+builds the carrier and its map onto C as one dict), since neither object
+ever writes to it.
 
 Records (values, functors, coalgebras and the results of the constructions)
 are immutable `__slots__` classes derived from `Record`, with explicit
@@ -135,65 +140,69 @@ class Record:
 
 
 class FiniteSet:
-    """An ordered finite set of state identifiers.
+    """An ordered finite set of state identifiers: the keys of one
+    insertion-ordered dict, `_keys`, whose values are never read.
 
     Equality and hashing are order-sensitive (it is a duplicate-free
-    sequence); use `as_set()` when only membership matters.
+    sequence, hashed as the tuple of its elements); use `as_set()` when only
+    membership matters.
     """
 
-    __slots__ = ("_elems", "_index")
+    __slots__ = ("_keys",)
 
     def __init__(self, elems: Iterable[StateId] = ()):
-        self._elems: tuple[StateId, ...] = tuple(elems)
-        self._index = {e: i for i, e in enumerate(self._elems)}
-        if len(self._index) != len(self._elems):
+        elems = tuple(elems)
+        self._keys: dict[StateId, object] = dict.fromkeys(elems)
+        if len(self._keys) != len(elems):
             seen: set[StateId] = set()
-            for e in self._elems:
+            for e in elems:
                 if e in seen:
                     raise ValueError(f"duplicate element {e!r} in finite set")
                 seen.add(e)
-        for e in self._elems:
+        for e in elems:
             if not isinstance(e, str) or not e:
                 raise ValueError(f"set elements must be non-empty strings, got {e!r}")
 
     @classmethod
-    def _trusted(cls, elems: Iterable[StateId]) -> "FiniteSet":
-        """Unchecked: the caller guarantees distinct non-empty strings."""
+    def _trusted(cls, keys: dict[StateId, object]) -> "FiniteSet":
+        """Unchecked and uncopied: the caller guarantees that the keys of
+        `keys` are non-empty strings, and that the dict is fresh or is the
+        private mapping of the `TotalMap` whose domain the set is.  Its
+        values are never read, and neither object writes to it."""
         s = cls.__new__(cls)
-        s._elems = tuple(elems)
-        s._index = {e: i for i, e in enumerate(s._elems)}
+        s._keys = keys
         return s
 
     def __iter__(self) -> Iterator[StateId]:
-        return iter(self._elems)
+        return iter(self._keys)
 
     def __len__(self) -> int:
-        return len(self._elems)
+        return len(self._keys)
 
     def __contains__(self, item: object) -> bool:
-        return item in self._index
+        return item in self._keys
 
     def __getitem__(self, i: int) -> StateId:
-        return self._elems[i]
+        return tuple(self._keys)[i]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteSet):
             return NotImplemented
-        return self._elems == other._elems
+        return tuple(self._keys) == tuple(other._keys)
 
     def __hash__(self) -> int:
-        return hash(self._elems)
+        return hash(tuple(self._keys))
 
     def __repr__(self) -> str:
-        return "FiniteSet(" + ", ".join(self._elems) + ")"
+        return "FiniteSet(" + ", ".join(self._keys) + ")"
 
     def as_set(self) -> frozenset[StateId]:
-        return frozenset(self._elems)
+        return frozenset(self._keys)
 
     def union(self, *others: Iterable[StateId]) -> "FiniteSet":
         """Order-preserving union in one pass: self first, then the unseen
         elements of each other in turn."""
-        return FiniteSet(dict.fromkeys(chain(self._elems, *others)))
+        return FiniteSet(dict.fromkeys(chain(self._keys, *others)))
 
 
 class TotalMap:
@@ -237,20 +246,14 @@ class TotalMap:
         return self._mapping[x]
 
     def items(self):
-        return ((x, self._mapping[x]) for x in self.domain)
+        return zip(self.domain, map(self._mapping.__getitem__, self.domain))
 
     def mapping(self) -> dict[StateId, StateId]:
         return {x: self._mapping[x] for x in self.domain}
 
     def image(self) -> FiniteSet:
-        out: list[StateId] = []
-        seen: set[StateId] = set()
-        for x in self.domain:
-            y = self._mapping[x]
-            if y not in seen:
-                seen.add(y)
-                out.append(y)
-        return FiniteSet(out)
+        return FiniteSet(dict.fromkeys(map(self._mapping.__getitem__,
+                                           self.domain)))
 
     def is_injective(self) -> bool:
         return len(self.image()) == len(self.domain)

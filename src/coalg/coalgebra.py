@@ -28,13 +28,12 @@ and pickles do not see them, and a copy starts without them.
 `_root_paths` is the one rooted walk that counts paths without building
 them: the tree decision, and the DFA, multigraph and coalgebra unfoldings
 before they build a complete tree, read reachability, acyclicity and the
-size of the tree from it.
+size of the tree from it, and `reachable_subgraph` reads its vertices.
 """
 
 from __future__ import annotations
 
 import graphlib
-from collections import deque
 from collections.abc import Callable, Iterable, Mapping
 
 from .base import FiniteSet, Record, ShapeError, StateId, TotalMap
@@ -309,7 +308,7 @@ def multigraph_to_bag(g: Multigraph) -> PointedCoalgebra:
     structure = {u: BagVal((e.tgt, 1) for e in g.out_edges(u))
                  for u in g.vertices}
     return PointedCoalgebra._trusted(Bag(), g.vertices, structure, g.root,
-                                     FiniteSet._trusted(()))
+                                     FiniteSet._trusted({}))
 
 
 def is_acyclic(g: Multigraph) -> bool:
@@ -326,14 +325,8 @@ def is_acyclic(g: Multigraph) -> bool:
 def reachable_subgraph(g: Multigraph) -> Multigraph:
     """Induced subgraph on the root-reachable vertices, in breadth-first
     discovery order."""
-    order = [g.root]
-    seen = {g.root}
-    queue = deque([g.root])
-    while queue:
-        for e in g.out_edges(queue.popleft()):
-            if e.tgt not in seen:
-                seen.add(e.tgt)
-                order.append(e.tgt)
-                queue.append(e.tgt)
+    order, _ = _root_paths(
+        g.root, lambda v: ((e.tgt, 1) for e in g.out_edges(v)))
+    seen = dict.fromkeys(order)
     edges = tuple(e for e in g.edges if e.src in seen)
-    return Multigraph._trusted(FiniteSet._trusted(order), edges, g.root)
+    return Multigraph._trusted(FiniteSet._trusted(seen), edges, g.root)

@@ -119,10 +119,12 @@ def least_bound(f: FMap,
         rows = map(f.functor.slots, map(f.values.__getitem__, f.domain))
     else:
         rows = map(edges, f.domain)
-    sub = FiniteSet._trusted(dict.fromkeys(
-        map(itemgetter(0), chain.from_iterable(rows))))
+    used = dict.fromkeys(map(itemgetter(0), chain.from_iterable(rows)))
+    # the sub-carrier is m's domain: it holds m's dict
+    inclusion = dict(zip(used, used))
+    sub = FiniteSet._trusted(inclusion)
     g = FMap._trusted(f.domain, sub, f.functor, dict(f.values))
-    m = TotalMap._trusted(sub, f.codomain, dict(zip(sub, sub)))
+    m = TotalMap._trusted(sub, f.codomain, inclusion)
     return LeastBound(sub, g, m)
 
 
@@ -152,6 +154,7 @@ def precise_factorize(f: FMap,
         return r
 
     new_values = f.functor.factor([(x, f.values[x]) for x in f.domain], emit)
+    # the middle is h's domain: it holds h's dict
     middle = FiniteSet._trusted(h_map)
     p = FMap._trusted(f.domain, middle, f.functor,
                       dict(zip(f.domain, new_values)))

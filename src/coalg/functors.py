@@ -38,7 +38,7 @@ from typing import Union
 
 from .base import (CoalgebraError, FiniteSet, FunctorSyntaxError, NotIsomorphic,
                    PowNotPrecise, Record, SearchSpaceTooLarge, ShapeError,
-                   SpecFormatError, StateId, TotalMap, _guard)
+                   SpecFormatError, StateId, _guard)
 
 BOTTOM = "⊥"
 
@@ -199,13 +199,7 @@ class SetVal(Record):
     __slots__ = ("members",)
 
     def __init__(self, members: Iterable[Member] = ()):
-        out: list[Member] = []
-        seen: set[Member] = set()
-        for m in members:
-            if m not in seen:
-                seen.add(m)
-                out.append(m)
-        _set(self, "members", tuple(out))
+        _set(self, "members", tuple(dict.fromkeys(members)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SetVal):
@@ -755,23 +749,19 @@ class Pow(FunctorExpr):
 
 def used_states(functor: FunctorExpr, value: FValue) -> FiniteSet:
     """States that actually occur in the value, in first-occurrence order."""
-    out: list[StateId] = []
-    seen: set[StateId] = set()
-    for m, _ in functor.slots(value):
+    members = dict.fromkeys(m for m, _ in functor.slots(value))
+    for m in members:
         if not isinstance(m, str):
             raise ShapeError(f"bottom member is not a state id: {m!r}")
-        if m not in seen:
-            seen.add(m)
-            out.append(m)
-    return FiniteSet(out)
+    return FiniteSet(members)
 
 
 def fmap(functor: FunctorExpr, h, value: FValue) -> FValue:
     """Apply the functor to a carrier relabelling.
 
-    `h` may be a TotalMap, a mapping, or a callable on state ids.
+    `h` may be a mapping, or a callable on state ids such as a TotalMap.
     """
-    hf = h.__getitem__ if isinstance(h, (TotalMap, Mapping)) else h
+    hf = h.__getitem__ if isinstance(h, Mapping) else h
 
     def rename(m: Member) -> Member:
         if not isinstance(m, str):

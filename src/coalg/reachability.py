@@ -60,7 +60,8 @@ class LevelSequence(Record):
 
 
 class ReachablePart(Record):
-    """The union of levels together with the restricted structure."""
+    """The union of levels together with the restricted structure, which
+    is the structure of the restricted coalgebra: one dict, held by both."""
 
     __slots__ = ("sub", "structure", "embedding", "point", "coalgebra")
 
@@ -90,7 +91,8 @@ def _iterate(c: PointedCoalgebra, h0: TotalMap,
     while max_depth is None or len(step_maps) < max_depth:
         cur = h.domain
         if len(frontier):
-            cur = FiniteSet._trusted(x for x in cur if h[x] not in frontier)
+            cur = FiniteSet._trusted(
+                dict.fromkeys(x for x in cur if h[x] not in frontier))
         f = FMap._trusted(cur, c.carrier, c.functor,
                           {x: structure[h[x]] for x in cur})
         middle, p, h = factor(f, len(maps))
@@ -116,10 +118,10 @@ def reach_levels(c: PointedCoalgebra) -> LevelSequence:
         return c._levels
     except AttributeError:
         pass
-    point = FiniteSet._trusted((c.point,))
+    point = {c.point: c.point}
     edges = c.successor_table().__getitem__
     levels, step_maps, inclusions = _iterate(
-        c, TotalMap._trusted(point, c.carrier, {c.point: c.point}),
+        c, TotalMap._trusted(FiniteSet._trusted(point), c.carrier, point),
         lambda f, k: least_bound(f, edges).parts())
     seq = LevelSequence(levels, inclusions, step_maps)
     object.__setattr__(c, "_levels", seq)
@@ -131,8 +133,8 @@ def reachable_part(c: PointedCoalgebra) -> ReachablePart:
     structure = {x: c.structure[x] for x in sub if x not in c.frontier}
     embedding = TotalMap._trusted(sub, c.carrier, dict(zip(sub, sub)))
     restricted = PointedCoalgebra._trusted(
-        c.functor, sub, dict(structure), c.point,
-        FiniteSet._trusted(x for x in sub if x in c.frontier))
+        c.functor, sub, structure, c.point,
+        FiniteSet._trusted(dict.fromkeys(x for x in sub if x in c.frontier)))
     return ReachablePart(sub, structure, embedding, c.point, restricted)
 
 

@@ -74,13 +74,13 @@ class TreeLevels(Record):
         return FiniteSet().union(*self.levels)
 
     def projection(self) -> TotalMap:
-        """The combined map [h_k] from the coproduct of levels."""
-        target = self.projections[0].codomain
-        mapping = {}
+        """The combined map [h_k] from the coproduct of levels, whose
+        domain, the coproduct's carrier, holds its mapping's dict."""
+        mapping: dict[StateId, StateId] = {}
         for h in self.projections:
-            for x in h.domain:
-                mapping[x] = h[x]
-        return TotalMap._trusted(self.states(), target, mapping)
+            mapping.update(h.items())
+        return TotalMap._trusted(FiniteSet._trusted(mapping),
+                                 self.projections[0].codomain, mapping)
 
 
 class UnravelResult(Record):
@@ -205,9 +205,10 @@ def tree_levels(c: PointedCoalgebra, max_depth: int) -> TreeLevels:
         tag = f"{k}:"
         return precise_factorize(f, lambda prefix, y: alloc(tag + y)).parts()
 
+    h0 = {root: c.point}
     levels, step_maps, projections = _iterate(
-        c, TotalMap._trusted(FiniteSet._trusted((root,)), c.carrier,
-                             {root: c.point}), factor, max_depth)
+        c, TotalMap._trusted(FiniteSet._trusted(h0), c.carrier, h0), factor,
+        max_depth)
     return TreeLevels(levels, step_maps, projections,
                       truncated=len(levels[-1]) > 0)
 
@@ -219,16 +220,16 @@ def unravel(c: PointedCoalgebra, max_depth: int) -> UnravelResult:
     states stay open even if their structure would still be expressible.
     """
     tl = tree_levels(c, max_depth)
-    states = tl.states()
+    projection = tl.projection()
     structure: dict[StateId, FValue] = {}
     for t in tl.step_maps:
         for x, v in t.items():
             structure[x] = v
     frontier = tl.levels[-1] if tl.truncated else FiniteSet()
     root = next(iter(tl.levels[0]))
-    tree = PointedCoalgebra._trusted(c.functor, states, structure, root,
-                                     frontier)
-    return UnravelResult(tree, tl.projection(), not tl.truncated, frontier)
+    tree = PointedCoalgebra._trusted(c.functor, projection.domain, structure,
+                                     root, frontier)
+    return UnravelResult(tree, projection, not tl.truncated, frontier)
 
 
 def tree_check(c: PointedCoalgebra) -> TreeReport:

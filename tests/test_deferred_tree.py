@@ -9,6 +9,7 @@ from __future__ import annotations
 import copy
 import pickle
 import random
+import tracemalloc
 
 import pytest
 
@@ -21,6 +22,10 @@ from conftest import fixture_path, load_fixture
 import generators
 
 LOOPS = "kind: multigraph\nvertices: p\nroot: p\nedge e1 p p\nedge e2 p p\n"
+# a looping two-letter, three-state automaton: every word is defined
+LOOP3 = ("kind: dfa\nalphabet: a, b\nstates: q0, q1, q2\ninitial: q0\n"
+         "accepting: q2\ntrans q0 a q1\ntrans q0 b q2\ntrans q1 a q2\n"
+         "trans q1 b q0\ntrans q2 a q0\ntrans q2 b q2\n")
 
 
 @pytest.fixture
@@ -125,3 +130,18 @@ def test_deferred_results_agree_with_eager_ones():
             assert type(again) is UnravelResult and again == eager
             assert again.tree.structure == eager.tree.structure
         assert pickle.dumps(unfold(obj, max_len)) == pickle.dumps(eager)
+
+
+def test_a_deferred_word_tree_holds_at_most_160_bytes_per_word():
+    # the names, the projection and the frontier, and nothing of the walk
+    d = parse_spec(LOOP3)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = defined_inputs(d, 14)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    words = len(result.projection.domain)
+    assert words == 2 ** 15 - 1
+    assert held / words <= 160

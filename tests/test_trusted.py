@@ -9,6 +9,8 @@ in the same stored form."""
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 from coalg import (
@@ -37,8 +39,27 @@ import generators
 
 
 def check_set(s: FiniteSet) -> None:
-    again = FiniteSet(s._elems)
-    assert again == s and again._index == s._index
+    again = FiniteSet(tuple(s._keys))
+    assert again == s and list(again._keys) == list(s._keys)
+
+
+def test_a_trusted_set_behaves_by_its_keys_alone():
+    # the dict a set adopts may be a map's, whose values are images
+    keys = {"b": "x", "a": "x", "c": None}
+    s = FiniteSet._trusted(keys)
+    plain = FiniteSet(["b", "a", "c"])
+    assert s == plain and hash(s) == hash(plain) == hash(("b", "a", "c"))
+    assert s != FiniteSet(["a", "b", "c"])
+    assert repr(s) == repr(plain) == "FiniteSet(b, a, c)"
+    assert s.as_set() == frozenset("abc")
+    assert [s[0], s[1], s[-1]] == ["b", "a", "c"]
+    assert list(s) == ["b", "a", "c"] and len(s) == 3 and "a" in s
+    assert "x" not in s
+    for again in (copy.copy(s), copy.deepcopy(s),
+                  pickle.loads(pickle.dumps(s))):
+        assert again == s and hash(again) == hash(s)
+        assert repr(again) == repr(s) and list(again._keys) == list(keys)
+    assert keys == {"b": "x", "a": "x", "c": None}
 
 
 def check_map(m: TotalMap) -> None:
