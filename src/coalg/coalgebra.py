@@ -74,6 +74,8 @@ class PointedCoalgebra(Record):
                 raise ShapeError(f"frontier state {x!r} not in carrier")
         structure = self.structure
         carrier, frontier = self.carrier.as_set(), self.frontier.as_set()
+        if not values and structure.keys() == carrier - frontier:
+            return  # every closed state has its entry, and no other state
         for x in self.carrier:
             if x in frontier:
                 continue

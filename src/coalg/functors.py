@@ -18,7 +18,8 @@ of the inner layer instead of state identifiers.
 Each constructor is one class that carries every operation the library runs
 on the grammar (see `FunctorExpr`): validation, the action on members, slot
 traversal, both factorization walks and the powerset test, fingerprints and
-the text syntax of its expressions and values.  Spec-file values are read
+the text syntax of its expressions and values.  Spec-file values written
+with bare names are read by one pattern per document (`reader`), any other
 from the tokens of their line (`Cursor`); functor expressions are read one
 character at a time (`_ExprCursor`).  Composite constructors recurse into
 their parts; `Compose` runs the outer operation with the inner one applied
@@ -33,7 +34,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from itertools import repeat
+from itertools import accumulate, chain, islice, repeat
 from typing import Union
 
 from .base import (CoalgebraError, FiniteSet, FunctorSyntaxError, NotIsomorphic,
@@ -44,6 +45,9 @@ BOTTOM = "⊥"
 
 # characters that force a name in spec-file values into double quotes
 RESERVED = set(' \t\r\n"#@(){}[]|*:,=')
+# a bare name in a spec-file line, and the group `reader` takes it as
+BARE = "[^%s]+" % re.escape("".join(sorted(RESERVED)))
+NAME = f"({BARE})[ \t]*"
 # characters that end a bare name in a functor set literal
 _NAME_DELIMS = set(" \t\r\n,;()[]{}|*=")
 # deepest functor expression `parse_functor` accepts, counting both the nodes
@@ -72,37 +76,37 @@ Member = Union[StateId, "FValue"]
 
 
 # The value classes are built once per slot, so their constructors set
-# their fields directly instead of through Record.__init__.
-_set = object.__setattr__
+# their fields through the slot descriptors' `__set__` (the `_set_*` names
+# below the classes) instead of Record.__init__ or object.__setattr__.
 
 
 class IdVal(Record):
     __slots__ = ("member",)
 
     def __init__(self, member: Member):
-        _set(self, "member", member)
+        _set_member(self, member)
 
 
 class ConstVal(Record):
     __slots__ = ("element",)
 
     def __init__(self, element: StateId):
-        _set(self, "element", element)
+        _set_element(self, element)
 
 
 class TupleVal(Record):
     __slots__ = ("items",)
 
     def __init__(self, items: tuple["FValue", ...]):
-        _set(self, "items", items)
+        _set_items(self, items)
 
 
 class TagVal(Record):
     __slots__ = ("tag", "value")
 
     def __init__(self, tag: int, value: "FValue"):
-        _set(self, "tag", tag)
-        _set(self, "value", value)
+        _set_tag(self, tag)
+        _set_value(self, value)
 
 
 class FunVal(Record):
@@ -116,14 +120,14 @@ class FunVal(Record):
         index = dict(pairs)
         if len(index) != len(pairs):
             raise ValueError("duplicate letter in exponent value")
-        _set(self, "_index", index)
+        _set_index(self, index)
 
     @classmethod
     def _trusted(cls, index: dict[str, "FValue"]) -> "FunVal":
         """Unchecked and uncopied: the caller guarantees that `index` is a
         fresh dict from letters to values, in entry order."""
         v = cls.__new__(cls)
-        _set(v, "_index", index)
+        _set_index(v, index)
         return v
 
     @property
@@ -168,14 +172,14 @@ class BagVal(Record):
             old = merged.setdefault(m, n)
             if len(merged) == size:
                 merged[m] = old + n
-        _set(self, "entries", tuple(merged.items()))
+        _set_entries(self, tuple(merged.items()))
 
     @classmethod
     def _trusted(cls, entries: tuple[tuple[Member, int], ...]) -> "BagVal":
         """Unchecked: the caller guarantees distinct members with positive
         multiplicities, the stored form the constructor would give."""
         v = cls.__new__(cls)
-        _set(v, "entries", entries)
+        _set_entries(v, entries)
         return v
 
     def multiplicity(self, m: Member) -> int:
@@ -199,7 +203,7 @@ class SetVal(Record):
     __slots__ = ("members",)
 
     def __init__(self, members: Iterable[Member] = ()):
-        _set(self, "members", tuple(dict.fromkeys(members)))
+        _set_members(self, tuple(dict.fromkeys(members)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SetVal):
@@ -211,6 +215,11 @@ class SetVal(Record):
 
 
 FValue = Union[IdVal, ConstVal, TupleVal, TagVal, FunVal, BagVal, SetVal]
+_set_member, _set_element, _set_items = (
+    IdVal.member.__set__, ConstVal.element.__set__, TupleVal.items.__set__)
+_set_tag, _set_value, _set_index = (
+    TagVal.tag.__set__, TagVal.value.__set__, FunVal._index.__set__)
+_set_entries, _set_members = BagVal.entries.__set__, SetVal.members.__set__
 
 # --------------------------------------------------------------------------
 # functor expressions
@@ -234,7 +243,11 @@ class FunctorExpr(Record):
       decided without expanding bag multiplicities;
     pair(va, vb, img_a, img_b): matched slots of two values with equal images;
     fingerprint(value, leaf): name-free canonical text;
-    parse(cur, member) / show(value, member): spec-file value syntax.
+    parse(cur, member) / show(value, member): spec-file value syntax;
+    reader(member): for values written with bare names only, a pattern
+      (with the spaces and tabs after a value), its number of groups, and
+      `build(columns)`, the values of many matches from one column per
+      group; None leaves the values to `parse` (see `specfile`).
     Members are state ids, or inner values under composition.  `validate`
     and `map` check each node's value class, product arity and coproduct
     tag; the other operations take values that `validate` accepted.
@@ -265,6 +278,9 @@ class FunctorExpr(Record):
     def slots(self, value: FValue) -> Iterator[tuple[Member, int]]:
         self.validate(value, lambda m, path: None, "value")
         return iter(self.edges(value))
+
+    def reader(self, member):
+        return None
 
 
 def _pair_by_image(ms_a, ms_b, img_a, img_b) -> Iterator[tuple[Member, Member]]:
@@ -314,6 +330,11 @@ class Identity(FunctorExpr):
     def parse(self, cur, member):
         cur.take("@")
         return IdVal(member(cur))
+
+    def reader(self, member):
+        pat, n, build = member
+        return "@[ \t]*" + pat, n, lambda cols: _made(IdVal, _set_member,
+                                                      build(cols))
 
     def show(self, value, member):
         return "@" + member(value.member)
@@ -369,6 +390,10 @@ class Const(FunctorExpr):
             # so that the caller's validation reports it (see Cursor)
             cur.outside = True
         return ConstVal(element)
+
+    def reader(self, member):
+        return "#[ \t]*" + NAME, 1, lambda cols: _made(
+            ConstVal, _set_element, _within(cols[0], self.values))
 
     def show(self, value, member):
         return "#" + quote_name(value.element)
@@ -434,6 +459,15 @@ class Product(FunctorExpr):
             items.append(g.parse(cur, member))
         cur.take(")")
         return TupleVal(tuple(items))
+
+    def reader(self, member):
+        parts = [g.reader(member) for g in self.factors]
+        if None not in parts:
+            ends = list(accumulate(n for _, n, _ in parts))
+            pat = r"\([ \t]*" + ",[ \t]*".join(p for p, _, _ in parts)
+            return pat + r"\)[ \t]*", ends[-1], lambda cols: _made(
+                TupleVal, _set_items, list(zip(
+                    *[b(cols[e - n:e]) for (_, n, b), e in zip(parts, ends)])))
 
     def show(self, value, member):
         return "(" + ", ".join(g.show(v, member) for g, v in
@@ -638,6 +672,11 @@ class Compose(FunctorExpr):
     def parse(self, cur, member):
         return self.outer.parse(cur, lambda c: self.inner.parse(c, member))
 
+    def reader(self, member):
+        inner = self.inner.reader(member)  # no listing inside a listing
+        if inner and not (_lists(self.outer) and _lists(self.inner)):
+            return self.outer.reader(inner)
+
     def show(self, value, member):
         return self.outer.show(value, lambda m: self.inner.show(m, member))
 
@@ -691,6 +730,9 @@ class Bag(FunctorExpr):
             entries.append((m, cur.integer() if cur.skip("*") else 1))
         return BagVal(entries)
 
+    def reader(self, member):
+        return _listing(member, r"\[", "]", "", r"(?:\*[ \t]*([0-9]+)[ \t]*)?")
+
     def show(self, value, member):
         return "[" + ", ".join(f"{member(m)}*{n}" for m, n in value.entries) + "]"
 
@@ -739,8 +781,80 @@ class Pow(FunctorExpr):
         cur.take("}")
         return SetVal(members)
 
+    def reader(self, member):
+        return _listing(member, r"\{[ \t]*\|", "|", r"[ \t]*\}", "")
+
     def show(self, value, member):
         return "{|" + ", ".join(member(m) for m in value.members) + "|}"
+
+
+def _lists(f: FunctorExpr) -> bool:
+    return isinstance(f, (Bag, Pow)) or any(map(_lists, f.children()))
+
+
+def _within(names, known):
+    """`names`, when `known` holds each of them; else KeyError, which leaves
+    the line to `parse`."""
+    if all(map(known.__contains__, set(names))):
+        return names
+    raise KeyError(names)
+
+
+def _listing(member, opening: str, stop: str, closing: str, count: str):
+    """`reader` of a bag (with a `count` group) or powerset: its group takes
+    a listing up to `stop`, which `findall` splits into items (with comma,
+    groups, multiplicity) that cover it exactly when it is written right.
+    Equal items are equal values and share one member: a listing that
+    repeats one is left to `parse`, so that no value is hashed to merge or
+    collapse them."""
+    pat, n, build = member
+    end = re.escape(stop)
+    items = re.compile(f"({pat}{count}(?:,[ \t]*(?!{end})|(?={end})))").findall
+    made = {}
+
+    def read(cols):
+        found = list(map(items, cols[0]))
+        whole, *groups = list(zip(*chain.from_iterable(found))) or [()] * (n + 2)
+        if sum(map(len, whole)) + len(found) != sum(map(len, cols[0])):
+            raise ValueError("a listing for `parse`")
+        if n == 1:
+            keys, members = groups[0], build(groups[:1])
+        else:
+            keys = list(zip(*groups[:n]))
+            new = [k for k in dict.fromkeys(keys) if k not in made]
+            made.update(zip(new, build(list(zip(*new))) if new else ()))
+            members = list(map(made.__getitem__, keys))
+        sizes = list(map(len, found))
+        if sum(map(len, map(set, _pieces(keys, sizes)))) < len(keys):
+            raise ValueError("a listing repeats an item")
+        if not count:
+            return _made(SetVal, _set_members,
+                         list(map(tuple, _pieces(members, sizes))))
+        counts = list(map(_COUNTS.get, groups[n]))
+        if None in counts:
+            counts = [int(t) if t else 1 for t in groups[n]]
+        if 0 in counts:
+            raise ValueError("*0")  # `parse` drops the entry
+        return _made(BagVal, _set_entries, list(map(
+            tuple, _pieces(zip(members, counts), sizes))))
+    return f"{opening}[ \t]*([^{end}]*{end}){closing}[ \t]*", 1, read
+
+
+# the multiplicities written most often, looked up instead of read by `int`
+_COUNTS = {str(k) if k else "": k or 1 for k in range(100)}
+
+
+def _made(cls, setter, fields):
+    """One record of `cls` per field value, made without a Python call each
+    (`any` runs the slot setter, which returns None, over them all)."""
+    out = list(map(cls.__new__, repeat(cls, len(fields))))
+    any(map(setter, out, fields))
+    return out
+
+
+def _pieces(items, sizes):
+    """`items` cut into consecutive iterators of `sizes` items."""
+    return map(islice, repeat(iter(items)), sizes)
 
 
 # --------------------------------------------------------------------------
@@ -803,15 +917,20 @@ class Cursor:
     Errors name the line `no`.  `outside` is set when a constant read from
     the line lies outside its set: `parse` reads the members of a value
     against the carrier and its shape against the functor, so this is the
-    one fault of a parsed value that `validate_value` would still find."""
+    one fault of a parsed value that `validate_value` would still find.
+    The split happens when the tokens are first read."""
 
     __slots__ = ("text", "toks", "i", "no", "outside")
 
     def __init__(self, text: str, no: int = 0):
         self.text, self.no, self.i = text, no, 0
         self.outside = False
-        self.toks = _TOKEN.findall(text)
-        self.toks.append("")
+
+    def __getattr__(self, name: str):  # the tokens, split on first use
+        if name != "toks":
+            raise AttributeError(name)
+        self.toks = _TOKEN.findall(self.text) + [""]
+        return self.toks
 
     def error(self, msg: str) -> CoalgebraError:
         return SpecFormatError(f"line {self.no}: {msg}")
@@ -884,8 +1003,7 @@ class Cursor:
 
 
 # the tokens of a spec-file line (see Cursor)
-_TOKEN = re.compile('"[^"]*"?|[^%s]+|[^ \t]'
-                    % re.escape("".join(sorted(RESERVED))))
+_TOKEN = re.compile('"[^"]*"?|%s|[^ \t]' % BARE)
 # tokens that cannot open a name: the end of the line, and every reserved
 # character but the double quote, which opens a quoted name
 _NOT_NAMES = frozenset(RESERVED - {'"'}) | {""}

@@ -129,9 +129,12 @@ def reach_levels(c: PointedCoalgebra) -> LevelSequence:
 
 
 def reachable_part(c: PointedCoalgebra) -> ReachablePart:
-    sub = reach_levels(c).union()
+    union = reach_levels(c).union()
+    # the part's carrier adopts its embedding's dict, as a least bound's does
+    inclusion = dict(zip(union, union))
+    sub = FiniteSet._trusted(inclusion)
     structure = {x: c.structure[x] for x in sub if x not in c.frontier}
-    embedding = TotalMap._trusted(sub, c.carrier, dict(zip(sub, sub)))
+    embedding = TotalMap._trusted(sub, c.carrier, inclusion)
     restricted = PointedCoalgebra._trusted(
         c.functor, sub, structure, c.point,
         FiniteSet._trusted(dict.fromkeys(x for x in sub if x in c.frontier)))

@@ -19,11 +19,18 @@ full-line only (`#` opens a constant inside values).  Names are bare unless
 they contain one of the reserved characters, in which case they are written
 in double quotes; quotes and line breaks cannot occur in names.
 
-Each line is read as tokens (see `functors.Cursor`): quoted names, bare
-names and single reserved characters.  Only spaces and tabs separate tokens
-in a spec line; other whitespace characters are part of a name, like
-letters.  The functor expression after `functor:` is read by its own parser,
-which accepts any whitespace between its tokens.
+A line's tokens (see `functors.Cursor`) are quoted names, bare names and
+single reserved characters.  Only spaces and tabs separate tokens in a spec
+line; other whitespace characters are part of a name, like letters.  The
+functor expression after `functor:` is read by its own parser, which
+accepts any whitespace between its tokens.
+
+Body lines written with bare names are read by one pattern per document:
+built from the functor (`FunctorExpr.reader`: Id, constants, products, Bag,
+Pow and their composites, but no listing inside a listing, coproduct or
+exponent), or fixed for `trans` and `edge` lines.  A line it does not match,
+or whose value fails a check, is read from its tokens, so every error and
+the one that wins are the tokens'.
 
 A coalgebra value is checked once, as it is read: its shape comes from the
 functor and each member is looked up in the carrier.  A constant outside its
@@ -36,14 +43,16 @@ carrier order, after every line has parsed.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import re
+from itertools import repeat
+from operator import itemgetter
 
 from .automata import PartialDFA
 from .base import FiniteSet, ShapeError, SpecFormatError, StateId
 from .coalgebra import Edge, Multigraph, PointedCoalgebra
-from .functors import (_NOT_NAMES, Cursor, FunctorExpr, FunctorSyntaxError,
-                       FValue, format_functor, parse_functor,
-                       quote_name as _quote)
+from .functors import (_NOT_NAMES, BARE, NAME, RESERVED, Cursor, FunctorExpr,
+                       FunctorSyntaxError, FValue, _within, format_functor,
+                       parse_functor, quote_name as _quote)
 
 _KEYS = frozenset(("kind", "functor", "states", "point", "open",
                    "alphabet", "initial", "accepting", "vertices", "root"))
@@ -63,6 +72,9 @@ class _Line(Cursor):
             raise self.error(f"unexpected trailing text {self.rest()!r}")
 
     def names_rest(self) -> list[StateId]:
+        names = [t.strip(" \t") for t in self.text.split(",")]
+        if self.i == 0 and all(names) and RESERVED.isdisjoint("".join(names)):
+            return names  # bare names only
         out = [self.name()]
         toks = self.toks
         while toks[self.i] == ",":
@@ -162,41 +174,32 @@ def emit_spec(obj) -> str:
 def parse_spec(text: str) -> PointedCoalgebra | PartialDFA | Multigraph:
     """Parse a spec document into the object its kind tag names."""
     keys: dict[str, _Line] = {}
-    body: list[_Line] = []
+    body: list[tuple[int, str]] = []
     for no, raw in enumerate(text.splitlines(), 1):
         stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
+        if not stripped or stripped[0] == "#":
             continue
-        cur = _Line(raw, no)
-        word, colon = cur.toks[0], cur.toks[1]
-        if colon == ":" and word in _KEYS:
-            cur.i = 2
+        word, _, rest = raw.partition(":") if ":" in raw else ("", "", "")
+        word = word.strip(" \t")
+        if word in _KEYS:
+            cur = _Line(rest, no)
             if word in keys:
                 raise cur.error(f"duplicate key {word!r}")
             keys[word] = cur
-            continue
-        if word in _NOT_NAMES:
-            cur.name()  # raises: no line opens with a reserved character
-        body.append(cur)
+        elif raw.lstrip(" \t")[0] in _NOT_NAMES:
+            # raises: no line opens with a reserved character
+            _Line(raw, no).name()
+        else:
+            body.append((no, raw))
 
     kind = keys.pop("kind").rest() if "kind" in keys else "coalgebra"
-    lines = _one_by_one(body)
     if kind == "coalgebra":
-        return _build_coalgebra(keys, lines)
+        return _build_coalgebra(keys, body)
     if kind == "dfa":
-        return _build_dfa(keys, lines)
+        return _build_dfa(keys, body)
     if kind == "multigraph":
-        return _build_multigraph(keys, lines)
+        return _build_multigraph(keys, body)
     raise SpecFormatError(f"unknown kind {kind!r}")
-
-
-def _one_by_one(body: list[_Line]) -> Iterator[_Line]:
-    """The body lines in order, each dropped from `body` as it is handed
-    out: a line's tokens are freed once it is read, while the values built
-    from them take their place."""
-    body.reverse()
-    while body:
-        yield body.pop()
 
 
 def _require(keys: dict[str, _Line], kind: str, needed: tuple[str, ...],
@@ -224,6 +227,7 @@ def _build_coalgebra(keys, body) -> PointedCoalgebra:
     keys["point"].expect_end()
     frontier = keys["open"].set_rest() if "open" in keys else FiniteSet()
     known = states.as_set()
+    read = _value_reader(functor, known) or (lambda lines: repeat((None, None)))
 
     def member(cur2: _Line) -> StateId:
         m = cur2.name()
@@ -233,7 +237,11 @@ def _build_coalgebra(keys, body) -> PointedCoalgebra:
 
     structure = {}
     outside = False
-    for cur in body:
+    for (no, raw), (x, value) in zip(body, read([raw for _, raw in body])):
+        if value is not None and x in known and x not in structure:
+            structure[x] = value
+            continue
+        cur = _Line(raw, no)
         x = cur.name()
         if x not in known:
             raise cur.error(f"structure for unknown state {x!r}")
@@ -254,6 +262,53 @@ def _build_coalgebra(keys, body) -> PointedCoalgebra:
     return c
 
 
+def _value_reader(functor: FunctorExpr, known: frozenset[StateId]):
+    """A function reading the (state, value) of each of a list of body lines
+    written with bare names only (`FunctorExpr.reader`), the value None for
+    a line left to the `Cursor` path; None when the functor declines."""
+    bare = functor.reader((NAME, 1, lambda cols: _within(cols[0], known)))
+    if bare is None:
+        return None
+    pattern, _, build = bare
+    line = re.compile(f"[ \t]*{NAME}=[ \t]*{pattern}").fullmatch
+
+    def values(rows):  # all at once; when a check fails, one at a time
+        try:
+            return build(list(zip(*rows))[1:])
+        except (KeyError, ValueError):
+            return [values([r])[0] for r in rows] if len(rows) > 1 else [None]
+
+    def read(lines: list[str]):
+        # in chunks, so that the garbage collector finds few objects alive
+        for start in range(0, len(lines), 64):
+            matches = list(map(line, lines[start:start + 64]))
+            rows = [m.groups() for m in matches if m]
+            made = zip(map(itemgetter(0), rows), values(rows) if rows else ())
+            if len(rows) == len(matches):
+                yield from made
+            else:
+                yield from [next(made) if m else (None, None) for m in matches]
+    return read
+
+
+def _triples(body, word: str, article: str):
+    """(line number, names) of each body line `word a b c`, read by one
+    pattern when the names are bare, else by the `Cursor` path."""
+    line = re.compile(f"[ \t]*{word}" + f"[ \t]+({BARE})" * 3 + "[ \t]*")
+    for no, raw in body:
+        m = line.fullmatch(raw)
+        if m:
+            yield no, m.groups()
+            continue
+        cur = _Line(raw, no)
+        found = cur.name()
+        if found != word:
+            raise cur.error(f"expected {article} {word!r} line, found {found!r}")
+        names = cur.name(), cur.name(), cur.name()
+        cur.expect_end()
+        yield no, names
+
+
 def _build_dfa(keys, body) -> PartialDFA:
     _require(keys, "dfa", ("alphabet", "states", "initial"), ("accepting",))
     alphabet = keys["alphabet"].set_rest()
@@ -262,14 +317,10 @@ def _build_dfa(keys, body) -> PartialDFA:
     keys["initial"].expect_end()
     accepting = keys["accepting"].names_rest() if "accepting" in keys else ()
     delta = {}
-    for cur in body:
-        word = cur.name()
-        if word != "trans":
-            raise cur.error(f"expected a 'trans' line, found {word!r}")
-        q, a, q2 = cur.name(), cur.name(), cur.name()
-        cur.expect_end()
+    for no, (q, a, q2) in _triples(body, "trans", "a"):
         if (q, a) in delta:
-            raise cur.error(f"duplicate transition {q!r} on {a!r}")
+            raise SpecFormatError(
+                f"line {no}: duplicate transition {q!r} on {a!r}")
         delta[(q, a)] = q2
     try:
         return PartialDFA(alphabet, states, accepting, delta, initial)
@@ -282,14 +333,7 @@ def _build_multigraph(keys, body) -> Multigraph:
     vertices = keys["vertices"].set_rest()
     root = keys["root"].name()
     keys["root"].expect_end()
-    edges = []
-    for cur in body:
-        word = cur.name()
-        if word != "edge":
-            raise cur.error(f"expected an 'edge' line, found {word!r}")
-        eid, src, tgt = cur.name(), cur.name(), cur.name()
-        cur.expect_end()
-        edges.append(Edge(eid, src, tgt))
+    edges = [Edge(*names) for _, names in _triples(body, "edge", "an")]
     try:
         return Multigraph(vertices, tuple(edges), root)
     except ShapeError as exc:

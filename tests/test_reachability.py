@@ -144,6 +144,21 @@ def test_reachable_part_is_a_subcoalgebra(two_tree_copies):
     assert is_reachable(part.coalgebra)
 
 
+def test_reachable_part_embeds_each_state_as_itself():
+    """The part's carrier and its embedding share one dict, which maps each
+    reached state to itself, in the order the levels reach them."""
+    rng = random.Random(16)
+    for _ in range(150):
+        c = generators.random_coalgebra(rng, open_states=True)
+        part = reachable_part(c)
+        assert part.embedding.domain is part.sub
+        assert part.embedding.mapping() == {x: x for x in part.sub}
+        assert part.embedding == TotalMap(part.sub, c.carrier,
+                                          dict(zip(part.sub, part.sub)))
+        assert list(part.sub) == list(dict.fromkeys(
+            x for level in reach_levels(c).levels for x in level))
+
+
 def test_open_states_have_no_successors():
     c = PointedCoalgebra(Identity(), FiniteSet(("p", "q")),
                          {"p": IdVal("q")}, "p", FiniteSet(("q",)))
