@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import chain, islice
 
 from .automata import (PartialDFA, defined_inputs, dfa_to_coalgebra,
                        rooted_paths)
@@ -22,8 +23,8 @@ from .oracles import (bfs_reachable, reachable_by_definition,
                       tree_refute_by_definition)
 from .reachability import is_reachable, reach_levels, reachable_part
 from .specfile import emit_spec, parse_spec
-from .unravelling import (UnravelResult, copy_counts, tree_check,
-                          tree_unravelling, unravel)
+from .unravelling import (UnravelResult, complete_counts, copy_counts,
+                          tree_check, tree_unravelling, unravel)
 
 
 def _load(path: str):
@@ -55,12 +56,19 @@ def _write(path: str, text: str) -> None:
     print(f"wrote {path}")
 
 
+def _write_chunks(pieces) -> None:
+    """Write the pieces 4,096 at a time: an unbuffered or line-buffered
+    stdout would make each line its own system call, and one write of the
+    whole would hold a second copy of every name."""
+    pieces = iter(pieces)
+    while chunk := "".join(islice(pieces, 4096)):
+        sys.stdout.write(chunk)
+
+
 def _write_listing(header: str, projection: TotalMap) -> None:
-    """The header line and one `  x -> h(x)` line per tree state, in one
-    write: an unbuffered or line-buffered stdout would make each line its
-    own system call."""
-    sys.stdout.write("".join([header + "\n"] + [
-        f"  {x} -> {y}\n" for x, y in projection.items()]))
+    """The header line and one `  x -> h(x)` line per tree state."""
+    _write_chunks(chain((header + "\n",), (
+        f"  {x} -> {y}\n" for x, y in projection.items())))
 
 
 def _write_tree(args, result: UnravelResult) -> None:
@@ -139,19 +147,27 @@ def cmd_is_tree(args) -> int:
 
 def cmd_unravel(args) -> int:
     c = _as_coalgebra(_load(args.file))
-    if args.depth is not None:
-        if args.depth <= 0:
-            raise CoalgebraError("--depth must be positive")
-        result = unravel(c, args.depth)
+    # with nothing to write, the root-path counts of a complete unravelling
+    # are the answer, and no tree is built
+    plain = args.depth is None and not (args.emit or args.dot)
+    counts = complete_counts(c) if plain else None
+    if counts is not None:
+        result, complete = None, True
+        counts = {y: counts.get(y, 0) for y in c.carrier}
     else:
-        result = tree_unravelling(c)
-    print(f"complete: {'true' if result.complete else 'false'}")
-    print(f"tree states: {len(result.tree.carrier)}")
-    counts = copy_counts(result.projection)
+        if args.depth is not None:
+            if args.depth <= 0:
+                raise CoalgebraError("--depth must be positive")
+            result = unravel(c, args.depth)
+        else:
+            result = tree_unravelling(c)
+        complete, counts = result.complete, copy_counts(result.projection)
+    print(f"complete: {'true' if complete else 'false'}")
+    print(f"tree states: {sum(counts.values())}")
     print("copies: " + ", ".join(f"{y}={n}" for y, n in counts.items()))
-    if not result.complete:
+    if not complete:
         print(f"frontier: {_braces(result.frontier)}")
-    if result.complete and all(n == 1 for n in counts.values()):
+    if complete and all(n == 1 for n in counts.values()):
         print("note: input is already a tree")
     _write_tree(args, result)
     return 0
@@ -165,7 +181,9 @@ def cmd_dfa_inputs(args) -> int:
     result = defined_inputs(obj, maxlen)
     print(f"complete: {'true' if result.complete else 'false'}"
           + ("" if result.complete else f" (maxlen {maxlen})"))
-    print(f"P = {_braces(result.projection.domain)}")
+    names = iter(result.projection.domain)
+    _write_chunks(chain(("P = {" + next(names, ""),),
+                        (f", {x}" for x in names), ("}\n",)))
     _write_listing("delta*:", result.projection)
     _write_tree(args, result)
     return 0
@@ -197,13 +215,21 @@ def cmd_dot(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of the command line.  When `command` names a command, only
+    its subparser is registered, and the usage line names every command as
+    the full parser's does; for any other first argument (none, -h or an
+    unknown command) every subparser is."""
     parser = argparse.ArgumentParser(
         prog="coalg",
         description="reachability and tree unravelling of pointed coalgebras")
     sub = parser.add_subparsers(dest="command", required=True)
+    names = []
 
     def add(name, fn, **flags):
+        names.append(name)
+        if command not in (None, name):
+            return
         p = sub.add_parser(name)
         p.add_argument("file", help="spec file")
         if flags.get("depth"):
@@ -225,7 +251,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", metavar="PATH",
                            help="output path (default: stdout)")
         p.set_defaults(fn=fn)
-        return p
 
     add("check", cmd_check)
     add("reachable", cmd_reachable, emit=True, oracle=True)
@@ -234,11 +259,16 @@ def _build_parser() -> argparse.ArgumentParser:
     add("dfa-inputs", cmd_dfa_inputs, maxlen=True, emit=True, dot=True)
     add("paths", cmd_paths, maxlen=True, emit=True, dot=True)
     add("dot", cmd_dot, out=True)
+    if command is not None:
+        if command not in names:
+            return _build_parser()
+        sub.metavar = "{" + ",".join(names) + "}"
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.fn(args)
     except SearchSpaceTooLarge as exc:

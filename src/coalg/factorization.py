@@ -20,14 +20,14 @@ state it projects to, as it is made.
 factorizations take an FMap that is already valid (checked by that
 constructor, or derived by the library from checked data), and build their
 results with the unchecked `_trusted` constructors (see `coalg.base`): their
-carriers, maps and values are valid by construction.
+carriers, maps and values are valid by construction.  A least bound's g
+keeps f's values, so it shares f's values dict: no FMap writes to its
+values, which is what `FMap._trusted` asks of a dict it is given.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from itertools import chain
-from operator import itemgetter
 
 from .base import (FiniteSet, NotIsomorphic, Record, ShapeError, StateId,
                    TotalMap, fresh_namer)
@@ -59,8 +59,9 @@ class FMap:
                  functor: FunctorExpr,
                  values: dict[StateId, FValue]) -> "FMap":
         """Unchecked and uncopied: the caller guarantees that `values` is a
-        fresh dict with exactly the keys of domain, each value valid for
-        functor over codomain."""
+        fresh dict, or the values of another FMap, with exactly the keys of
+        domain, each value valid for functor over codomain; no FMap writes
+        to it."""
         f = cls.__new__(cls)
         f.domain, f.codomain, f.functor = domain, codomain, functor
         f.values = values
@@ -90,7 +91,9 @@ class PreciseFactorization(Record):
     __slots__ = ("middle", "p", "h")
 
     def __init__(self, middle: FiniteSet, p: FMap, h: TotalMap):
-        Record.__init__(self, middle, p, h)
+        _set_middle(self, middle)
+        _set_p(self, p)
+        _set_h(self, h)
 
     def parts(self) -> tuple[FiniteSet, FMap, TotalMap]:
         return (self.middle, self.p, self.h)
@@ -102,10 +105,22 @@ class LeastBound(Record):
     __slots__ = ("sub", "g", "m")
 
     def __init__(self, sub: FiniteSet, g: FMap, m: TotalMap):
-        Record.__init__(self, sub, g, m)
+        _set_sub(self, sub)
+        _set_g(self, g)
+        _set_m(self, m)
 
     def parts(self) -> tuple[FiniteSet, FMap, TotalMap]:
         return (self.sub, self.g, self.m)
+
+
+# both records are built once per level of the iterations: their
+# constructors set the fields through the slot descriptors, as the value
+# records do
+_set_middle, _set_p, _set_h = (PreciseFactorization.middle.__set__,
+                               PreciseFactorization.p.__set__,
+                               PreciseFactorization.h.__set__)
+_set_sub, _set_g, _set_m = (LeastBound.sub.__set__, LeastBound.g.__set__,
+                            LeastBound.m.__set__)
 
 
 def least_bound(f: FMap,
@@ -116,14 +131,12 @@ def least_bound(f: FMap,
     each x when given (the reachability levels pass a successor table).
     """
     if edges is None:
-        rows = map(f.functor.slots, map(f.values.__getitem__, f.domain))
-    else:
-        rows = map(edges, f.domain)
-    used = dict.fromkeys(map(itemgetter(0), chain.from_iterable(rows)))
+        slots, values = f.functor.slots, f.values
+        edges = lambda x: slots(values[x])
     # the sub-carrier is m's domain: it holds m's dict
-    inclusion = dict(zip(used, used))
+    inclusion = {y: y for x in f.domain for y, _ in edges(x)}
     sub = FiniteSet._trusted(inclusion)
-    g = FMap._trusted(f.domain, sub, f.functor, dict(f.values))
+    g = FMap._trusted(f.domain, sub, f.functor, f.values)
     m = TotalMap._trusted(sub, f.codomain, inclusion)
     return LeastBound(sub, g, m)
 

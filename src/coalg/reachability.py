@@ -14,9 +14,13 @@ the tree's, and the stop rule ends the iteration at the first empty level.
 
 Each step costs time linear in the states plus slots of its level: the
 factorization is one pass over the level's values, and the stop test checks
-the new level against a set of the states seen so far.  The least bounds
-read the slots from the coalgebra's successor table, so a state on several
-levels has its value read once.  The levels are a fact about the coalgebra:
+the new level's dict against a set of the states seen so far.  The fixed
+cost of a level is a few calls (h_k's dict is read once, a least bound's
+inclusion is one comprehension), so a chain costs its states, not a dozen
+objects per level.  The least bounds read the slots from the coalgebra's
+successor table, so a state on several levels has its value read once.  The
+tree levels are built only when a tree is asked for (see
+`coalg.unravelling`).  The levels are a fact about the coalgebra:
 `reach_levels` keeps them on it, so `reachable_part`, `is_reachable` and
 every later call read the kept levels, and the iteration runs once per
 coalgebra.
@@ -85,22 +89,24 @@ def _iterate(c: PointedCoalgebra, h0: TotalMap,
     no later level could add one.  On fresh names (the tree levels) that
     level is the empty one.
     """
-    structure, frontier, h = c.structure, c.frontier, h0
+    structure, frontier, h = c.structure, c.frontier.as_set(), h0
     step_maps, maps = [], [h0]
     seen = set(h0.domain)
     while max_depth is None or len(step_maps) < max_depth:
-        cur = h.domain
-        if len(frontier):
-            cur = FiniteSet._trusted(
-                dict.fromkeys(x for x in cur if h[x] not in frontier))
-        f = FMap._trusted(cur, c.carrier, c.functor,
-                          {x: structure[h[x]] for x in cur})
-        middle, p, h = factor(f, len(maps))
+        # every h_k is a factorization's h (or h0), whose domain holds its
+        # dict: its items are level k's states and their images, in order
+        level = h._mapping
+        values = {x: structure[y] for x, y in level.items()
+                  if y not in frontier}
+        cur = h.domain if len(values) == len(level) else \
+            FiniteSet._trusted(dict.fromkeys(values))
+        middle, p, h = factor(
+            FMap._trusted(cur, c.carrier, c.functor, values), len(maps))
         step_maps.append(p)
         maps.append(h)
-        if seen.issuperset(middle):
+        if seen.issuperset(middle._keys):
             break
-        seen.update(middle)
+        seen.update(middle._keys)
     # level k is the domain of h_k
     return tuple(h.domain for h in maps), tuple(step_maps), tuple(maps)
 

@@ -28,7 +28,11 @@ copies), and one rooted walk over the slots counts them exactly
 is precise, no cycle is reachable, every state is reachable and the counts
 sum to the size of the carrier.  The walk is linear in the states plus
 slots, whatever the size of the tree.  It reads the coalgebra's successor
-table, as do the size prediction below and `tree_fingerprint`.
+table, as do the size prediction below and `tree_fingerprint`.  A complete
+unravelling that nothing reads needs no level either: `complete_counts`
+gives each state's copies, and their sum is the tree's size, so `coalg
+unravel` builds the tree only for --depth, --emit or --dot, or when the
+walk finds a reachable cycle or an imprecise value.
 
 Cyclic inputs unravel forever, so the constructions take a depth cap, and
 `tree_unravelling` unravels completely only when the walk finds no
@@ -269,20 +273,34 @@ def is_tree(c: PointedCoalgebra) -> bool:
     return tree_check(c).ok
 
 
+def complete_counts(c: PointedCoalgebra) -> dict[StateId, int] | None:
+    """The copies of each reachable state in the complete unravelling, its
+    weighted root paths, from one walk; None when a cycle or an imprecise
+    value is reachable.  Their sum, the tree's size, is checked against the
+    guard first."""
+    if not c.is_total():
+        raise ShapeError("unravelling needs a total coalgebra, found open states")
+    reached, counts = _root_paths(c.point, c.successor_table().__getitem__)
+    if counts is None:
+        return None
+    _within_guard(sum(counts.values()))
+    if all(c.functor.precise(c.structure[x]) for x in reached):
+        return counts
+    return None
+
+
 def tree_unravelling(c: PointedCoalgebra) -> UnravelResult:
     """Full unravelling when finite, else truncated with complete=False.
 
     Finiteness is the absence of reachable cycles; in that case every root
     path has fewer than |carrier| steps, so depth |carrier| suffices, and
     the tree has as many states as there are weighted root paths, a number
-    checked against the guard before any level is built.  The truncation
-    depth 3*|carrier| shows any cycle unrolled at least three times.
+    checked against the guard before any level is built
+    (`complete_counts`).  The truncation depth 3*|carrier| shows any cycle
+    unrolled at least three times; a value that is not precise fails at
+    the same level at either depth.
     """
-    if not c.is_total():
-        raise ShapeError("unravelling needs a total coalgebra, found open states")
-    _, counts = _root_paths(c.point, c.successor_table().__getitem__)
-    if counts is not None:
-        _within_guard(sum(counts.values()))
+    if complete_counts(c) is not None:
         return unravel(c, len(c.carrier))
     return unravel(c, 3 * len(c.carrier))
 

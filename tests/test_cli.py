@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import io
 import os
 import pathlib
@@ -12,7 +13,7 @@ import pytest
 from coalg import FiniteSet, parse_spec, to_dot
 from coalg.functors import MAX_FUNCTOR_DEPTH
 from coalg.specfile import LINE_BREAKS
-from coalg.cli import main
+from coalg.cli import _build_parser, main
 
 from conftest import fixture_path, load_fixture
 
@@ -281,6 +282,47 @@ def test_unravel_refuses_a_complete_tree_past_the_guard(tmp_path, capsys):
     assert err.startswith("error: ") and "2199023255551 tree states" in err
 
 
+PARSER_ARGVS = [
+    [], ["-h"], ["--help"], ["bogus"], ["bogus", "x"], ["-x", "check", "x"],
+    ["check", "x"], ["check"], ["check", "x", "y"], ["check", "-h"],
+    ["reachable", "x", "--emit", "o.spec", "--oracle"], ["reachable", "-h"],
+    ["is-tree", "--oracle", "missing.spec"], ["is-tree", "x", "--emit", "o"],
+    ["is-tree", "-h"], ["unravel", "x", "--depth", "3", "--dot", "t.dot"],
+    ["unravel", "x", "--depth", "three"], ["unravel", "x", "--depth"],
+    ["unravel", "-h"], ["dfa-inputs", "x", "--maxlen", "4"],
+    ["dfa-inputs", "x", "--maxlen", "-1", "--emit", "o"],
+    ["dfa-inputs", "x", "--maxlen", "4.5"], ["dfa-inputs", "-h"],
+    ["paths", "x", "--maxlen=2", "--dot", "p.dot"], ["paths", "--bogus", "x"],
+    ["paths", "-h"], ["dot", "x", "--out", "g.dot"], ["dot", "x", "--bogus"],
+    ["dot", "x", "--help"], ["dot", "-h", "x"], ["dot", "--", "x"],
+]
+
+
+def parsed(parser, argv):
+    """The Namespace, or the SystemExit code with stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
+def test_the_chosen_command_parses_as_with_every_command(argv):
+    lean = _build_parser(argv[0] if argv else None)
+    assert parsed(lean, argv) == parsed(_build_parser(), argv)
+
+
+def test_a_command_registers_its_subparser_alone():
+    [sub] = [a for a in _build_parser("dot")._actions
+             if isinstance(a.choices, dict)]
+    assert list(sub.choices) == ["dot"]
+    [sub] = [a for a in _build_parser()._actions
+             if isinstance(a.choices, dict)]
+    assert len(sub.choices) == 7
+
+
 def run_capped(*argv):
     """main(argv) in a child process whose address space is capped at 1 GB,
     so that a construction which runs away fails there instead of taking
@@ -392,15 +434,22 @@ def test_reachable_oracle_on_a_long_chain_is_linear(tmp_path):
     assert line == "error: definitional check is limited to 5 states"
 
 
-@pytest.mark.parametrize("command",
-                         ["check", "reachable", "is-tree", "unravel", "dot"])
+@pytest.mark.parametrize("command", ["check", "reachable", "is-tree",
+                                     "unravel", "unravel --emit", "dot"])
 def test_every_walk_ends_on_a_20000_state_chain(tmp_path, command):
     # one state per level: a recursive walk or a per-level cost that is
-    # not constant shows here, under the 1 GB cap
-    code, out, err, seconds = run_capped(
-        command, bag_chain(tmp_path / "chain.spec", 20000))
+    # not constant shows here, under the 1 GB cap.  Plain `unravel` answers
+    # from the path counts; with --emit it builds all 20,000 tree levels
+    name, *flags = command.split()
+    argv = [name, bag_chain(tmp_path / "chain.spec", 20000)]
+    emit = tmp_path / "tree.spec"
+    if flags:
+        argv += [*flags, str(emit)]
+    code, out, err, seconds = run_capped(*argv)
     assert code == 0 and err == "" and seconds < 10.0
     assert out
+    if flags:
+        assert out[-1] == f"wrote {emit}" and emit.stat().st_size > 0
 
 
 def test_is_tree_oracle_reports_refuters(capsys):
