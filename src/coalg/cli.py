@@ -159,6 +159,10 @@ def cmd_unravel(args) -> int:
             if args.depth <= 0:
                 raise CoalgebraError("--depth must be positive")
             result = unravel(c, args.depth)
+        elif plain:
+            # the counts found a cycle or an imprecise value: the depth
+            # `tree_unravelling` would choose, without walking again
+            result = unravel(c, 3 * len(c.carrier))
         else:
             result = tree_unravelling(c)
         complete, counts = result.complete, copy_counts(result.projection)

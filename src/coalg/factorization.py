@@ -11,10 +11,11 @@ factorization drive everything downstream:
   copying factorization behind tree unravellings.  The powerset functor
   admits no precise factorization of a non-empty value (PowNotPrecise).
 
-Middle elements of precise factorizations are named after their provenance
-(origin domain element, structural path, and a copy index for bag entries)
-unless the caller names them: the tree unravelling names each one after the
-state it projects to, as it is made.
+The functor's `factor` walk only rebuilds values and reports each slot's
+member; `precise_factorize` alone names the middle elements.  Given a tag,
+it names each one after the state it projects to, as it is made (the tree
+unravelling tags level k with `k:`); by default the element in slot j of
+x's value is `x.j`, a name fixed by the map and not by its domain's order.
 
 `FMap(...)` validates every value against the functor and the codomain.  Both
 factorizations take an FMap that is already valid (checked by that
@@ -29,8 +30,8 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Mapping
 
-from .base import (FiniteSet, NotIsomorphic, Record, ShapeError, StateId,
-                   TotalMap, fresh_namer)
+from .base import (FiniteSet, NotIsomorphic, PowNotPrecise, Record,
+                   ShapeError, StateId, TotalMap, fresh_namer)
 from .functors import FValue, FunctorExpr, Member, fmap, validate_value
 
 
@@ -131,8 +132,8 @@ def least_bound(f: FMap,
     each x when given (the reachability levels pass a successor table).
     """
     if edges is None:
-        slots, values = f.functor.slots, f.values
-        edges = lambda x: slots(values[x])
+        value_edges, values = f.functor.edges, f.values
+        edges = lambda x: value_edges(values[x])
     # the sub-carrier is m's domain: it holds m's dict
     inclusion = {y: y for x in f.domain for y, _ in edges(x)}
     sub = FiniteSet._trusted(inclusion)
@@ -141,36 +142,43 @@ def least_bound(f: FMap,
     return LeastBound(sub, g, m)
 
 
-def precise_factorize(f: FMap,
-                      name: Callable[[str, StateId], StateId] | None = None
-                      ) -> PreciseFactorization:
+def precise_factorize(f: FMap, tag: str | None = None) -> PreciseFactorization:
     """Factor f through a middle carrier whose every element is used once.
 
-    `name(prefix, member)` names the middle element made for one slot
-    occurrence: `prefix` is its provenance path and `member` the state it
-    maps to under h.  It is called once per slot, in middle order, and must
-    return a fresh name each time.  By default the provenance path itself
-    names the element, with a `~n` counter when it is taken.
+    With a `tag`, the middle element made for a slot that holds y is named
+    `tag + y` (with a `~n` counter for each further copy), in middle order.
+    Without one, the element in slot j of x's value (in `edges` order) is
+    named `x.j`, whatever the order of f's domain.
 
-    Raises PowNotPrecise when a powerset layer carries a non-empty value.
+    Raises PowNotPrecise, naming the first domain element whose value it
+    meets, when a powerset layer carries a non-empty value.
     """
-    h_map: dict[StateId, StateId] = {}
-    if name is None:
-        alloc = fresh_namer()
-        name = lambda prefix, member: alloc(prefix)
+    functor, h_map = f.functor, {}
+    alloc, prefix = fresh_namer(), tag or ""
 
-    def emit(prefix: str, member: Member) -> Member:
+    def emit(member: Member) -> StateId:
         if not isinstance(member, str):
-            raise ShapeError(f"unfactored inner value at {prefix!r}")
-        r = name(prefix, member)
+            raise ShapeError(f"bottom member is not a state id: {member!r}")
+        r = alloc(prefix + member)
         h_map[r] = member
         return r
 
-    new_values = f.functor.factor([(x, f.values[x]) for x in f.domain], emit)
+    try:
+        values = dict(zip(f.domain, functor.factor(
+            [f.values[x] for x in f.domain], emit)))
+    except PowNotPrecise:
+        x = next(x for x in f.domain if not functor.precise(f.values[x]))
+        raise PowNotPrecise(
+            f"powerset value at {x!r} is non-empty; the powerset functor "
+            "admits no precise factorization of it") from None
+    if tag is None:
+        name = {r: f"{x}.{j}" for x, v in values.items()
+                for j, (r, _) in enumerate(functor.edges(v))}
+        values = {x: functor.map(v, name.__getitem__) for x, v in values.items()}
+        h_map = {name[r]: y for r, y in h_map.items()}
     # the middle is h's domain: it holds h's dict
     middle = FiniteSet._trusted(h_map)
-    p = FMap._trusted(f.domain, middle, f.functor,
-                      dict(zip(f.domain, new_values)))
+    p = FMap._trusted(f.domain, middle, functor, values)
     h = TotalMap._trusted(middle, f.codomain, h_map)
     return PreciseFactorization(middle, p, h)
 
@@ -182,7 +190,7 @@ def is_precise(f: FMap) -> bool:
     so f is precise exactly when the h of its own precise factorization is a
     bijection onto f's codomain carrier.
     """
-    return precise_factorize(f).h.is_bijective()
+    return precise_factorize(f, "").h.is_bijective()
 
 
 # --------------------------------------------------------------------------

@@ -236,9 +236,10 @@ class FunctorExpr(Record):
     map(value, fn): the value with `fn` applied to every member slot;
     edges(value): (member, weight) per slot, in order, as one tuple (a
       bag's own entries);
-    factor(items, emit): (prefix, value) items rebuilt column by column,
-      `emit(prefix, member)` called once per slot occurrence and giving a
-      distinct member each time, so rebuilt bags have nothing to merge;
+    factor(values, emit): the values rebuilt column by column, `emit(member)`
+      called once per slot occurrence and giving a distinct member each
+      time, so rebuilt bags have nothing to merge; naming is the caller's
+      (`factorization.precise_factorize`);
     precise(value): False when `factor` raises PowNotPrecise on the value,
       decided without expanding bag multiplicities;
     pair(va, vb, img_a, img_b): matched slots of two values with equal images;
@@ -318,8 +319,8 @@ class Identity(FunctorExpr):
     def edges(self, value):
         return ((value.member, 1),)
 
-    def factor(self, items, emit):
-        return [IdVal(emit(p, v.member)) for p, v in items]
+    def factor(self, values, emit):
+        return [IdVal(emit(v.member)) for v in values]
 
     def pair(self, va, vb, img_a, img_b):
         yield (va.member, vb.member)
@@ -371,8 +372,8 @@ class Const(FunctorExpr):
     def edges(self, value):
         return ()
 
-    def factor(self, items, emit):
-        return [v for _, v in items]
+    def factor(self, values, emit):
+        return values
 
     def pair(self, va, vb, img_a, img_b):
         if va != vb:
@@ -434,8 +435,8 @@ class Product(FunctorExpr):
             out += g.edges(v)
         return out
 
-    def factor(self, items, emit):
-        cols = [g.factor([(f"{p}.{i}", v.items[i]) for p, v in items], emit)
+    def factor(self, values, emit):
+        cols = [g.factor([v.items[i] for v in values], emit)
                 for i, g in enumerate(self.factors)]
         return [TupleVal(row) for row in zip(*cols)]
 
@@ -504,11 +505,11 @@ class Coproduct(FunctorExpr):
     def edges(self, value):
         return self.summands[value.tag].edges(value.value)
 
-    def factor(self, items, emit):
-        out: list = [None] * len(items)
+    def factor(self, values, emit):
+        out: list = [None] * len(values)
         for tag, g in enumerate(self.summands):
-            idxs = [j for j, (_, v) in enumerate(items) if v.tag == tag]
-            sub = g.factor([(items[j][0], items[j][1].value) for j in idxs], emit)
+            idxs = [j for j, v in enumerate(values) if v.tag == tag]
+            sub = g.factor([values[j].value for j in idxs], emit)
             for j, inner in zip(idxs, sub):
                 out[j] = TagVal(tag, inner)
         return out
@@ -571,8 +572,8 @@ class Exponent(FunctorExpr):
             out += self.base.edges(value[a])
         return out
 
-    def factor(self, items, emit):
-        cols = [self.base.factor([(f"{p}.{a}", v[a]) for p, v in items], emit)
+    def factor(self, values, emit):
+        cols = [self.base.factor([v[a] for v in values], emit)
                 for a in self.alphabet]
         return [FunVal._trusted(dict(zip(self.alphabet, row)))
                 for row in zip(*cols)]
@@ -643,16 +644,16 @@ class Compose(FunctorExpr):
             out += inner(m) if n == 1 else [(m2, n * n2) for m2, n2 in inner(m)]
         return tuple(out)
 
-    def factor(self, items, emit):
-        # the outer slots of every item first, then all their inner values in
-        # one column-wise pass: this order fixes the fresh middle names
-        collected: list[tuple[str, Member]] = []
+    def factor(self, values, emit):
+        # the outer slots of every value first, then all their inner values
+        # in one column-wise pass: this order fixes the fresh middle names
+        collected: list[Member] = []
 
-        def grab(prefix: str, member: Member) -> Member:
-            collected.append((prefix, member))
+        def grab(member: Member) -> Member:
+            collected.append(member)
             return len(collected) - 1  # placeholder token, substituted below
 
-        outer_new = self.outer.factor(items, grab)
+        outer_new = self.outer.factor(values, grab)
         inner_new = self.inner.factor(collected, emit)
         return [self.outer.map(v, inner_new.__getitem__) for v in outer_new]
 
@@ -701,15 +702,10 @@ class Bag(FunctorExpr):
     def edges(self, value):
         return value.entries
 
-    def factor(self, items, emit):
-        out = []
-        for p, v in items:
-            entries = []
-            for i, (m, n) in enumerate(v.entries):
-                seg = m if isinstance(m, str) else f"e{i}"
-                entries.extend((emit(f"{p}/{seg}#{k}", m), 1) for k in range(1, n + 1))
-            out.append(BagVal._trusted(tuple(entries)))
-        return out
+    def factor(self, values, emit):
+        return [BagVal._trusted(tuple((emit(m), 1) for m, n in v.entries
+                                      for _ in range(n)))
+                for v in values]
 
     def pair(self, va, vb, img_a, img_b):
         return _pair_by_image([m for m, n in va.entries for _ in range(n)],
@@ -755,13 +751,10 @@ class Pow(FunctorExpr):
     def edges(self, value):
         return tuple(zip(value.members, repeat(1)))
 
-    def factor(self, items, emit):
-        for p, v in items:
-            if not self.precise(v):
-                raise PowNotPrecise(
-                    f"powerset value at {p!r} is non-empty; the powerset functor "
-                    "admits no precise factorization of it")
-        return [v for _, v in items]
+    def factor(self, values, emit):
+        if not all(map(self.precise, values)):
+            raise PowNotPrecise
+        return values
 
     def precise(self, value):
         return not value.members

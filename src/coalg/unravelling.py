@@ -51,7 +51,7 @@ from collections import Counter
 from collections.abc import Callable, Iterator
 
 from .base import (FiniteSet, Record, SearchSpaceTooLarge, ShapeError,
-                   StateId, TotalMap, _guard, fresh_namer)
+                   StateId, TotalMap, _guard)
 from .coalgebra import PointedCoalgebra, Successors, _root_paths
 from .factorization import FMap, precise_factorize
 from .functors import FValue
@@ -192,27 +192,21 @@ def tree_levels(c: PointedCoalgebra, max_depth: int) -> TreeLevels:
     Stops early once a level is empty (the unravelling is finite and fully
     built); otherwise the last level is left without a step map and the
     result is marked truncated.  The size of the levels is checked against
-    the guard (`COALG_GUARD`) before level 1 is built.  Each factorization
-    names its middle elements `<k>:<projected state>` as it makes them, so
-    its middle, p and h are level k, its step map and its projection as
-    they stand.
+    the guard (`COALG_GUARD`) before level 1 is built.  The factorization
+    of level k-1 is tagged `k:`, so it names its middle elements
+    `<k>:<projected state>` as it makes them, and its middle, p and h are
+    level k, its step map and its projection as they stand; no two levels
+    can share a name, as their tags differ.
     """
     if not c.is_total():
         raise ShapeError("tree levels need a total coalgebra, found open states")
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
     _tree_size(c.point, c.successor_table().__getitem__, max_depth)
-    alloc = fresh_namer()
-    root = alloc(f"0:{c.point}")
-
-    def factor(f: FMap, k: int) -> tuple[FiniteSet, FMap, TotalMap]:
-        tag = f"{k}:"
-        return precise_factorize(f, lambda prefix, y: alloc(tag + y)).parts()
-
-    h0 = {root: c.point}
+    h0 = {f"0:{c.point}": c.point}
     levels, step_maps, projections = _iterate(
-        c, TotalMap._trusted(FiniteSet._trusted(h0), c.carrier, h0), factor,
-        max_depth)
+        c, TotalMap._trusted(FiniteSet._trusted(h0), c.carrier, h0),
+        lambda f, k: precise_factorize(f, f"{k}:").parts(), max_depth)
     return TreeLevels(levels, step_maps, projections,
                       truncated=len(levels[-1]) > 0)
 

@@ -397,11 +397,14 @@ def test_a_huge_functor_numeral_is_refused_at_once(tmp_path):
     assert line.startswith("error: numeral 100000000000 ")
 
 
-def bag_chain(path, n):
-    """A Bag chain c0 -> c1 -> ... -> c<n-1>, written to path."""
-    lines = ["functor: Bag", "states: " + ", ".join(f"c{i}" for i in range(n)),
-             "point: c0"]
-    lines += [f"c{i} = [c{i + 1}]" for i in range(n - 1)] + [f"c{n - 1} = []"]
+def bag_chain(path, n, pairs=False):
+    """A Bag chain c0 -> c1 -> ... -> c<n-1>, written to path; with `pairs`,
+    over Bag . (Id x 2), each successor paired with #<i mod 2>."""
+    slot = "(@c{}, #{})" if pairs else "c{}"
+    lines = ["functor: Bag . (Id x 2)" if pairs else "functor: Bag",
+             "states: " + ", ".join(f"c{i}" for i in range(n)), "point: c0"]
+    lines += [f"c{i} = [{slot.format(i + 1, i % 2)}]" for i in range(n - 1)]
+    lines.append(f"c{n - 1} = []")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(path)
 
@@ -435,13 +438,17 @@ def test_reachable_oracle_on_a_long_chain_is_linear(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["check", "reachable", "is-tree",
-                                     "unravel", "unravel --emit", "dot"])
+                                     "unravel", "unravel --emit", "dot",
+                                     "pairs unravel --emit"])
 def test_every_walk_ends_on_a_20000_state_chain(tmp_path, command):
     # one state per level: a recursive walk or a per-level cost that is
     # not constant shows here, under the 1 GB cap.  Plain `unravel` answers
-    # from the path counts; with --emit it builds all 20,000 tree levels
-    name, *flags = command.split()
-    argv = [name, bag_chain(tmp_path / "chain.spec", 20000)]
+    # from the path counts; with --emit it builds all 20,000 tree levels,
+    # also over Bag . (Id x 2), whose levels are factored through a
+    # composition
+    pairs = command.startswith("pairs ")
+    name, *flags = command.removeprefix("pairs ").split()
+    argv = [name, bag_chain(tmp_path / "chain.spec", 20000, pairs)]
     emit = tmp_path / "tree.spec"
     if flags:
         argv += [*flags, str(emit)]

@@ -11,9 +11,12 @@ from coalg import (
     BOTTOM,
     Bag,
     BagVal,
+    Compose,
     ConstVal,
+    Exponent,
     FMap,
     FiniteSet,
+    FunVal,
     IdVal,
     NotIsomorphic,
     PowNotPrecise,
@@ -213,3 +216,77 @@ def test_precise_agrees_with_the_factorization():
             except PowNotPrecise:
                 factors = False
             assert c.functor.precise(v) == factors
+
+
+def naming_draws(seed: int, count: int = 300) -> list[FMap]:
+    """Seeded `random_fmap` draws whose functor has a Bag, an exponent or a
+    composition in it; each of the three turns up in some draw."""
+    rng = random.Random(seed)
+    draws, seen = [], set()
+    for _ in range(count):
+        f = generators.random_fmap(rng, depth=3)
+        kinds, todo = set(), [f.functor]
+        while todo:
+            g = todo.pop()
+            kinds.add(type(g))
+            todo += g.children()
+        kinds &= {Bag, Exponent, Compose}
+        if kinds:
+            draws.append(f)
+            seen |= kinds
+    assert seen == {Bag, Exponent, Compose}
+    return draws
+
+
+def test_default_middle_names_are_slot_positions():
+    rng = random.Random(211)
+    for f in naming_draws(23):
+        pf = precise_factorize(f)
+        names = []
+        for x in f.domain:
+            slots = [r for r, _ in f.functor.edges(pf.p.values[x])]
+            assert slots == [f"{x}.{j}" for j in range(len(slots))]
+            names += slots
+        assert sorted(pf.middle) == sorted(names)
+        # the names follow the map, not the order of its domain
+        again = precise_factorize(FMap(generators.shuffled(rng, f.domain),
+                                       f.codomain, f.functor, dict(f.values)))
+        assert again.h.mapping() == pf.h.mapping()
+        assert again.p.values == pf.p.values
+
+
+def test_tagged_middle_names_count_the_copies_of_each_state():
+    for f in naming_draws(29):
+        pf = precise_factorize(f, "t:")
+        copies: dict[str, int] = {}
+        for r in pf.middle:
+            y = pf.h[r]
+            copies[y] = copies.get(y, 0) + 1
+            assert r == f"t:{y}" if copies[y] == 1 else f"t:{y}~{copies[y]}"
+        for x in f.domain:
+            assert fmap(f.functor, pf.h, pf.p.values[x]) == f.values[x]
+        assert sum(copies.values()) == sum(
+            n for x in f.domain for _, n in f.functor.edges(f.values[x]))
+
+
+def test_a_nonempty_powerset_is_reported_at_its_domain_element():
+    functor = parse_functor("Id^{a,b} . Pow")
+    empty = FunVal((a, IdVal(SetVal())) for a in ("a", "b"))
+    rng = random.Random(31)
+    codomain = FiniteSet(("y0", "y1"))
+    for _ in range(50):
+        domain = FiniteSet(f"x{i}" for i in range(rng.randint(1, 4)))
+        # most values are empty, so the first non-empty one is often not
+        # the first element of the domain
+        values = {x: generators.random_value(rng, functor, codomain)
+                  if rng.random() < 0.3 else empty for x in domain}
+        f = FMap(generators.shuffled(rng, domain), codomain, functor, values)
+        bad = [x for x in f.domain if not functor.precise(values[x])]
+        if not bad:
+            assert len(precise_factorize(f).middle) == 0
+            continue
+        with pytest.raises(PowNotPrecise) as caught:
+            precise_factorize(f)
+        assert str(caught.value) == (
+            f"powerset value at {bad[0]!r} is non-empty; the powerset "
+            "functor admits no precise factorization of it")

@@ -97,3 +97,20 @@ def test_plain_unravel_builds_the_tree_where_the_counts_do_not_answer(
     monkeypatch.setattr(unravelling, "tree_levels", counted)
     run(capsys, "unravel", fixture_path(name))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["two_cycle", "pow_edge"])
+def test_plain_unravel_walks_the_root_paths_once(name, monkeypatch, capsys):
+    # the counts do not answer (a cycle, a non-empty powerset value), so the
+    # tree is built to the depth `tree_unravelling` would choose, 3 * |C|
+    # for both inputs, without a second walk
+    calls = []
+
+    def counted(*args, original=unravelling._root_paths):
+        calls.append(args)
+        return original(*args)
+
+    depth = run(capsys, "unravel", fixture_path(name), "--depth", "6")
+    monkeypatch.setattr(unravelling, "_root_paths", counted)
+    assert run(capsys, "unravel", fixture_path(name)) == depth
+    assert len(calls) == 1

@@ -325,7 +325,7 @@ def test_complete_unravellings_are_guarded_by_their_size(monkeypatch,
 
 def factor_then_rename(c: PointedCoalgebra, max_depth: int):
     """The tree levels built in two passes per level: a precise
-    factorization with its own provenance names, then every middle element
+    factorization with its default names, then every middle element
     renamed `<k>:<projected state>` and every value rebuilt by fmap."""
     alloc = fresh_namer()
     root = alloc(f"0:{c.point}")
