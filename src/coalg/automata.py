@@ -94,10 +94,13 @@ Move = tuple[tuple[str, ...], tuple[StateId, ...], object]
 def _dfa_step(d: PartialDFA) -> Callable[[StateId], Move]:
     """The function giving a state q's move: its defined letters in
     alphabet order, their targets, and q's output."""
+    alphabet, delta, accepting = tuple(d.alphabet), d.delta, d.accepting
+    outputs = ConstVal("0"), ConstVal("1")
+
     def step(q: StateId) -> Move:
-        letters = tuple(a for a in d.alphabet if (q, a) in d.delta)
-        return (letters, tuple(d.delta[(q, a)] for a in letters),
-                ConstVal("1" if q in d.accepting else "0"))
+        letters = tuple([a for a in alphabet if (q, a) in delta])
+        return (letters, tuple([delta[q, a] for a in letters]),
+                outputs[q in accepting])
 
     return step
 

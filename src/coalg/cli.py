@@ -24,7 +24,7 @@ from .oracles import (bfs_reachable, reachable_by_definition,
 from .reachability import is_reachable, reach_levels, reachable_part
 from .specfile import emit_spec, parse_spec
 from .unravelling import (UnravelResult, complete_counts, copy_counts,
-                          tree_check, tree_unravelling, unravel)
+                          tree_check, unravel)
 
 
 def _load(path: str):
@@ -46,29 +46,29 @@ def _as_coalgebra(obj) -> PointedCoalgebra:
     return multigraph_to_bag(obj)
 
 
-def _braces(names, sep=", ") -> str:
-    return "{" + sep.join(names) + "}"
-
-
 def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
     print(f"wrote {path}")
 
 
-def _write_chunks(pieces) -> None:
-    """Write the pieces 4,096 at a time: an unbuffered or line-buffered
-    stdout would make each line its own system call, and one write of the
-    whole would hold a second copy of every name."""
+def _write_joined(head: str, sep: str, pieces, tail: str) -> None:
+    """Write head, the pieces joined by sep, and tail, 4,096 pieces a write:
+    an unbuffered or line-buffered stdout would make each line its own
+    system call, and one write of the whole would hold a second copy of
+    every name."""
     pieces = iter(pieces)
-    while chunk := "".join(islice(pieces, 4096)):
-        sys.stdout.write(chunk)
+    text = head + sep.join(islice(pieces, 4096))
+    while chunk := list(islice(pieces, 4096)):
+        sys.stdout.write(text)
+        text = sep + sep.join(chunk)
+    sys.stdout.write(text + tail)
 
 
 def _write_listing(header: str, projection: TotalMap) -> None:
     """The header line and one `  x -> h(x)` line per tree state."""
-    _write_chunks(chain((header + "\n",), (
-        f"  {x} -> {y}\n" for x, y in projection.items())))
+    lines = map(" -> ".join, projection.items())
+    _write_joined(header, "\n  ", chain(("",), lines), "\n")
 
 
 def _write_tree(args, result: UnravelResult) -> None:
@@ -110,9 +110,8 @@ def cmd_reachable(args) -> int:
     part = reachable_part(c)
     verdict = is_reachable(c)
     print("reachable" if verdict else "not reachable")
-    print("levels: " + ", ".join(_braces(level, sep=",")
-                                 for level in seq.levels))
-    print(f"reachable part = {_braces(part.sub)}")
+    _write_joined("levels: {", "}, {", map(",".join, seq.levels), "}\n")
+    _write_joined("reachable part = {", ", ", part.sub, "}\n")
     if args.emit:
         _write(args.emit, emit_spec(part.coalgebra))
     if args.oracle:
@@ -147,30 +146,26 @@ def cmd_is_tree(args) -> int:
 
 def cmd_unravel(args) -> int:
     c = _as_coalgebra(_load(args.file))
-    # with nothing to write, the root-path counts of a complete unravelling
-    # are the answer, and no tree is built
-    plain = args.depth is None and not (args.emit or args.dot)
-    counts = complete_counts(c) if plain else None
-    if counts is not None:
-        result, complete = None, True
+    if args.depth is not None and args.depth <= 0:
+        raise CoalgebraError("--depth must be positive")
+    # the root-path counts of a complete unravelling are its copies: its
+    # tree is built only to be written
+    counts = complete_counts(c) if args.depth is None else None
+    result, complete = None, counts is not None
+    if complete:
         counts = {y: counts.get(y, 0) for y in c.carrier}
+        if args.emit or args.dot:
+            result = unravel(c, len(c.carrier))
     else:
-        if args.depth is not None:
-            if args.depth <= 0:
-                raise CoalgebraError("--depth must be positive")
-            result = unravel(c, args.depth)
-        elif plain:
-            # the counts found a cycle or an imprecise value: the depth
-            # `tree_unravelling` would choose, without walking again
-            result = unravel(c, 3 * len(c.carrier))
-        else:
-            result = tree_unravelling(c)
+        # without --depth, the counts found a cycle or an imprecise value:
+        # the depth `tree_unravelling` would choose, without walking again
+        result = unravel(c, args.depth or 3 * len(c.carrier))
         complete, counts = result.complete, copy_counts(result.projection)
     print(f"complete: {'true' if complete else 'false'}")
     print(f"tree states: {sum(counts.values())}")
     print("copies: " + ", ".join(f"{y}={n}" for y, n in counts.items()))
     if not complete:
-        print(f"frontier: {_braces(result.frontier)}")
+        _write_joined("frontier: {", ", ", result.frontier, "}\n")
     if complete and all(n == 1 for n in counts.values()):
         print("note: input is already a tree")
     _write_tree(args, result)
@@ -185,9 +180,7 @@ def cmd_dfa_inputs(args) -> int:
     result = defined_inputs(obj, maxlen)
     print(f"complete: {'true' if result.complete else 'false'}"
           + ("" if result.complete else f" (maxlen {maxlen})"))
-    names = iter(result.projection.domain)
-    _write_chunks(chain(("P = {" + next(names, ""),),
-                        (f", {x}" for x in names), ("}\n",)))
+    _write_joined("P = {", ", ", result.projection.domain, "}\n")
     _write_listing("delta*:", result.projection)
     _write_tree(args, result)
     return 0

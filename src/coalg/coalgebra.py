@@ -129,10 +129,14 @@ class Edge(Record):
     __slots__ = ("id", "src", "tgt")
 
     def __init__(self, id: str, src: StateId, tgt: StateId):
-        # built once per edge: the fields are set directly
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "src", src)
-        object.__setattr__(self, "tgt", tgt)
+        # built once per edge: the fields are set by the slot setters
+        _set_id(self, id)
+        _set_src(self, src)
+        _set_tgt(self, tgt)
+
+
+_set_id, _set_src, _set_tgt = (Edge.id.__set__, Edge.src.__set__,
+                               Edge.tgt.__set__)
 
 
 class Multigraph(Record):

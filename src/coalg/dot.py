@@ -4,6 +4,8 @@ The point (or root, or initial state) gets an arrowless inbound marker.
 Bag coalgebras label edges with multiplicities, DFA-shaped coalgebras and
 automata with letters (accepting states drawn doubled), everything else
 falls back to the canonical graph.  Open frontier states are dashed.
+Each state (in carrier order) and each label is escaped once, into a table
+per document, and every line is rendered from it.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from .automata import PartialDFA, dfa_functor
 from .base import FiniteSet, ShapeError, fresh_namer
 from .coalgebra import Multigraph, PointedCoalgebra
-from .functors import Bag, Const, Exponent, FunctorExpr, Product, TagVal
+from .functors import Bag, Const, Exponent, FunctorExpr, Product
 
 
 def _esc(name: str) -> str:
@@ -30,47 +32,38 @@ def _dfa_alphabet(f: FunctorExpr) -> FiniteSet | None:
 
 def _render(states, point, edges, accepting=(), frontier=()) -> str:
     """Assemble a digraph; edges are (src, tgt, label-or-None) triples."""
-    start = fresh_namer(states)("__start")
-    lines = ["digraph {", "  rankdir=LR;",
-             f"  {_esc(start)} [shape=none, label=\"\"];"]
-    for x in states:
-        attrs = []
-        if x in accepting:
-            attrs.append("shape=doublecircle")
-        if x in frontier:
-            attrs.append("style=dashed")
-        suffix = f" [{', '.join(attrs)}]" if attrs else ""
-        lines.append(f"  {_esc(x)}{suffix};")
-    lines.append(f"  {_esc(start)} -> {_esc(point)};")
-    for src, tgt, label in edges:
-        suffix = f" [label={_esc(label)}]" if label is not None else ""
-        lines.append(f"  {_esc(src)} -> {_esc(tgt)}{suffix};")
+    start = _esc(fresh_namer(states)("__start"))
+    q = {x: _esc(x) for x in states}
+    # no state is both accepting and open: an open state has no value
+    style = {**dict.fromkeys(accepting, " [shape=doublecircle]"),
+             **dict.fromkeys(frontier, " [style=dashed]")}
+    label = {a: "" if a is None else f" [label={_esc(a)}]"
+             for a in dict.fromkeys(a for _, _, a in edges)}
+    lines = ["digraph {", "  rankdir=LR;", f'  {start} [shape=none, label=""];']
+    lines += [f"  {e}{style.get(x, '')};" for x, e in q.items()]
+    lines.append(f"  {start} -> {q[point]};")
+    lines += [f"  {q[x]} -> {q[y]}{label[a]};" for x, y, a in edges]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def _coalgebra_dot(c: PointedCoalgebra) -> str:
     alphabet = _dfa_alphabet(c.functor)
-    edges = []
-    accepting = set()
-    for x in c.carrier:
-        if x in c.frontier:
-            continue
-        v = c.structure[x]
-        if alphabet is not None:
-            out, fun = v.items
-            if out.element == "1":
-                accepting.add(x)
-            for a, w in fun.entries:
-                if isinstance(w, TagVal) and w.tag == 0:
-                    edges.append((x, w.value.member, a))
-        elif isinstance(c.functor, Bag):
-            for y, n in v.entries:
-                edges.append((x, y, f"×{n}" if n > 1 else None))
-        else:
-            for y in dict.fromkeys(y for y, _ in c.successor_table()[x]):
-                edges.append((x, y, None))
-    return _render(c.carrier, c.point, edges, accepting, c.frontier.as_set())
+    frontier = c.frontier.as_set()
+    live = [(x, c.structure[x]) for x in c.carrier if x not in frontier]
+    accepting = ()
+    if alphabet is not None:
+        accepting = {x for x, v in live if v.items[0].element == "1"}
+        edges = [(x, w.value.member, a) for x, v in live
+                 for a, w in v.items[1].entries if w.tag == 0]
+    elif isinstance(c.functor, Bag):
+        edges = [(x, y, f"×{n}" if n > 1 else None) for x, v in live
+                 for y, n in v.entries]
+    else:
+        table = c.successor_table()
+        edges = [(x, y, None) for x, _ in live
+                 for y in dict.fromkeys(y for y, _ in table[x])]
+    return _render(c.carrier, c.point, edges, accepting, frontier)
 
 
 def to_dot(obj) -> str:

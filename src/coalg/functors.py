@@ -730,7 +730,7 @@ class Bag(FunctorExpr):
         return _listing(member, r"\[", "]", "", r"(?:\*[ \t]*([0-9]+)[ \t]*)?")
 
     def show(self, value, member):
-        return "[" + ", ".join(f"{member(m)}*{n}" for m, n in value.entries) + "]"
+        return "[" + ", ".join([f"{member(m)}*{n}" for m, n in value.entries]) + "]"
 
 
 class Pow(FunctorExpr):

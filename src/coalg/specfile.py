@@ -39,12 +39,18 @@ by `PointedCoalgebra._trusted` and then given the constructor's carrier
 checks (`PointedCoalgebra._check`); only a document with such a constant
 has its values checked again there, which reports the first bad value in
 carrier order, after every line has parsed.
+
+Emission quotes each name of a document (states, letters, edge ids) once,
+into one table in carrier order, and renders every line from it.  The
+line-break check runs once per name and once per header line (the only
+lines that write the functor's constants and letters); only when it fails
+are the lines scanned, to name the first that holds a break.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import repeat
+from itertools import chain, repeat
 from operator import itemgetter
 
 from .automata import PartialDFA
@@ -114,51 +120,53 @@ def format_value(functor: FunctorExpr, value: FValue) -> str:
 LINE_BREAKS = frozenset("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
 
 
-def _document(lines: list[str]) -> str:
-    for line in lines:
-        if not LINE_BREAKS.isdisjoint(line):
-            raise SpecFormatError(
-                f"cannot write {line!r}: a name in it holds a line break")
+def _document(lines: list[str], heads: int, names) -> str:
+    """The lines as one document, checked for line breaks in the names and
+    the first `heads` lines (see the module docstring)."""
+    if not (all(map(LINE_BREAKS.isdisjoint, names))
+            and all(map(LINE_BREAKS.isdisjoint, lines[:heads]))):
+        line = next(t for t in lines if not LINE_BREAKS.isdisjoint(t))
+        raise SpecFormatError(
+            f"cannot write {line!r}: a name in it holds a line break")
     return "\n".join(lines) + "\n"
 
 
 def emit_coalgebra(c: PointedCoalgebra) -> str:
-    lines = ["kind: coalgebra",
-             f"functor: {format_functor(c.functor)}",
-             f"states: {', '.join(_quote(x) for x in c.carrier)}",
-             f"point: {_quote(c.point)}"]
-    if len(c.frontier) > 0:
-        lines.append(f"open: {', '.join(_quote(x) for x in c.frontier)}")
-    for x in c.carrier:
-        if x not in c.frontier:
-            lines.append(f"{_quote(x)} = "
-                         f"{format_value(c.functor, c.structure[x])}")
-    return _document(lines)
+    q = {x: _quote(x) for x in c.carrier}
+    name, show, structure = q.__getitem__, c.functor.show, c.structure
+    frontier = c.frontier.as_set()
+    lines = ["kind: coalgebra", f"functor: {format_functor(c.functor)}",
+             "states: " + ", ".join(q.values()), "point: " + q[c.point]]
+    if frontier:
+        lines.append("open: " + ", ".join(map(name, c.frontier)))
+    heads = len(lines)
+    lines += [f"{q[x]} = {show(structure[x], name)}" for x in c.carrier
+              if x not in frontier]
+    return _document(lines, heads, q)
 
 
 def emit_dfa(d: PartialDFA) -> str:
-    lines = ["kind: dfa",
-             f"alphabet: {', '.join(_quote(a) for a in d.alphabet)}",
-             f"states: {', '.join(_quote(q) for q in d.states)}",
-             f"initial: {_quote(d.initial)}"]
-    acc = [q for q in d.states if q in d.accepting]
+    q = {x: _quote(x) for x in chain(d.alphabet, d.states)}
+    name, delta = q.__getitem__, d.delta
+    lines = ["kind: dfa", "alphabet: " + ", ".join(map(name, d.alphabet)),
+             "states: " + ", ".join(map(name, d.states)),
+             "initial: " + q[d.initial]]
+    acc = [q[x] for x in d.states if x in d.accepting]
     if acc:
-        lines.append(f"accepting: {', '.join(_quote(q) for q in acc)}")
-    for q in d.states:
-        for a in d.alphabet:
-            if (q, a) in d.delta:
-                lines.append(f"trans {_quote(q)} {_quote(a)} "
-                             f"{_quote(d.delta[(q, a)])}")
-    return _document(lines)
+        lines.append("accepting: " + ", ".join(acc))
+    heads = len(lines)
+    lines += [f"trans {q[x]} {q[a]} {q[delta[x, a]]}" for x in d.states
+              for a in d.alphabet if (x, a) in delta]
+    return _document(lines, heads, q)
 
 
 def emit_multigraph(g: Multigraph) -> str:
+    q = {x: _quote(x) for x in chain(g.vertices, (e.id for e in g.edges))}
     lines = ["kind: multigraph",
-             f"vertices: {', '.join(_quote(v) for v in g.vertices)}",
-             f"root: {_quote(g.root)}"]
-    for e in g.edges:
-        lines.append(f"edge {_quote(e.id)} {_quote(e.src)} {_quote(e.tgt)}")
-    return _document(lines)
+             "vertices: " + ", ".join(map(q.__getitem__, g.vertices)),
+             "root: " + q[g.root]]
+    lines += [f"edge {q[e.id]} {q[e.src]} {q[e.tgt]}" for e in g.edges]
+    return _document(lines, 3, q)
 
 
 def emit_spec(obj) -> str:
@@ -272,18 +280,22 @@ def _value_reader(functor: FunctorExpr, known: frozenset[StateId]):
     pattern, _, build = bare
     line = re.compile(f"[ \t]*{NAME}=[ \t]*{pattern}").fullmatch
 
-    def values(rows):  # all at once; when a check fails, one at a time
+    def values(rows):  # None when a check fails
         try:
             return build(list(zip(*rows))[1:])
         except (KeyError, ValueError):
-            return [values([r])[0] for r in rows] if len(rows) > 1 else [None]
+            return None
 
     def read(lines: list[str]):
-        # in chunks, so that the garbage collector finds few objects alive
+        # in chunks, so that the garbage collector finds few objects alive;
+        # a chunk whose check fails is read again row by row, in a loop: a
+        # `values` that called itself would be a cycle keeping it alive
         for start in range(0, len(lines), 64):
             matches = list(map(line, lines[start:start + 64]))
             rows = [m.groups() for m in matches if m]
-            made = zip(map(itemgetter(0), rows), values(rows) if rows else ())
+            made = rows and (values(rows) or [
+                (values([r]) or [None])[0] for r in rows])
+            made = zip(map(itemgetter(0), rows), made)
             if len(rows) == len(matches):
                 yield from made
             else:

@@ -31,8 +31,9 @@ slots, whatever the size of the tree.  It reads the coalgebra's successor
 table, as do the size prediction below and `tree_fingerprint`.  A complete
 unravelling that nothing reads needs no level either: `complete_counts`
 gives each state's copies, and their sum is the tree's size, so `coalg
-unravel` builds the tree only for --depth, --emit or --dot, or when the
-walk finds a reachable cycle or an imprecise value.
+unravel` prints its copies from them whenever they answer, and builds the
+tree only for --depth, --emit or --dot, or when the walk finds a
+reachable cycle or an imprecise value.
 
 Cyclic inputs unravel forever, so the constructions take a depth cap, and
 `tree_unravelling` unravels completely only when the walk finds no
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable, Iterator
+from operator import itemgetter
 
 from .base import (FiniteSet, Record, SearchSpaceTooLarge, ShapeError,
                    StateId, TotalMap, _guard)
@@ -301,7 +303,7 @@ def tree_unravelling(c: PointedCoalgebra) -> UnravelResult:
 
 def copy_counts(projection: TotalMap) -> dict[StateId, int]:
     """Preimage sizes of an unravelling projection, keyed by target state."""
-    counts = Counter(projection[x] for x in projection.domain)
+    counts = Counter(map(itemgetter(1), projection.items()))
     return {y: counts.get(y, 0) for y in projection.codomain}
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import os
 import pathlib
 import subprocess
@@ -607,6 +608,40 @@ def test_listings_are_not_written_line_by_line(tmp_path, monkeypatch,
     # 2^11 - 1 words or paths, one listing line each
     assert len(out.getvalue().splitlines()) > 2047
     assert out.writes < 10
+
+
+def test_listings_of_several_writes_are_whole(tmp_path, capsys):
+    spec = tmp_path / "loop.spec"
+    spec.write_text(LOOPS["dfa-inputs"], encoding="utf-8")
+    assert main(["dfa-inputs", str(spec), "--maxlen", "12"]) == 0
+    # 2^13 - 1 words, more than one write of 4,096 names holds
+    words = ["ε"] + ["".join(w) for k in range(1, 13)
+                     for w in itertools.product("ab", repeat=k)]
+    assert capsys.readouterr().out == (
+        "complete: false (maxlen 12)\n"
+        f"P = {{{', '.join(words)}}}\ndelta*:\n"
+        + "".join(f"  {w} -> q\n" for w in words))
+
+
+def test_braces_of_several_writes_are_whole(tmp_path, capsys):
+    n = 5000
+    names = [f"c{i}" for i in range(n)]
+    chain_spec = tmp_path / "chain.spec"
+    chain_spec.write_text(
+        f"functor: Bag\nstates: {', '.join(names)}\npoint: c0\n"
+        + "".join(f"c{i} = [c{i + 1}]\n" for i in range(n - 1))
+        + f"c{n - 1} = []\n", encoding="utf-8")
+    assert main(["reachable", str(chain_spec)]) == 0
+    # the levels end with the empty one that stops the iteration
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "levels: " + ", ".join(f"{{{x}}}" for x in names) + ", {}",
+        f"reachable part = {{{', '.join(names)}}}"]
+    loop = tmp_path / "loop.spec"
+    loop.write_text("functor: Bag\nstates: r\npoint: r\nr = [r*2]\n",
+                    encoding="utf-8")
+    assert main(["unravel", str(loop), "--depth", "13"]) == 0
+    frontier = ["13:r"] + [f"13:r~{k}" for k in range(2, 2 ** 13 + 1)]
+    assert f"frontier: {{{', '.join(frontier)}}}\n" in capsys.readouterr().out
 
 
 def test_paths_rejects_other_kinds(capsys):

@@ -100,9 +100,19 @@ def test_names_holding_line_breaks_are_not_emitted(brk):
                                             ("c", IdVal("p"))))}, "p")
     dfa = PartialDFA(FiniteSet((name,)), FiniteSet(("q",)), frozenset(),
                      {("q", name): "q"}, "q")
-    for obj in (state, letter, dfa):
-        with pytest.raises(SpecFormatError, match="line break"):
+    # an edge id is written on its edge line alone
+    graph = coalgebra.Multigraph(FiniteSet(("v",)),
+                                 (coalgebra.Edge(name, "v", "v"),), "v")
+    # the message names the first line holding the break
+    quoted = functors.quote_name(name)
+    for obj, line in ((state, f"states: {quoted}"),
+                      (letter, f"functor: Id^{{{quoted},c}}"),
+                      (dfa, f"alphabet: {quoted}"),
+                      (graph, f"edge {quoted} v v")):
+        with pytest.raises(SpecFormatError) as exc:
             emit_spec(obj)
+        assert str(exc.value) == (f"cannot write {line!r}: a name in it "
+                                  "holds a line break")
     # a functor expression alone is one string, not a document
     assert parse_functor(format_functor(f)) == f
 

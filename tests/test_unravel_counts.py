@@ -15,8 +15,8 @@ import random
 
 import pytest
 
-from coalg import emit_spec, unravelling
-from coalg.cli import main
+from coalg import SearchSpaceTooLarge, emit_spec, parse_spec, unravelling
+from coalg.cli import _as_coalgebra, main
 
 import generators
 from conftest import FIXTURE_DIR, FIXTURE_NAMES, fixture_path
@@ -100,17 +100,48 @@ def test_plain_unravel_builds_the_tree_where_the_counts_do_not_answer(
 
 
 @pytest.mark.parametrize("name", ["two_cycle", "pow_edge"])
-def test_plain_unravel_walks_the_root_paths_once(name, monkeypatch, capsys):
+def test_plain_unravel_walks_the_root_paths_once(name, monkeypatch, capsys,
+                                                 tmp_path):
     # the counts do not answer (a cycle, a non-empty powerset value), so the
     # tree is built to the depth `tree_unravelling` would choose, 3 * |C|
-    # for both inputs, without a second walk
+    # for both inputs, without a second walk, also when it is written
     calls = []
 
     def counted(*args, original=unravelling._root_paths):
         calls.append(args)
         return original(*args)
 
-    depth = run(capsys, "unravel", fixture_path(name), "--depth", "6")
-    monkeypatch.setattr(unravelling, "_root_paths", counted)
-    assert run(capsys, "unravel", fixture_path(name)) == depth
-    assert len(calls) == 1
+    written = ["--emit", str(tmp_path / "t.spec"),
+               "--dot", str(tmp_path / "t.dot")]
+    for flags in ([], written):
+        depth = run(capsys, "unravel", fixture_path(name), "--depth", "6",
+                    *flags)
+        files = [p.read_bytes() for p in sorted(tmp_path.iterdir())]
+        monkeypatch.setattr(unravelling, "_root_paths", counted)
+        assert run(capsys, "unravel", fixture_path(name), *flags) == depth
+        assert [p.read_bytes() for p in sorted(tmp_path.iterdir())] == files
+        monkeypatch.undo()
+        assert len(calls) == 1
+        calls.clear()
+
+
+def test_complete_counts_are_the_copies_of_the_built_tree(monkeypatch):
+    # `unravel` prints its copies from the counts whenever they answer, also
+    # with --emit or --dot; here they meet the tree those would write
+    monkeypatch.setenv("COALG_GUARD", "20000")
+    answered = 0
+    for text in seeded_texts():
+        c = _as_coalgebra(parse_spec(text))
+        if not c.is_total():
+            continue
+        try:
+            counts = unravelling.complete_counts(c)
+        except SearchSpaceTooLarge:
+            continue
+        if counts is not None:
+            tree = unravelling.unravel(c, len(c.carrier))
+            assert tree.complete
+            assert unravelling.copy_counts(tree.projection) == {
+                y: counts.get(y, 0) for y in c.carrier}, text
+            answered += 1
+    assert answered >= 500
