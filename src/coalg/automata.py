@@ -38,8 +38,10 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from itertools import islice, repeat
+from operator import mul
 
-from .base import FiniteSet, Record, ShapeError, StateId, TotalMap
+from .base import (FiniteSet, Record, SearchSpaceTooLarge, ShapeError,
+                   StateId, TotalMap, _guard)
 from .coalgebra import Multigraph, PointedCoalgebra, _root_paths
 from .functors import (BOTTOM, Bag, BagVal, Const, ConstVal, Coproduct,
                        Exponent, FunVal, FunctorExpr, FValue, IdVal, Identity,
@@ -48,6 +50,9 @@ from .unravelling import UnravelResult, _tree_size, _within_guard
 
 # Both trees are unravellings: tree, projection, complete flag and frontier.
 DefinedInputs = RootedPaths = UnravelResult
+
+# characters the names of one unfolding may hold, per unit of COALG_GUARD
+NAME_CHARS_PER_GUARD = 12
 
 
 class PartialDFA(Record):
@@ -168,10 +173,15 @@ def _unfold(functor: FunctorExpr, states: FiniteSet, root: StateId,
     its counts give the tree's size, checked against the guard first);
     otherwise paths of length max_len stay open, and the tree's size is
     predicted, and checked against the guard, before a path is named.
-    The walk gives the names, the projection and the frontier; the tree
-    waits for the first read of the result's `tree`, which gives each closed
-    path the value `build(move, kids)` from its state's move and its
-    children's names.
+    A long path has a long name, so the names are guarded too: before a
+    level is named, the characters its names will hold are predicted from
+    the level before (each parent's name and `sep` once per label of its
+    state, and the labels), and all the names may hold at most
+    NAME_CHARS_PER_GUARD = 12 characters per unit of the guard (1.2 * 10^8
+    by default); past that, SearchSpaceTooLarge.  The walk gives the
+    names, the projection and the frontier; the tree waits for the first
+    read of the result's `tree`, which gives each closed path the value
+    `build(move, kids)` from its state's move and its children's names.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
@@ -187,13 +197,31 @@ def _unfold(functor: FunctorExpr, states: FiniteSet, root: StateId,
         _within_guard(sum(counts.values()))
     else:
         _tree_size(root, lambda x: zip(moves[x][1], repeat(1)), max_len)
+    # the characters of the names a state's labels add to a level: its
+    # parent's name once per label, and `sep` and the label after it (the
+    # root's children are their labels alone)
+    fan = {x: len(labels) for x, (labels, _, _) in moves.items()}.__getitem__
+    width = {x: len(sep) * len(labels) + sum(map(len, labels))
+             for x, (labels, _, _) in moves.items()}.__getitem__
+    guard = _guard()
+    limit = NAME_CHARS_PER_GUARD * guard
     names, targets = ["ε"], [root]
     start, depth = 0, 0
+    chars = 1 + sum(map(len, moves[root][0]))
     # the two lists grow in step behind the walk, one level at a time: a
     # breadth-first queue whose level [start:] is the open frontier at the end
     while start < len(names) and (complete or depth < max_len):
         end = len(names)
-        for name, x in zip(names[start:end], targets[start:end]):
+        level, xs = names[start:end], targets[start:end]
+        if depth:
+            chars += sum(map(mul, map(len, level), map(fan, xs)),
+                         sum(map(width, xs)))
+        if chars > limit:
+            raise SearchSpaceTooLarge(
+                f"the names of the unfolding to depth {depth + 1} would hold "
+                f"more than {limit} characters, {NAME_CHARS_PER_GUARD} per "
+                f"unit of COALG_GUARD={guard}")
+        for name, x in zip(level, xs):
             labels, ys, _ = moves[x]
             prefix = name + sep if depth else ""
             names += [prefix + label for label in labels]
@@ -249,7 +277,7 @@ def rooted_paths(g: Multigraph, max_len: int) -> UnravelResult:
     """
     def step(v: StateId) -> Move:
         out = g.out_edges(v)
-        return tuple(e.id for e in out), tuple(e.tgt for e in out), None
+        return tuple([e.id for e in out]), tuple([e.tgt for e in out]), None
 
     return _unfold(Bag(), g.vertices, g.root, step, max_len, "·",
                    _path_value, "path names collide; rename the edge ids")

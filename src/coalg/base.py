@@ -237,7 +237,7 @@ class TotalMap:
 
     @classmethod
     def identity(cls, carrier: FiniteSet) -> "TotalMap":
-        return cls(carrier, carrier, {x: x for x in carrier})
+        return cls._trusted(carrier, carrier, {x: x for x in carrier})
 
     def __getitem__(self, x: StateId) -> StateId:
         return self._mapping[x]
@@ -252,8 +252,8 @@ class TotalMap:
         return {x: self._mapping[x] for x in self.domain}
 
     def image(self) -> FiniteSet:
-        return FiniteSet(dict.fromkeys(map(self._mapping.__getitem__,
-                                           self.domain)))
+        return FiniteSet._trusted(dict.fromkeys(map(self._mapping.__getitem__,
+                                                    self.domain)))
 
     def is_injective(self) -> bool:
         return len(self.image()) == len(self.domain)

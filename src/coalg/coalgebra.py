@@ -10,9 +10,10 @@ coalgebras have an empty frontier.
 `PointedCoalgebra(...)` validates the point, the frontier and every structure
 value against the carrier; `Multigraph(...)` validates its root and edges.
 The constructions that derive a coalgebra or a graph from a valid one
-(reachable parts, unravellings, the DFA and path trees, the canonical graph
-and the reachable subgraph) build it with the unchecked `_trusted`
-constructors instead (see `coalg.base`).  The spec parser, which checks each
+(reachable parts, unravellings, the DFA and path trees, coproducts, the
+canonical graph and the reachable subgraph) build it with the unchecked
+`_trusted` constructors instead (see `coalg.base`), and relabel values by
+`FunctorExpr.map`, which checks nothing.  The spec parser, which checks each
 value as it reads it, builds with `_trusted` and then runs the carrier
 checks of the public constructor alone (`_check(values=False)`), without
 its second pass over the values.
@@ -37,7 +38,7 @@ import graphlib
 from collections.abc import Callable, Iterable, Mapping
 
 from .base import FiniteSet, Record, ShapeError, StateId, TotalMap
-from .functors import Bag, BagVal, FunctorExpr, FValue, fmap, validate_value
+from .functors import Bag, BagVal, FunctorExpr, FValue, validate_value
 
 # a state's out-edges as (successor, weight) pairs
 Successors = Callable[[StateId], Iterable[tuple[StateId, int]]]
@@ -216,7 +217,7 @@ def check_morphism(h: TotalMap, source: PointedCoalgebra,
         if x in source.frontier:
             skipped.append(x)
             continue
-        actual = fmap(source.functor, h, source.structure[x])
+        actual = source.functor.map(source.structure[x], h)
         y = h[x]
         if y in target.frontier:
             failures.append((x, None, actual))
@@ -238,19 +239,18 @@ def coproduct(c1: PointedCoalgebra, c2: PointedCoalgebra) -> PointedCoalgebra:
         raise ShapeError("coproduct needs a common functor")
     ren1 = {x: f"left.{x}" for x in c1.carrier}
     ren2 = {x: f"right.{x}" for x in c2.carrier}
-    carrier = FiniteSet([ren1[x] for x in c1.carrier]
-                        + [ren2[x] for x in c2.carrier])
     structure: dict[StateId, FValue] = {}
-    for x in c1.carrier:
-        if x not in c1.frontier:
-            structure[ren1[x]] = fmap(c1.functor, ren1, c1.structure[x])
-    for x in c2.carrier:
-        if x not in c2.frontier:
-            structure[ren2[x]] = fmap(c2.functor, ren2, c2.structure[x])
-    frontier = FiniteSet([ren1[x] for x in c1.frontier]
-                         + [ren2[x] for x in c2.frontier])
-    return PointedCoalgebra(c1.functor, carrier, structure,
-                            ren1[c1.point], frontier)
+    for c, ren in ((c1, ren1), (c2, ren2)):
+        for x in c.carrier:
+            if x not in c.frontier:
+                structure[ren[x]] = c.functor.map(c.structure[x],
+                                                  ren.__getitem__)
+    carrier = dict.fromkeys([*ren1.values(), *ren2.values()])
+    frontier = dict.fromkeys([ren1[x] for x in c1.frontier]
+                             + [ren2[x] for x in c2.frontier])
+    return PointedCoalgebra._trusted(
+        c1.functor, FiniteSet._trusted(carrier), structure, ren1[c1.point],
+        FiniteSet._trusted(frontier))
 
 
 def _root_paths(root: StateId, successors: Successors

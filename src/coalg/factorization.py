@@ -31,8 +31,8 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator, Mapping
 
 from .base import (FiniteSet, NotIsomorphic, PowNotPrecise, Record,
-                   ShapeError, StateId, TotalMap, fresh_namer)
-from .functors import FValue, FunctorExpr, Member, fmap, validate_value
+                   StateId, TotalMap, fresh_namer)
+from .functors import FValue, FunctorExpr, Member, validate_value
 
 
 class FMap:
@@ -157,8 +157,6 @@ def precise_factorize(f: FMap, tag: str | None = None) -> PreciseFactorization:
     alloc, prefix = fresh_namer(), tag or ""
 
     def emit(member: Member) -> StateId:
-        if not isinstance(member, str):
-            raise ShapeError(f"bottom member is not a state id: {member!r}")
         r = alloc(prefix + member)
         h_map[r] = member
         return r
@@ -212,7 +210,8 @@ def factorization_iso(a: PreciseFactorization, b: PreciseFactorization) -> Total
     if a.h.codomain.as_set() != b.h.codomain.as_set():
         raise NotIsomorphic("factorizations have different final codomains")
     for x in a.p.domain:
-        if fmap(functor, a.h, a.p.values[x]) != fmap(functor, b.h, b.p.values[x]):
+        if (functor.map(a.p.values[x], a.h) !=
+                functor.map(b.p.values[x], b.h)):
             raise NotIsomorphic(f"underlying maps differ at {x!r}")
 
     d: dict[StateId, StateId] = {}
@@ -220,22 +219,20 @@ def factorization_iso(a: PreciseFactorization, b: PreciseFactorization) -> Total
     for x in a.p.domain:
         for ma, mb in functor.pair(a.p.values[x], b.p.values[x],
                                    a.h.__getitem__, b.h.__getitem__):
-            if not (isinstance(ma, str) and isinstance(mb, str)):
-                raise NotIsomorphic("unmatched inner structure")
             if d.get(ma, mb) != mb:
                 raise NotIsomorphic(f"middle element {ma!r} matched twice")
             d[ma] = mb
             hit_b.add(mb)
-    if len(d) != len(a.middle) or hit_b != b.middle.as_set():
+    if d.keys() != a.middle.as_set() or hit_b != b.middle.as_set():
         raise NotIsomorphic("matching is not a bijection of middles")
 
-    iso = TotalMap(a.middle, b.middle, d)
+    iso = TotalMap._trusted(a.middle, b.middle, d)
     if not iso.is_bijective():
         raise NotIsomorphic("matching is not a bijection of middles")
     for r in a.middle:
         if b.h[iso[r]] != a.h[r]:
             raise NotIsomorphic(f"matching does not commute with h at {r!r}")
     for x in a.p.domain:
-        if fmap(functor, iso, a.p.values[x]) != b.p.values[x]:
+        if functor.map(a.p.values[x], iso) != b.p.values[x]:
             raise NotIsomorphic(f"matching does not transport p at {x!r}")
     return iso

@@ -23,10 +23,14 @@ with bare names are read by one pattern per document (`reader`), any other
 from the tokens of their line (`Cursor`); functor expressions are read one
 character at a time (`_ExprCursor`).  Composite constructors recurse into
 their parts; `Compose` runs the outer operation with the inner one applied
-at each member slot.  Adding a constructor touches one class.  Other
-modules call the methods directly; the three entry points below
-(`used_states`, `fmap`, `validate_value`) add a check that bottom members
-are state ids.
+at each member slot.  Adding a constructor touches one class.
+
+Only `validate` checks a value; every other operation, `map` among them,
+takes a value that `validate` accepted.  Other modules call the methods
+directly on values that were validated or that the library built.  The
+three entry points below (`used_states`, `fmap`, `validate_value`) take
+any value: each runs `validate` once, and `validate_value`'s member check
+is the one test that bottom members are state ids.
 """
 
 from __future__ import annotations
@@ -250,8 +254,8 @@ class FunctorExpr(Record):
       `build(columns)`, the values of many matches from one column per
       group; None leaves the values to `parse` (see `specfile`).
     Members are state ids, or inner values under composition.  `validate`
-    and `map` check each node's value class, product arity and coproduct
-    tag; the other operations take values that `validate` accepted.
+    alone checks each node's value class, product arity, coproduct tag and
+    exponent letters; the other operations take values that it accepted.
     `slots(value)` is `edges` after `validate`'s shape check.
     """
 
@@ -314,7 +318,7 @@ class Identity(FunctorExpr):
         member(self.expect(value).member, path)
 
     def map(self, value, fn):
-        return IdVal(fn(self.expect(value).member))
+        return IdVal(fn(value.member))
 
     def edges(self, value):
         return ((value.member, 1),)
@@ -367,7 +371,7 @@ class Const(FunctorExpr):
                              f"{{{','.join(self.values)}}}")
 
     def map(self, value, fn):
-        return self.expect(value)
+        return value
 
     def edges(self, value):
         return ()
@@ -416,18 +420,15 @@ class Product(FunctorExpr):
     def children(self):
         return self.factors
 
-    def _items(self, value, path="value"):
+    def validate(self, value, member, path):
         if len(self.expect(value).items) != len(self.factors):
             raise ShapeError(f"{path}: product arity mismatch")
-        return value.items
-
-    def validate(self, value, member, path):
-        for i, (g, v) in enumerate(zip(self.factors, self._items(value, path))):
+        for i, (g, v) in enumerate(zip(self.factors, value.items)):
             g.validate(v, member, f"{path}.{i}")
 
     def map(self, value, fn):
         return TupleVal(tuple(g.map(v, fn)
-                              for g, v in zip(self.factors, self._items(value))))
+                              for g, v in zip(self.factors, value.items)))
 
     def edges(self, value):
         out = ()
@@ -491,16 +492,14 @@ class Coproduct(FunctorExpr):
     def children(self):
         return self.summands
 
-    def _summand(self, value, path="value"):
+    def validate(self, value, member, path):
         if not 0 <= self.expect(value).tag < len(self.summands):
             raise ShapeError(f"{path}: coproduct tag {value.tag} out of range")
-        return self.summands[value.tag]
-
-    def validate(self, value, member, path):
-        self._summand(value, path).validate(value.value, member, f"{path}.t{value.tag}")
+        self.summands[value.tag].validate(value.value, member,
+                                          f"{path}.t{value.tag}")
 
     def map(self, value, fn):
-        return TagVal(value.tag, self._summand(value).map(value.value, fn))
+        return TagVal(value.tag, self.summands[value.tag].map(value.value, fn))
 
     def edges(self, value):
         return self.summands[value.tag].edges(value.value)
@@ -563,8 +562,8 @@ class Exponent(FunctorExpr):
             self.base.validate(value[a], member, f"{path}.{a}")
 
     def map(self, value, fn):
-        self.expect(value)
-        return FunVal((a, self.base.map(value[a], fn)) for a in self.alphabet)
+        return FunVal._trusted({a: self.base.map(value[a], fn)
+                                for a in self.alphabet})
 
     def edges(self, value):
         out = ()
@@ -697,7 +696,7 @@ class Bag(FunctorExpr):
             member(m, path)
 
     def map(self, value, fn):
-        return BagVal((fn(m), n) for m, n in self.expect(value).entries)
+        return BagVal((fn(m), n) for m, n in value.entries)
 
     def edges(self, value):
         return value.entries
@@ -746,7 +745,7 @@ class Pow(FunctorExpr):
             member(m, path)
 
     def map(self, value, fn):
-        return SetVal(fn(m) for m in self.expect(value).members)
+        return SetVal(fn(m) for m in value.members)
 
     def edges(self, value):
         return tuple(zip(value.members, repeat(1)))
@@ -856,11 +855,8 @@ def _pieces(items, sizes):
 
 def used_states(functor: FunctorExpr, value: FValue) -> FiniteSet:
     """States that actually occur in the value, in first-occurrence order."""
-    members = dict.fromkeys(m for m, _ in functor.slots(value))
-    for m in members:
-        if not isinstance(m, str):
-            raise ShapeError(f"bottom member is not a state id: {m!r}")
-    return FiniteSet(members)
+    validate_value(functor, value)
+    return FiniteSet(dict.fromkeys(m for m, _ in functor.edges(value)))
 
 
 def fmap(functor: FunctorExpr, h, value: FValue) -> FValue:
@@ -868,14 +864,8 @@ def fmap(functor: FunctorExpr, h, value: FValue) -> FValue:
 
     `h` may be a mapping, or a callable on state ids such as a TotalMap.
     """
-    hf = h.__getitem__ if isinstance(h, Mapping) else h
-
-    def rename(m: Member) -> Member:
-        if not isinstance(m, str):
-            raise ShapeError(f"bottom member is not a state id: {m!r}")
-        return hf(m)
-
-    return functor.map(value, rename)
+    validate_value(functor, value)
+    return functor.map(value, h.__getitem__ if isinstance(h, Mapping) else h)
 
 
 def validate_value(functor: FunctorExpr, value: FValue,

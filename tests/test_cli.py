@@ -460,6 +460,35 @@ def test_every_walk_ends_on_a_20000_state_chain(tmp_path, command):
         assert out[-1] == f"wrote {emit}" and emit.stat().st_size > 0
 
 
+LONG_NAMES = {
+    # 20,000 edge ids of 2 to 6 characters: the path names would hold
+    # about 1.2 * 10^9 characters
+    "paths": lambda n: ["kind: multigraph",
+                        "vertices: " + ", ".join(f"v{i}" for i in range(n + 1)),
+                        "root: v0"] + [f"edge e{i} v{i} v{i + 1}"
+                                       for i in range(n)],
+    # one two-character letter, so words are joined by `·`: about 6 * 10^8
+    "dfa-inputs": lambda n: ["kind: dfa", "alphabet: ab",
+                             "states: " + ", ".join(f"q{i}"
+                                                    for i in range(n + 1)),
+                             "initial: q0"] + [f"trans q{i} ab q{i + 1}"
+                                               for i in range(n)],
+}
+
+
+@pytest.mark.parametrize("command", sorted(LONG_NAMES))
+def test_names_past_the_guard_are_refused(tmp_path, command):
+    # a 20,000-step chain is within the guard on tree states, but its
+    # names are not
+    spec = tmp_path / "chain.spec"
+    spec.write_text("\n".join(LONG_NAMES[command](20000)) + "\n",
+                    encoding="utf-8")
+    code, _, err, seconds = run_capped(command, str(spec))
+    assert code == 3 and seconds < 5.0
+    [line] = err.splitlines()
+    assert line.startswith("error: the names of the unfolding ")
+
+
 def test_is_tree_oracle_reports_refuters(capsys):
     code, out = run(capsys, "is-tree", fixture_path("shared_leaf"),
                     "--oracle")

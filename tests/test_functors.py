@@ -298,7 +298,7 @@ def test_member_maps_reject_wrong_shapes():
     with pytest.raises(ShapeError):
         list(f.slots(short))
     with pytest.raises(ShapeError):
-        f.map(TagVal(-1, ConstVal(BOTTOM)), lambda m: m)
+        fmap(f, lambda m: m, TagVal(-1, ConstVal(BOTTOM)))
     with pytest.raises(ShapeError):
         list(f.slots(TagVal(2, ConstVal(BOTTOM))))
     with pytest.raises(ShapeError):
@@ -311,3 +311,59 @@ def test_set_literal_names_opening_with_a_quote_are_quoted_names():
     assert parse_functor('{"x,y"}') == Const(FiniteSet(("x,y",)))
     with pytest.raises(SpecFormatError, match="double quote"):
         format_functor(Const(FiniteSet(('"x', "y"))))
+
+
+def mutations(f, v):
+    """(kind, value) for every way of breaking v at one node of f: the
+    wrong value class, a product item dropped, a coproduct tag out of
+    range, an exponent letter missing or one extra, or a bare state id in
+    a member slot under composition; each rebuilt into a whole value."""
+    yield "class", IdVal("s0") if isinstance(f, Const) else ConstVal("zz")
+    if isinstance(f, Product):
+        for i, (g, w) in enumerate(zip(f.factors, v.items)):
+            yield "arity", TupleVal(v.items[:i] + v.items[i + 1:])
+            for kind, bad in mutations(g, w):
+                yield kind, TupleVal(v.items[:i] + (bad,) + v.items[i + 1:])
+    elif isinstance(f, Coproduct):
+        yield "tag", TagVal(len(f.summands), v.value)
+        for kind, bad in mutations(f.summands[v.tag], v.value):
+            yield kind, TagVal(v.tag, bad)
+    elif isinstance(f, Exponent):
+        yield "missing letter", FunVal(v.entries[1:])
+        yield "extra letter", FunVal(v.entries + (("zz", v.entries[0][1]),))
+        for i, (a, w) in enumerate(v.entries):
+            for kind, bad in mutations(f.base, w):
+                yield kind, FunVal(v.entries[:i] + ((a, bad),)
+                                   + v.entries[i + 1:])
+    elif isinstance(f, Compose):
+        inner = [m for m, _ in f.outer.edges(v)]
+        for k, m in enumerate(inner):
+            for kind, bad in [("state id", "s0"), *mutations(f.inner, m)]:
+                calls = iter(range(len(inner)))
+                yield kind, f.outer.map(
+                    v, lambda m: bad if next(calls) == k else m)
+
+
+def test_malformed_values_get_one_message_from_every_checked_entry():
+    # fmap, used_states, validate_value and slots check a value by one
+    # walk, so each refuses a broken value with validate's message
+    rng = random.Random(41)
+    carrier = FiniteSet(("s0", "s1", "s2"))
+    seen = dict.fromkeys(("class", "arity", "tag", "missing letter",
+                          "extra letter", "state id"), 0)
+    for _ in range(300):
+        f = generators.random_functor(rng, depth=3, pow_free=rng.random() < .5)
+        v = generators.random_value(rng, f, carrier)
+        found = list(mutations(f, v))
+        for kind, bad in rng.sample(found, min(4, len(found))):
+            messages = set()
+            for entry in (lambda: fmap(f, lambda m: m, bad),
+                          lambda: used_states(f, bad),
+                          lambda: validate_value(f, bad),
+                          lambda: list(f.slots(bad))):
+                with pytest.raises(ShapeError) as caught:
+                    entry()
+                messages.add(str(caught.value))
+            assert len(messages) == 1, (kind, messages)
+            seen[kind] += 1
+    assert min(seen.values()) >= 20, seen

@@ -1,6 +1,6 @@
 """The constructions build the carriers, maps, coalgebras, graphs and the
 exponent and bag values they derive with the unchecked `_trusted`
-constructors.  Each object they return is rebuilt here through its public,
+constructors, as do coproducts, identity maps and the images of maps.  Each object they return is rebuilt here through its public,
 validating constructor, from its raw fields, on seeded random inputs: the
 constructor must accept it and give an equal object.  Every value is also
 rebuilt through the public value constructors (`FunVal(...)`, `BagVal(...)`
@@ -21,6 +21,7 @@ from coalg import (
     PowNotPrecise,
     TotalMap,
     canonical_graph,
+    coproduct,
     defined_inputs,
     dfa_to_coalgebra,
     fmap,
@@ -166,6 +167,24 @@ def test_defined_inputs_and_rooted_paths_are_valid():
                               rng.randint(0, 4))
         check_coalgebra(result.tree)
         check_map(result.projection)
+
+
+def test_coproducts_identities_and_images_are_valid():
+    rng = random.Random(37)
+    for _ in range(300):
+        c = generators.random_coalgebra(rng, open_states=True)
+        carrier = FiniteSet(f"t{i}" for i in range(rng.randint(1, 5)))
+        other = PointedCoalgebra(
+            c.functor, carrier,
+            {x: generators.random_value(rng, c.functor, carrier)
+             for x in carrier}, "t0")
+        check_coalgebra(coproduct(c, other))
+        check_coalgebra(coproduct(c, c))
+        check_map(TotalMap.identity(c.carrier))
+        m = TotalMap(c.carrier, carrier,
+                     {x: rng.choice(list(carrier)) for x in c.carrier})
+        check_set(m.image())
+        check_set(TotalMap.identity(carrier).image())
 
 
 def test_graph_views_are_valid():

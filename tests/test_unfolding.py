@@ -1,7 +1,8 @@
 """The DFA word tree and the multigraph path tree are one rooted-path
 unfolding: each is checked against the tuple-keyed breadth-first walks it
-replaced, kept here as the reference, on seeded random inputs, and long
-chains unfold within a time budget."""
+replaced, kept here as the reference, on seeded random inputs; the size of
+their names is predicted exactly before they are made, and long chains
+unfold within a time budget."""
 
 from __future__ import annotations
 
@@ -21,12 +22,15 @@ from coalg import (
     IdVal,
     Multigraph,
     PartialDFA,
+    SearchSpaceTooLarge,
     ShapeError,
     TagVal,
     TupleVal,
     defined_inputs,
     rooted_paths,
 )
+
+from coalg import automata
 
 import generators
 
@@ -155,6 +159,34 @@ def test_colliding_names_are_shape_errors():
                    (Edge("e", "v", "v"), Edge("e·e", "v", "v")), "v")
     with pytest.raises(ShapeError, match="path names collide"):
         rooted_paths(g, 2)
+
+
+def test_name_sizes_are_predicted_exactly(monkeypatch):
+    # with one character per unit of the guard, a guard of exactly the
+    # names' length passes and one less is refused by the name guard
+    monkeypatch.setattr(automata, "NAME_CHARS_PER_GUARD", 1)
+    rng = random.Random(37)
+    letters = {"a": "ab", "b": "b", "c": "x/y"}
+    refused = 0
+    for _ in range(100):
+        for unfold, obj in (
+                (defined_inputs, generators.random_dfa(rng)),
+                (defined_inputs, with_letters(
+                    generators.random_acyclic_dfa(rng), letters)),
+                (rooted_paths, generators.random_multigraph(rng))):
+            for max_len in MAX_LENS:
+                monkeypatch.delenv("COALG_GUARD", raising=False)
+                names = unfold(obj, max_len).projection.domain
+                size = sum(map(len, names))
+                monkeypatch.setenv("COALG_GUARD", str(size))
+                assert unfold(obj, max_len).projection.domain == names
+                if len(names) < size and len(names) > 1:
+                    monkeypatch.setenv("COALG_GUARD", str(size - 1))
+                    with pytest.raises(SearchSpaceTooLarge,
+                                       match="names of the unfolding"):
+                        unfold(obj, max_len)
+                    refused += 1
+    assert refused >= 300
 
 
 def chain_ids(n: int) -> list[str]:
