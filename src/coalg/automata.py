@@ -68,17 +68,19 @@ class PartialDFA(Record):
                         dict(delta), initial)
         if len(self.alphabet) == 0:
             raise ShapeError("alphabet must be non-empty")
-        if self.initial not in self.states:
+        # frozen sets: a FiniteSet's `in` is a Python call per test
+        states, alphabet = self.states.as_set(), self.alphabet.as_set()
+        if self.initial not in states:
             raise ShapeError(f"initial state {self.initial!r} not a state")
         for q in accepting:
-            if q not in self.states:
+            if q not in states:
                 raise ShapeError(f"accepting state {q!r} not a state")
         for (q, a), q2 in self.delta.items():
-            if q not in self.states:
+            if q not in states:
                 raise ShapeError(f"transition from unknown state {q!r}")
-            if a not in self.alphabet:
+            if a not in alphabet:
                 raise ShapeError(f"transition on unknown letter {a!r}")
-            if q2 not in self.states:
+            if q2 not in states:
                 raise ShapeError(f"transition into unknown state {q2!r}")
 
 
@@ -223,8 +225,17 @@ def _unfold(functor: FunctorExpr, states: FiniteSet, root: StateId,
                 f"unit of COALG_GUARD={guard}")
         for name, x in zip(level, xs):
             labels, ys, _ = moves[x]
-            prefix = name + sep if depth else ""
-            names += [prefix + label for label in labels]
+            # one string per name: a `name + sep` prefix would copy the
+            # parent's name and free it at once, and on a chain the longer
+            # names after it do not fit the holes this leaves in the heap
+            # (half again the names' size at the end of a long chain); with
+            # no sep, `name + label` is that one string and the quicker
+            if not depth:
+                names += labels
+            elif sep:
+                names += [f"{name}{sep}{label}" for label in labels]
+            else:
+                names += [name + label for label in labels]
             targets += ys
         start, depth = end, depth + 1
     projected = dict(zip(names, targets))

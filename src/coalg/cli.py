@@ -4,11 +4,24 @@ Commands read one spec file, print a machine-readable first line followed by
 detail lines, and use exit codes 0 (success / true verdict), 1 (false
 verdict), 2 (input error), 3 (search-space guard).  DFA and multigraph
 inputs are converted to coalgebras where a command needs one.
+
+While a command runs, the cyclic garbage collector is paused (`_run`), and
+switched back on afterwards, on every way out, only if it was on before.
+The pause is safe because the constructions make no reference cycles:
+their levels, values and maps are immutable and acyclic, and reference
+counting frees them, so a collection would walk them all and free nothing
+(a third or more of `reach_levels` and `unravel` on a 200,000-state
+chain).  tests/test_gc_pause.py checks that no command leaves a cycle
+behind.  The one exception is argparse's parser, which leaves 57-72 cyclic
+objects per call; the collector frees them once it is back on, or they go
+at process exit.  Library calls made outside `main` run with the collector
+as the caller has it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from itertools import chain, islice
 
@@ -25,6 +38,9 @@ from .reachability import is_reachable, reach_levels, reachable_part
 from .specfile import emit_spec, parse_spec
 from .unravelling import (UnravelResult, complete_counts, copy_counts,
                           tree_check, unravel)
+
+# the characters a listing gathers before it writes them
+WRITE_CHARS = 1 << 16
 
 
 def _load(path: str):
@@ -53,16 +69,26 @@ def _write(path: str, text: str) -> None:
 
 
 def _write_joined(head: str, sep: str, pieces, tail: str) -> None:
-    """Write head, the pieces joined by sep, and tail, 4,096 pieces a write:
-    an unbuffered or line-buffered stdout would make each line its own
-    system call, and one write of the whole would hold a second copy of
-    every name."""
+    """Write head, the pieces joined by sep, and tail, about WRITE_CHARS
+    characters a write: an unbuffered or line-buffered stdout would make
+    each line its own system call, and one write of the whole would hold a
+    second copy of every name.  The pieces are joined in batches of up to
+    4,096, each sized from the length of the one before to hold about
+    WRITE_CHARS characters and at most twice its count: a chain's names
+    grow, and its last ones hold most of its listing's characters."""
     pieces = iter(pieces)
-    text = head + sep.join(islice(pieces, 4096))
-    while chunk := list(islice(pieces, 4096)):
-        sys.stdout.write(text)
-        text = sep + sep.join(chunk)
-    sys.stdout.write(text + tail)
+    parts, size, count, glue = [head], 0, 64, ""
+    while chunk := list(islice(pieces, count)):
+        text = sep.join(chunk)
+        parts += (glue, text)
+        glue, size = sep, size + len(text)
+        if size >= WRITE_CHARS:
+            sys.stdout.write("".join(parts))
+            parts, size = [], 0
+        count = max(1, min(4096, 2 * count,
+                           count * WRITE_CHARS // (len(text) + 1)))
+    parts.append(tail)
+    sys.stdout.write("".join(parts))
 
 
 def _write_listing(header: str, projection: TotalMap) -> None:
@@ -265,7 +291,15 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _build_parser(argv[0] if argv else None).parse_args(argv)
+    return _run(_build_parser(argv[0] if argv else None).parse_args(argv))
+
+
+def _run(args) -> int:
+    """Run the parsed command, with its errors turned into exit codes 2 and
+    3, while the cyclic garbage collector is paused: safe because the
+    constructions make no reference cycles (see the module docstring)."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.fn(args)
     except SearchSpaceTooLarge as exc:
@@ -277,6 +311,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

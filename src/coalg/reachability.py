@@ -139,11 +139,12 @@ def reachable_part(c: PointedCoalgebra) -> ReachablePart:
     # the part's carrier adopts its embedding's dict, as a least bound's does
     inclusion = dict(zip(union, union))
     sub = FiniteSet._trusted(inclusion)
-    structure = {x: c.structure[x] for x in sub if x not in c.frontier}
+    frontier = c.frontier.as_set()
+    structure = {x: c.structure[x] for x in sub if x not in frontier}
     embedding = TotalMap._trusted(sub, c.carrier, inclusion)
     restricted = PointedCoalgebra._trusted(
         c.functor, sub, structure, c.point,
-        FiniteSet._trusted(dict.fromkeys(x for x in sub if x in c.frontier)))
+        FiniteSet._trusted(dict.fromkeys(x for x in sub if x in frontier)))
     return ReachablePart(sub, structure, embedding, c.point, restricted)
 
 

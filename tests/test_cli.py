@@ -324,21 +324,26 @@ def test_a_command_registers_its_subparser_alone():
     assert len(sub.choices) == 7
 
 
-def run_capped(*argv):
+def run_capped(*argv, discard_stdout=False):
     """main(argv) in a child process whose address space is capped at 1 GB,
     so that a construction which runs away fails there instead of taking
     the machine's memory: (exit code, stdout lines, stderr, seconds spent
-    in main)."""
-    probe = ("import resource, sys, time\n"
+    in main).  With discard_stdout, the command's stdout goes to the null
+    device, so a large listing is not held here."""
+    probe = ("import os, resource, sys, time\n"
              "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))\n"
              "from coalg.cli import main\n"
+             "timing = sys.stdout\n"
+             "if sys.argv[1] == 'discard':\n"
+             "    sys.stdout = open(os.devnull, 'w', encoding='utf-8')\n"
              "start = time.perf_counter()\n"
-             "code = main(sys.argv[1:])\n"
-             "print(time.perf_counter() - start)\n"
+             "code = main(sys.argv[2:])\n"
+             "print(time.perf_counter() - start, file=timing)\n"
              "sys.exit(code)\n")
     path = os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-c", probe, *argv],
+    done = subprocess.run([sys.executable, "-c", probe,
+                           "discard" if discard_stdout else "keep", *argv],
                           env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=60)
     # the time is the last line: a verdict may be printed before a refusal
@@ -487,6 +492,25 @@ def test_names_past_the_guard_are_refused(tmp_path, command):
     assert code == 3 and seconds < 5.0
     [line] = err.splitlines()
     assert line.startswith("error: the names of the unfolding ")
+
+
+def test_a_listing_of_long_multibyte_names_holds_one_copy(tmp_path):
+    # the path names of a 6,200-edge chain with edge ids `😀<i>` hold about
+    # 1.1 * 10^8 characters, within the name guard, at four bytes each in
+    # memory: the listing must not copy thousands of them at once
+    n = 6200
+    spec = tmp_path / "emoji.spec"
+    spec.write_text("\n".join(
+        ["kind: multigraph",
+         "vertices: " + ", ".join(f"v{i}" for i in range(n + 1)),
+         "root: v0"] + [f"edge 😀{i} v{i} v{i + 1}" for i in range(n)])
+        + "\n", encoding="utf-8")
+    code, _, err, seconds = run_capped("paths", str(spec),
+                                       discard_stdout=True)
+    assert code in (0, 3) and "Traceback" not in err and seconds < 10.0
+    if code == 3:
+        [line] = err.splitlines()
+        assert line.startswith("error: the names of the unfolding ")
 
 
 def test_is_tree_oracle_reports_refuters(capsys):
