@@ -38,7 +38,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from itertools import islice, repeat
-from operator import mul
 
 from .base import (FiniteSet, Record, SearchSpaceTooLarge, ShapeError,
                    StateId, TotalMap, _guard)
@@ -175,10 +174,10 @@ def _unfold(functor: FunctorExpr, states: FiniteSet, root: StateId,
     its counts give the tree's size, checked against the guard first);
     otherwise paths of length max_len stay open, and the tree's size is
     predicted, and checked against the guard, before a path is named.
-    A long path has a long name, so the names are guarded too: before a
-    level is named, the characters its names will hold are predicted from
-    the level before (each parent's name and `sep` once per label of its
-    state, and the labels), and all the names may hold at most
+    A long path has a long name, so the names are guarded too: before any
+    is made, the characters of each level's names are predicted from the
+    distinct states of the level before (their paths' names and `sep` once
+    per label, and the labels), and all the names may hold at most
     NAME_CHARS_PER_GUARD = 12 characters per unit of the guard (1.2 * 10^8
     by default); past that, SearchSpaceTooLarge.  The walk gives the
     names, the projection and the frontier; the tree waits for the first
@@ -199,30 +198,33 @@ def _unfold(functor: FunctorExpr, states: FiniteSet, root: StateId,
         _within_guard(sum(counts.values()))
     else:
         _tree_size(root, lambda x: zip(moves[x][1], repeat(1)), max_len)
-    # the characters of the names a state's labels add to a level: its
-    # parent's name once per label, and `sep` and the label after it (the
-    # root's children are their labels alone)
-    fan = {x: len(labels) for x, (labels, _, _) in moves.items()}.__getitem__
-    width = {x: len(sep) * len(labels) + sum(map(len, labels))
-             for x, (labels, _, _) in moves.items()}.__getitem__
     guard = _guard()
     limit = NAME_CHARS_PER_GUARD * guard
+    # each state of a level: its paths, and the characters of their names
+    # (the root's children are their labels alone)
+    level, chars, depth = {root: (1, 0)}, 1, 0
+    while level and (complete or depth < max_len):
+        nxt: dict[StateId, tuple[int, int]] = {}
+        for x, (n, held) in level.items():
+            labels, ys, _ = moves[x]
+            own = held + n * len(sep) if depth else 0
+            for label, y in zip(labels, ys):
+                m, more = nxt.get(y, (0, 0))
+                nxt[y] = m + n, more + own + n * len(label)
+        level, depth = nxt, depth + 1
+        chars += sum(more for _, more in nxt.values())
+        if chars > limit:
+            raise SearchSpaceTooLarge(
+                f"the names of the unfolding to depth {depth} would hold "
+                f"more than {limit} characters, {NAME_CHARS_PER_GUARD} per "
+                f"unit of COALG_GUARD={guard}")
     names, targets = ["ε"], [root]
     start, depth = 0, 0
-    chars = 1 + sum(map(len, moves[root][0]))
     # the two lists grow in step behind the walk, one level at a time: a
     # breadth-first queue whose level [start:] is the open frontier at the end
     while start < len(names) and (complete or depth < max_len):
         end = len(names)
         level, xs = names[start:end], targets[start:end]
-        if depth:
-            chars += sum(map(mul, map(len, level), map(fan, xs)),
-                         sum(map(width, xs)))
-        if chars > limit:
-            raise SearchSpaceTooLarge(
-                f"the names of the unfolding to depth {depth + 1} would hold "
-                f"more than {limit} characters, {NAME_CHARS_PER_GUARD} per "
-                f"unit of COALG_GUARD={guard}")
         for name, x in zip(level, xs):
             labels, ys, _ = moves[x]
             # one string per name: a `name + sep` prefix would copy the

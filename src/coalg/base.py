@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterable, Iterator, Mapping
-from itertools import chain
+from itertools import chain, repeat
 from operator import attrgetter
 from typing import Callable
 
@@ -159,9 +159,9 @@ class FiniteSet:
                 if e in seen:
                     raise ValueError(f"duplicate element {e!r} in finite set")
                 seen.add(e)
-        for e in elems:
-            if not isinstance(e, str) or not e:
-                raise ValueError(f"set elements must be non-empty strings, got {e!r}")
+        if not all(map(isinstance, elems, repeat(str))) or "" in self._keys:
+            bad = next(e for e in elems if not isinstance(e, str) or not e)
+            raise ValueError(f"set elements must be non-empty strings, got {bad!r}")
 
     @classmethod
     def _trusted(cls, keys: dict[StateId, object]) -> "FiniteSet":

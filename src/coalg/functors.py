@@ -19,11 +19,12 @@ Each constructor is one class that carries every operation the library runs
 on the grammar (see `FunctorExpr`): validation, the action on members, slot
 traversal, both factorization walks and the powerset test, fingerprints and
 the text syntax of its expressions and values.  Spec-file values written
-with bare names are read by one pattern per document (`reader`), any other
-from the tokens of their line (`Cursor`); functor expressions are read one
-character at a time (`_ExprCursor`).  Composite constructors recurse into
-their parts; `Compose` runs the outer operation with the inner one applied
-at each member slot.  Adding a constructor touches one class.
+with bare names are read column-wise from one scan of the document
+(`reader`), any other from the tokens of their line (`Cursor`); functor
+expressions are read one character at a time (`_ExprCursor`).  Composite
+constructors recurse into their parts; `Compose` runs the outer operation
+with the inner one applied at each member slot.  Adding a constructor
+touches one class.
 
 Only `validate` checks a value; every other operation, `map` among them,
 takes a value that `validate` accepted.  Other modules call the methods
@@ -38,7 +39,8 @@ from __future__ import annotations
 import re
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import itemgetter, setitem, sub
 from typing import Union
 
 from .base import (CoalgebraError, FiniteSet, FunctorSyntaxError, NotIsomorphic,
@@ -49,8 +51,9 @@ BOTTOM = "⊥"
 
 # characters that force a name in spec-file values into double quotes
 RESERVED = set(' \t\r\n"#@(){}[]|*:,=')
-# a bare name in a spec-file line, and the group `reader` takes it as
-BARE = "[^%s]+" % re.escape("".join(sorted(RESERVED)))
+# a bare name in a spec-file line, and the group `reader` takes it as (the
+# class written with the one escape it needs: `re` compiles it the faster)
+BARE = "[^%s]+" % "".join(sorted(RESERVED)).replace("]", r"\]")
 NAME = f"({BARE})[ \t]*"
 # characters that end a bare name in a functor set literal
 _NAME_DELIMS = set(" \t\r\n,;()[]{}|*=")
@@ -250,9 +253,10 @@ class FunctorExpr(Record):
     fingerprint(value, leaf): name-free canonical text;
     parse(cur, member) / show(value, member): spec-file value syntax;
     reader(member): for values written with bare names only, a pattern
-      (with the spaces and tabs after a value), its number of groups, and
-      `build(columns)`, the values of many matches from one column per
-      group; None leaves the values to `parse` (see `specfile`).
+      (with the spaces and tabs after a value) that never spans a line
+      break, its number of groups, and `build(columns)`, the values of all
+      the rows of a document from one column per group; None leaves the
+      values to `parse` (see `specfile`).
     Members are state ids, or inner values under composition.  `validate`
     alone checks each node's value class, product arity, coproduct tag and
     exponent letters; the other operations take values that it accepted.
@@ -398,7 +402,7 @@ class Const(FunctorExpr):
 
     def reader(self, member):
         return "#[ \t]*" + NAME, 1, lambda cols: _made(
-            ConstVal, _set_element, _within(cols[0], self.values))
+            ConstVal, _set_element, _within(cols[0], self.values._keys))
 
     def show(self, value, member):
         return "#" + quote_name(value.element)
@@ -785,51 +789,59 @@ def _lists(f: FunctorExpr) -> bool:
 
 
 def _within(names, known):
-    """`names`, when `known` holds each of them; else KeyError, which leaves
-    the line to `parse`."""
-    if all(map(known.__contains__, set(names))):
+    """`names`, when `known` (a set or dict) holds each of them; else
+    KeyError, which leaves the line to `parse`."""
+    if all(map(known.__contains__, names)):
         return names
     raise KeyError(names)
 
 
-def _listing(member, opening: str, stop: str, closing: str, count: str):
-    """`reader` of a bag (with a `count` group) or powerset: its group takes
-    a listing up to `stop`, which `findall` splits into items (with comma,
-    groups, multiplicity) that cover it exactly when it is written right.
-    Equal items are equal values and share one member: a listing that
-    repeats one is left to `parse`, so that no value is hashed to merge or
-    collapse them."""
+def _listing(member, opening: str, stop: str, closing: str, times: str):
+    """`reader` of a bag (with a `times` group) or powerset: its group takes
+    a listing before its `stop`.  `build` splits the non-empty listings of
+    all rows, each with its `stop`, into items (with comma or `stop`,
+    groups, multiplicity) by one `findall`, which covers them exactly when
+    they are written right; the stops give each row's item count.  Equal
+    items share one member: a listing that repeats one is left to `parse`,
+    so that no value is hashed to merge or collapse them."""
     pat, n, build = member
     end = re.escape(stop)
-    items = re.compile(f"({pat}{count}(?:,[ \t]*(?!{end})|(?={end})))").findall
-    made = {}
+    items = re.compile(f"({pat}{times}(?:,[ \t]*|({end})))")
 
     def read(cols):
-        found = list(map(items, cols[0]))
-        whole, *groups = list(zip(*chain.from_iterable(found))) or [()] * (n + 2)
-        if sum(map(len, whole)) + len(found) != sum(map(len, cols[0])):
+        full = list(filter(None, cols[0]))
+        text = stop.join(full + [""])
+        whole, *groups, stops = _columns(items.findall(text), items.groups)
+        if sum(map(len, whole)) != len(text):
             raise ValueError("a listing for `parse`")
         if n == 1:
             keys, members = groups[0], build(groups[:1])
         else:
             keys = list(zip(*groups[:n]))
-            new = [k for k in dict.fromkeys(keys) if k not in made]
-            made.update(zip(new, build(list(zip(*new))) if new else ()))
+            new = list(dict.fromkeys(keys))
+            made = dict(zip(new, build(_columns(new, n)) if new else ()))
             members = list(map(made.__getitem__, keys))
-        sizes = list(map(len, found))
-        if sum(map(len, map(set, _pieces(keys, sizes)))) < len(keys):
-            raise ValueError("a listing repeats an item")
-        if not count:
-            return _made(SetVal, _set_members,
-                         list(map(tuple, _pieces(members, sizes))))
-        counts = list(map(_COUNTS.get, groups[n]))
-        if None in counts:
-            counts = [int(t) if t else 1 for t in groups[n]]
-        if 0 in counts:
-            raise ValueError("*0")  # `parse` drops the entry
-        return _made(BagVal, _set_entries, list(map(
-            tuple, _pieces(zip(members, counts), sizes))))
-    return f"{opening}[ \t]*([^{end}]*{end}){closing}[ \t]*", 1, read
+        if len(keys) > len(full):  # some listing holds several items
+            ends = list(compress(count(1), stops))
+            sizes = list(map(sub, ends, chain((0,), ends)))
+            if len(set(keys)) < len(keys) and sum(map(
+                    len, map(set, _pieces(keys, sizes)))) < len(keys):
+                raise ValueError("a listing repeats an item")
+        if times:
+            counts = list(map(_COUNTS.get, groups[n]))
+            if None in counts:
+                counts = [int(t) if t else 1 for t in groups[n]]
+            if 0 in counts:
+                raise ValueError("*0")  # `parse` drops the entry
+            members = zip(members, counts)
+        rows = list(zip(members) if len(keys) == len(full)
+                    else map(tuple, _pieces(members, sizes)))
+        if len(full) < len(cols[0]):  # the empty listings hold no item
+            rows, full = [()] * len(cols[0]), rows
+            any(map(setitem, repeat(rows), compress(count(), cols[0]), full))
+        return _made(*((BagVal, _set_entries) if times else
+                       (SetVal, _set_members)), rows)
+    return f"{opening}[ \t]*([^{end}\n]*){end}{closing}[ \t]*", 1, read
 
 
 # the multiplicities written most often, looked up instead of read by `int`
@@ -842,6 +854,12 @@ def _made(cls, setter, fields):
     out = list(map(cls.__new__, repeat(cls, len(fields))))
     any(map(setter, out, fields))
     return out
+
+
+def _columns(rows, width: int) -> list[list]:
+    """The `width` columns of a list of rows, one pass each: `zip(*rows)`
+    makes an iterator per row and takes about twice as long."""
+    return [list(map(itemgetter(k), rows)) for k in range(width)]
 
 
 def _pieces(items, sizes):
@@ -979,6 +997,8 @@ class Cursor:
 
     def rest(self) -> str:
         """The text of the line from the next token on, stripped."""
+        if not self.i:  # only spaces and tabs come before the first token
+            return self.text.strip()
         for k, m in enumerate(_TOKEN.finditer(self.text)):
             if k == self.i:
                 return self.text[m.end() - len(self.toks[k]):].strip()

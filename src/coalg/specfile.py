@@ -25,12 +25,16 @@ line; other whitespace characters are part of a name, like letters.  The
 functor expression after `functor:` is read by its own parser, which
 accepts any whitespace between its tokens.
 
-Body lines written with bare names are read by one pattern per document:
-built from the functor (`FunctorExpr.reader`: Id, constants, products, Bag,
-Pow and their composites, but no listing inside a listing, coproduct or
-exponent), or fixed for `trans` and `edge` lines.  A line it does not match,
-or whose value fails a check, is read from its tokens, so every error and
-the one that wins are the tokens'.
+A document is read by whole-document scans.  The header lines before its
+first body line choose the pattern of a body row written with bare names:
+built from the functor (`FunctorExpr.reader`: Id, constants, products,
+Bag, Pow and their composites, but no listing inside a listing, coproduct
+or exponent), or fixed for `trans` and `edge` lines.  One `findall` sorts
+every later line into a row, given as columns, or a line for `_sort`; the
+values, transitions and edges are built from whole columns.
+Only when a line declines the pattern or a check fails are the body lines
+walked in line order, each such line read from its tokens, so every error
+and the one that wins are the tokens'.
 
 A coalgebra value is checked once, as it is read: its shape comes from the
 functor and each member is looked up in the carrier.  A constant outside its
@@ -50,15 +54,16 @@ are the lines scanned, to name the first that holds a break.
 from __future__ import annotations
 
 import re
-from itertools import chain, repeat
-from operator import itemgetter
+from itertools import chain, compress, count
+from operator import not_
 
 from .automata import PartialDFA
-from .base import FiniteSet, ShapeError, SpecFormatError, StateId
+from .base import (CoalgebraError, FiniteSet, ShapeError, SpecFormatError,
+                   StateId)
 from .coalgebra import Edge, Multigraph, PointedCoalgebra
 from .functors import (_NOT_NAMES, BARE, NAME, RESERVED, Cursor, FunctorExpr,
-                       FunctorSyntaxError, FValue, _within, format_functor,
-                       parse_functor, quote_name as _quote)
+                       FunctorSyntaxError, FValue, _columns, _within,
+                       format_functor, parse_functor, quote_name as _quote)
 
 _KEYS = frozenset(("kind", "functor", "states", "point", "open",
                    "alphabet", "initial", "accepting", "vertices", "root"))
@@ -78,9 +83,11 @@ class _Line(Cursor):
             raise self.error(f"unexpected trailing text {self.rest()!r}")
 
     def names_rest(self) -> list[StateId]:
-        names = [t.strip(" \t") for t in self.text.split(",")]
-        if self.i == 0 and all(names) and RESERVED.isdisjoint("".join(names)):
-            return names  # bare names only
+        names = self.text.strip(" \t").split(", ")
+        joined = "".join(names)  # no reserved character is a letter or digit
+        if self.i == 0 and all(names) and (joined.isalnum() or not any(
+                map(joined.__contains__, RESERVED))):
+            return names  # bare names only, each after ", "
         out = [self.name()]
         toks = self.toks
         while toks[self.i] == ",":
@@ -181,33 +188,79 @@ def emit_spec(obj) -> str:
 
 def parse_spec(text: str) -> PointedCoalgebra | PartialDFA | Multigraph:
     """Parse a spec document into the object its kind tag names."""
+    if any(map(text.__contains__, LINE_BREAKS - {"\n"})):
+        text = "\n".join(text.splitlines())  # numbered as `splitlines` does
     keys: dict[str, _Line] = {}
-    body: list[tuple[int, str]] = []
-    for no, raw in enumerate(text.splitlines(), 1):
-        stripped = raw.strip()
-        if not stripped or stripped[0] == "#":
-            continue
-        word, _, rest = raw.partition(":") if ":" in raw else ("", "", "")
-        word = word.strip(" \t")
-        if word in _KEYS:
-            cur = _Line(rest, no)
-            if word in keys:
-                raise cur.error(f"duplicate key {word!r}")
-            keys[word] = cur
-        elif raw.lstrip(" \t")[0] in _NOT_NAMES:
-            # raises: no line opens with a reserved character
-            _Line(raw, no).name()
-        else:
-            body.append((no, raw))
-
+    pos, no = 0, 1
+    while (end := text.find("\n", pos)) >= 0 and not _sort(
+            text[pos:end], no, keys):
+        pos, no = end + 1, no + 1
+    # the header lines before the first body line choose the row pattern
+    kind = keys["kind"].rest() if "kind" in keys else "coalgebra"
+    functor, known = None, set()
+    if kind == "coalgebra" and "functor" in keys:
+        try:
+            functor = parse_functor(keys["functor"].rest())
+        except CoalgebraError:
+            pass  # reported by `_build_coalgebra`, in its turn
+    row, build = _row(kind, functor, known) or ("()(?!)", None)
+    pattern = re.compile(f"(?m)^(?:{row}$|(.*))")
+    *cols, raw = _columns(pattern.findall(text, pos), pattern.groups)
+    rows = cols[0]  # a row's first column, a name, is never empty
+    body = [n for n, line in compress(zip(count(no), raw), map(not_, rows))
+            if _sort(line, n, keys)]
+    scan = (list(compress(count(no), rows)),
+            [list(compress(col, rows)) for col in cols], body, text)
+    # a kind line after the first body line changes no row: a functor line
+    # then makes the document fail `_require`, and without one none was read
     kind = keys.pop("kind").rest() if "kind" in keys else "coalgebra"
     if kind == "coalgebra":
-        return _build_coalgebra(keys, body)
+        return _build_coalgebra(keys, scan, functor, build, known)
     if kind == "dfa":
-        return _build_dfa(keys, body)
+        return _build_dfa(keys, scan)
     if kind == "multigraph":
-        return _build_multigraph(keys, body)
+        return _build_multigraph(keys, scan)
     raise SpecFormatError(f"unknown kind {kind!r}")
+
+
+def _sort(raw: str, no: int, keys: dict[str, _Line]) -> bool:
+    """Whether line `no` is a body line.  A header line goes into `keys`; a
+    repeated key, or a line that opens with a reserved character, raises."""
+    stripped = raw.strip()
+    if not stripped or stripped[0] == "#":
+        return False
+    word, colon, rest = raw.partition(":")
+    word = word.strip(" \t")
+    if colon and word in _KEYS:
+        cur = _Line(rest, no)
+        if word in keys:
+            raise cur.error(f"duplicate key {word!r}")
+        keys[word] = cur
+        return False
+    if raw.lstrip(" \t")[0] in _NOT_NAMES:
+        # raises: no line opens with a reserved character
+        _Line(raw, no).name()
+    return True
+
+
+def _row(kind: str, functor: FunctorExpr | None, known: set[StateId]):
+    """The pattern of a body line of a document of `kind` written with bare
+    names, one group per column, and for a coalgebra the `build` of its
+    values from the columns, which looks their states up in `known`; None
+    leaves every body line to the `Cursor` path."""
+    word = {"dfa": "trans", "multigraph": "edge"}.get(kind)
+    if word:
+        return f"[ \t]*{word}" + f"[ \t]+({BARE})" * 3 + "[ \t]*", None
+    bare = functor and functor.reader((NAME, 1, lambda c: _within(c[0], known)))
+    return bare and (f"[ \t]*{NAME}=[ \t]*{bare[0]}", bare[2])
+
+
+def _lines(scan):
+    """Each body line in line order: its number, the columns of its row
+    (None for a line the scan declined) and its text."""
+    nos, cols, body, text = scan
+    rows, lines = dict(zip(nos, zip(*cols))), text.split("\n")
+    return ((no, rows.get(no), lines[no - 1]) for no in sorted(nos + body))
 
 
 def _require(keys: dict[str, _Line], kind: str, needed: tuple[str, ...],
@@ -222,11 +275,10 @@ def _require(keys: dict[str, _Line], kind: str, needed: tuple[str, ...],
                 f"{kind} document")
 
 
-def _build_coalgebra(keys, body) -> PointedCoalgebra:
+def _build_coalgebra(keys, scan, functor, build, known) -> PointedCoalgebra:
     _require(keys, "coalgebra", ("functor", "states", "point"), ("open",))
-    ftext = keys["functor"].rest()
     try:
-        functor = parse_functor(ftext)
+        functor = functor or parse_functor(keys["functor"].rest())
     except FunctorSyntaxError as exc:
         raise SpecFormatError(
             f"line {keys['functor'].no}: bad functor: {exc}") from exc
@@ -234,31 +286,47 @@ def _build_coalgebra(keys, body) -> PointedCoalgebra:
     point = keys["point"].name()
     keys["point"].expect_end()
     frontier = keys["open"].set_rest() if "open" in keys else FiniteSet()
-    known = states.as_set()
-    read = _value_reader(functor, known) or (lambda lines: repeat((None, None)))
+    known.update(states)  # the set `build` looks the states up in
+    nos, cols, body, _ = scan
 
-    def member(cur2: _Line) -> StateId:
-        m = cur2.name()
+    def member(cur: _Line) -> StateId:
+        m = cur.name()
         if m not in known:
-            raise cur2.error(f"state {m!r} not in the carrier")
+            raise cur.error(f"state {m!r} not in the carrier")
         return m
 
-    structure = {}
+    def made(columns):  # None when a check fails
+        try:
+            return build(columns)
+        except (KeyError, ValueError):
+            return None
+
+    values = nos and made(cols[1:])
+    structure = dict(zip(cols[0], values or ()))
     outside = False
-    for (no, raw), (x, value) in zip(body, read([raw for _, raw in body])):
-        if value is not None and x in known and x not in structure:
-            structure[x] = value
-            continue
-        cur = _Line(raw, no)
-        x = cur.name()
-        if x not in known:
-            raise cur.error(f"structure for unknown state {x!r}")
-        if x in structure:
-            raise cur.error(f"duplicate structure for state {x!r}")
-        cur.take("=")
-        structure[x] = functor.parse(cur, member)
-        cur.expect_end()
-        outside = outside or cur.outside
+    if len(structure) < len(nos) + len(body) or not known.issuperset(
+            structure):
+        # a line the scan declined, a row that failed a check, or a state
+        # outside the carrier or given twice: read in line order, each row
+        # that fails alone by the `Cursor` path
+        values = dict(zip(nos, values or [
+            (made([(g,) for g in row]) or [None])[0] for row in zip(*cols[1:])]))
+        structure = {}
+        for no, row, raw in _lines(scan):
+            if row and values[no] is not None and row[0] in known and (
+                    row[0] not in structure):
+                structure[row[0]] = values[no]
+                continue
+            cur = _Line(raw, no)
+            x = cur.name()
+            if x not in known:
+                raise cur.error(f"structure for unknown state {x!r}")
+            if x in structure:
+                raise cur.error(f"duplicate structure for state {x!r}")
+            cur.take("=")
+            structure[x] = functor.parse(cur, member)
+            cur.expect_end()
+            outside = outside or cur.outside
     c = PointedCoalgebra._trusted(functor, states, structure, point, frontier)
     try:
         # every value was read against the functor and the carrier; a
@@ -270,47 +338,12 @@ def _build_coalgebra(keys, body) -> PointedCoalgebra:
     return c
 
 
-def _value_reader(functor: FunctorExpr, known: frozenset[StateId]):
-    """A function reading the (state, value) of each of a list of body lines
-    written with bare names only (`FunctorExpr.reader`), the value None for
-    a line left to the `Cursor` path; None when the functor declines."""
-    bare = functor.reader((NAME, 1, lambda cols: _within(cols[0], known)))
-    if bare is None:
-        return None
-    pattern, _, build = bare
-    line = re.compile(f"[ \t]*{NAME}=[ \t]*{pattern}").fullmatch
-
-    def values(rows):  # None when a check fails
-        try:
-            return build(list(zip(*rows))[1:])
-        except (KeyError, ValueError):
-            return None
-
-    def read(lines: list[str]):
-        # in chunks, so that the garbage collector finds few objects alive;
-        # a chunk whose check fails is read again row by row, in a loop: a
-        # `values` that called itself would be a cycle keeping it alive
-        for start in range(0, len(lines), 64):
-            matches = list(map(line, lines[start:start + 64]))
-            rows = [m.groups() for m in matches if m]
-            made = rows and (values(rows) or [
-                (values([r]) or [None])[0] for r in rows])
-            made = zip(map(itemgetter(0), rows), made)
-            if len(rows) == len(matches):
-                yield from made
-            else:
-                yield from [next(made) if m else (None, None) for m in matches]
-    return read
-
-
-def _triples(body, word: str, article: str):
-    """(line number, names) of each body line `word a b c`, read by one
-    pattern when the names are bare, else by the `Cursor` path."""
-    line = re.compile(f"[ \t]*{word}" + f"[ \t]+({BARE})" * 3 + "[ \t]*")
-    for no, raw in body:
-        m = line.fullmatch(raw)
-        if m:
-            yield no, m.groups()
+def _triples(scan, word: str, article: str):
+    """(line number, names) of each body line `word a b c`, in line order:
+    the scan's rows, and the lines it declined read by the `Cursor` path."""
+    for no, row, raw in _lines(scan):
+        if row:
+            yield no, row
             continue
         cur = _Line(raw, no)
         found = cur.name()
@@ -321,31 +354,37 @@ def _triples(body, word: str, article: str):
         yield no, names
 
 
-def _build_dfa(keys, body) -> PartialDFA:
+def _build_dfa(keys, scan) -> PartialDFA:
     _require(keys, "dfa", ("alphabet", "states", "initial"), ("accepting",))
     alphabet = keys["alphabet"].set_rest()
     states = keys["states"].set_rest()
     initial = keys["initial"].name()
     keys["initial"].expect_end()
     accepting = keys["accepting"].names_rest() if "accepting" in keys else ()
-    delta = {}
-    for no, (q, a, q2) in _triples(body, "trans", "a"):
-        if (q, a) in delta:
-            raise SpecFormatError(
-                f"line {no}: duplicate transition {q!r} on {a!r}")
-        delta[(q, a)] = q2
+    nos, cols, body, _ = scan
+    delta = dict(zip(zip(*cols[:2]), cols[2])) if nos else {}
+    if len(delta) < len(nos) + len(body):
+        delta = {}
+        for no, (q, a, q2) in _triples(scan, "trans", "a"):
+            if (q, a) in delta:
+                raise SpecFormatError(
+                    f"line {no}: duplicate transition {q!r} on {a!r}")
+            delta[(q, a)] = q2
     try:
         return PartialDFA(alphabet, states, accepting, delta, initial)
     except ShapeError as exc:
         raise SpecFormatError(str(exc)) from exc
 
 
-def _build_multigraph(keys, body) -> Multigraph:
+def _build_multigraph(keys, scan) -> Multigraph:
     _require(keys, "multigraph", ("vertices", "root"))
     vertices = keys["vertices"].set_rest()
     root = keys["root"].name()
     keys["root"].expect_end()
-    edges = [Edge(*names) for _, names in _triples(body, "edge", "an")]
+    nos, cols, body, _ = scan
+    if body or not nos:
+        cols = _columns([names for _, names in _triples(scan, "edge", "an")], 3)
+    edges = list(map(Edge, *cols))
     try:
         return Multigraph(vertices, tuple(edges), root)
     except ShapeError as exc:

@@ -1,11 +1,11 @@
-"""The per-document reader of spec-file body lines.
+"""The whole-document scan of spec-file body lines.
 
-A coalgebra document's body lines are read by one pattern built from its
-functor (`specfile._value_reader`), `trans` and `edge` lines by one fixed
-pattern each; the `Cursor` path reads every line they decline.  These tests
-pin that the reader covers what `emit_spec` writes with bare names, that its
-results equal the `Cursor` path's, and that every other line falls back with
-the same outcome.
+A coalgebra document's body rows are found by one pattern built from its
+functor (`specfile._row`), `trans` and `edge` rows by one fixed pattern
+each, and their values are built column-wise; the `Cursor` path reads every
+line the scan declines.  These tests pin that the scan covers what
+`emit_spec` writes with bare names, that its results equal the `Cursor`
+path's, and that every other line falls back with the same outcome.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ import time
 
 import pytest
 
-from coalg import PointedCoalgebra, emit_spec, parse_functor, parse_spec
+from coalg import (CoalgebraError, PointedCoalgebra, emit_spec, parse_functor,
+                   parse_spec)
 from coalg import specfile
 
 import generators
@@ -28,11 +29,29 @@ DECLINED = ("Bag . Bag", "Bag . Pow", "Pow . (Bag x 1)", "Id + 1", "Id^{a}")
 
 
 def _cursor_only(monkeypatch):
-    """Turn the fast reader off, so that every body line takes the `Cursor`
-    path: no coalgebra reader, and `trans`/`edge` patterns that never
-    match."""
-    monkeypatch.setattr(specfile, "_value_reader", lambda functor, known: None)
-    monkeypatch.setattr(specfile, "BARE", "(?!)")
+    """Turn the scan off, so that every body line takes the `Cursor` path:
+    no row pattern for any kind of document."""
+    monkeypatch.setattr(specfile, "_row", lambda kind, functor, known: None)
+
+
+class Counted(specfile._Line):
+    """A `_Line` that notes the number of each line it is made for."""
+
+    __slots__ = ()
+    made: list[int] = []
+
+    def __init__(self, text, no=0):
+        Counted.made.append(no)
+        super().__init__(text, no)
+
+
+def _cursor_lines(monkeypatch, text: str):
+    """The parse of `text`, and the numbers of the lines given a `Cursor`."""
+    Counted.made = []
+    with monkeypatch.context() as patch:
+        patch.setattr(specfile, "_Line", Counted)
+        obj = parse_spec(text)
+    return obj, Counted.made
 
 
 def _outcome(text: str) -> str:
@@ -68,52 +87,44 @@ def _body(text: str) -> list[str]:
 
 
 def _covered(obj) -> bool:
-    return not isinstance(obj, PointedCoalgebra) or specfile._value_reader(
-        obj.functor, frozenset()) is not None
+    return not isinstance(obj, PointedCoalgebra) or specfile._row(
+        "coalgebra", obj.functor, set()) is not None
 
 
 @pytest.mark.parametrize("text", COVERED)
 def test_the_reader_is_built_for_covered_functors(text):
-    assert specfile._value_reader(parse_functor(text), frozenset()) is not None
+    assert specfile._row("coalgebra", parse_functor(text), set()) is not None
 
 
 @pytest.mark.parametrize("text", DECLINED)
 def test_a_listing_inside_a_listing_and_other_shapes_are_declined(text):
-    assert specfile._value_reader(parse_functor(text), frozenset()) is None
+    assert specfile._row("coalgebra", parse_functor(text), set()) is None
 
 
 def test_every_emitted_body_line_is_read_without_a_cursor(monkeypatch):
     """Only header lines get a `Cursor`: every body line that `emit_spec`
     writes with bare names is read by the document's pattern."""
-    made = []
-
-    class Counted(specfile._Line):
-        __slots__ = ()
-
-        def __init__(self, text, no=0):
-            made.append(no)
-            super().__init__(text, no)
-
     docs = [text for text in _documents() if _covered(parse_spec(text))]
     assert len(docs) > 200
-    monkeypatch.setattr(specfile, "_Line", Counted)
     for text in docs:
-        made.clear()
-        parse_spec(text)
+        _, made = _cursor_lines(monkeypatch, text)
         body_lines = [no for no, line in enumerate(text.splitlines(), 1)
                       if line in _body(text)]
         assert not set(made) & set(body_lines), text
 
 
-def test_the_coalgebra_reader_accepts_every_emitted_value_line():
-    for text in _documents():
-        obj = parse_spec(text)
-        if not isinstance(obj, PointedCoalgebra) or not _covered(obj):
-            continue
-        read = specfile._value_reader(obj.functor, obj.carrier.as_set())
-        got = list(read(_body(text)))
-        assert all(value is not None for _, value in got), text
-        assert dict(got) == obj.structure
+def test_the_coalgebra_reader_accepts_every_emitted_value_line(monkeypatch):
+    docs = [text for text in _documents()
+            if isinstance(parse_spec(text), PointedCoalgebra)
+            and _covered(parse_spec(text))]
+    assert len(docs) > 100
+    fast = []
+    for text in docs:
+        obj, made = _cursor_lines(monkeypatch, text)
+        assert max(made) <= len(text.splitlines()) - len(_body(text)), text
+        fast.append(obj.structure)
+    _cursor_only(monkeypatch)
+    assert fast == [parse_spec(text).structure for text in docs]
 
 
 def test_results_equal_the_cursor_path(monkeypatch):
@@ -153,10 +164,12 @@ ODD_LINES = (
 @pytest.mark.parametrize("head, line", ODD_LINES)
 def test_odd_lines_fall_back_with_the_cursor_paths_outcome(
         monkeypatch, head, line):
-    f = parse_functor(head.split("\n")[0].partition(":")[2])
-    read = specfile._value_reader(f, frozenset(("p", "q", "q r")))
-    assert [value for _, value in read([line])] == [None]
     text = head + line + "\n"
+    try:
+        _, made = _cursor_lines(monkeypatch, text)
+    except CoalgebraError:
+        made = Counted.made
+    assert 4 in made  # the body line, after three header lines
     fast = _outcome(text)
     _cursor_only(monkeypatch)
     assert fast == _outcome(text)
@@ -168,13 +181,11 @@ def test_odd_lines_fall_back_with_the_cursor_paths_outcome(
 ])
 def test_other_spellings_of_bare_names_are_read_alike(monkeypatch, line):
     head = "functor: Bag\nstates: p, q\npoint: p\n"
-    read = specfile._value_reader(parse_functor("Bag"), frozenset("pq"))
-    [(x, value)] = read([line])
-    assert x == "p"
     text = head + line + "\nq = []\n"
-    fast = parse_spec(text)
+    fast, made = _cursor_lines(monkeypatch, text)
+    assert max(made) == 3  # only the header lines
     _cursor_only(monkeypatch)
-    assert value == fast.structure["p"] == parse_spec(text).structure["p"]
+    assert fast.structure["p"] == parse_spec(text).structure["p"]
 
 
 def test_a_line_the_reader_declines_leaves_the_others_to_it(monkeypatch):
@@ -185,17 +196,7 @@ def test_a_line_the_reader_declines_leaves_the_others_to_it(monkeypatch):
     lines[150] = "s150 = [s151*0, s157]"
     text = ("functor: Bag\nstates: " + ", ".join(f"s{i}" for i in range(300))
             + "\npoint: s0\n" + "\n".join(lines) + "\n")
-    made = []
-
-    class Counted(specfile._Line):
-        __slots__ = ()
-
-        def __init__(self, text, no=0):
-            made.append(no)
-            super().__init__(text, no)
-
-    monkeypatch.setattr(specfile, "_Line", Counted)
-    c = parse_spec(text)
+    c, made = _cursor_lines(monkeypatch, text)
     assert [no for no in made if no > 3] == [154]
     assert c.structure["s150"].entries == (("s157", 1),)
 

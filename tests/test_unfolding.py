@@ -1,13 +1,15 @@
 """The DFA word tree and the multigraph path tree are one rooted-path
 unfolding: each is checked against the tuple-keyed breadth-first walks it
 replaced, kept here as the reference, on seeded random inputs; the size of
-their names is predicted exactly before they are made, and long chains
-unfold within a time budget."""
+their names is predicted exactly, level by level from the paths to each
+state, before the first name is made, and long chains unfold within a
+time budget."""
 
 from __future__ import annotations
 
 import random
 import time
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -215,3 +217,31 @@ def test_long_chains_unfold_within_budget(kind):
     assert result.complete
     assert len(result.tree.carrier) == n + 1
     assert result.projection[result.tree.carrier[n]] == f"q{n}"
+
+
+@pytest.mark.parametrize("kind", ["words", "paths"])
+def test_names_past_the_guard_are_refused_before_any_is_made(kind):
+    # the 20,000-step chains of the CLI tests: their names would hold about
+    # 6 * 10^8 (words joined by `·`) and 1.2 * 10^9 characters (paths), so
+    # the prediction refuses them before the first name, in little memory
+    n = 20000
+    if kind == "words":
+        obj = PartialDFA(FiniteSet(("ab",)),
+                         FiniteSet(f"q{i}" for i in range(n + 1)), (),
+                         {(f"q{i}", "ab"): f"q{i + 1}" for i in range(n)},
+                         "q0")
+        unfold = defined_inputs
+    else:
+        obj = Multigraph(FiniteSet(f"v{i}" for i in range(n + 1)),
+                         tuple(Edge(f"e{i}", f"v{i}", f"v{i + 1}")
+                               for i in range(n)), "v0")
+        unfold = rooted_paths
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchSpaceTooLarge,
+                           match="^the names of the unfolding to depth "):
+            unfold(obj, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

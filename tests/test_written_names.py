@@ -111,8 +111,8 @@ def test_dot_escapes_quotes_and_backslashes_and_avoids_start():
         emit_spec(bag)
 
 
-# written with bare names, so read by the pattern of `_value_reader`; the
-# listing `[q, q]` repeats an item, so its chunk is read again row by row
+# written with bare names, so read by the document's scan (`specfile._row`);
+# the listing `[q, q]` repeats an item, so the rows are read again one by one
 DOCUMENTS = {
     **{path.stem: path.read_text(encoding="utf-8")
        for path in sorted(FIXTURE_DIR.glob("*.spec"))},
