@@ -111,13 +111,15 @@ class PointedCoalgebra(Record):
 
     def successor_table(self) -> dict[StateId, tuple[tuple[StateId, int], ...]]:
         """Each closed state's slots as (successor, weight) pairs, in slot
-        order; built on first use by `FunctorExpr.edges`, which checks
-        nothing: the values were validated when c was built."""
+        order; built on first use by one `FunctorExpr.edges` walk over the
+        column of all values, which checks nothing: the values were
+        validated when c was built."""
         try:
             return self._succ
         except AttributeError:
-            edges = self.functor.edges
-            table = {x: edges(v) for x, v in self.structure.items()}
+            structure = self.structure
+            table = dict(zip(structure, self.functor.edges(
+                list(structure.values()))))
             object.__setattr__(self, "_succ", table)
             return table
 
@@ -310,9 +312,16 @@ def canonical_graph(c: PointedCoalgebra) -> Multigraph:
 
 
 def multigraph_to_bag(g: Multigraph) -> PointedCoalgebra:
-    """Bag coalgebra of a multigraph: c(u)(v) = number of edges u -> v."""
-    structure = {u: BagVal((e.tgt, 1) for e in g.out_edges(u))
-                 for u in g.vertices}
+    """Bag coalgebra of a multigraph: c(u)(v) = number of edges u -> v,
+    in the order of u's first edge to each v.  The graph was checked when
+    it was built, so these counts, made in one pass over the edges, are the
+    stored form `BagVal` gives."""
+    counts: dict[StateId, dict[StateId, int]] = {u: {} for u in g.vertices}
+    for e in g.edges:
+        row = counts[e.src]
+        row[e.tgt] = row.get(e.tgt, 0) + 1
+    structure = {u: BagVal._trusted(tuple(row.items()))
+                 for u, row in counts.items()}
     return PointedCoalgebra._trusted(Bag(), g.vertices, structure, g.root,
                                      FiniteSet._trusted({}))
 

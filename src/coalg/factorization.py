@@ -132,10 +132,11 @@ def least_bound(f: FMap,
     each x when given (the reachability levels pass a successor table).
     """
     if edges is None:
-        value_edges, values = f.functor.edges, f.values
-        edges = lambda x: value_edges(values[x])
+        slots = f.functor.edges(list(map(f.values.__getitem__, f.domain)))
+    else:
+        slots = map(edges, f.domain)
     # the sub-carrier is m's domain: it holds m's dict
-    inclusion = {y: y for x in f.domain for y, _ in edges(x)}
+    inclusion = {y: y for e in slots for y, _ in e}
     sub = FiniteSet._trusted(inclusion)
     g = FMap._trusted(f.domain, sub, f.functor, f.values)
     m = TotalMap._trusted(sub, f.codomain, inclusion)
@@ -165,13 +166,15 @@ def precise_factorize(f: FMap, tag: str | None = None) -> PreciseFactorization:
         values = dict(zip(f.domain, functor.factor(
             [f.values[x] for x in f.domain], emit)))
     except PowNotPrecise:
-        x = next(x for x in f.domain if not functor.precise(f.values[x]))
+        flags = functor.precise([f.values[x] for x in f.domain])
+        x = next(x for x, ok in zip(f.domain, flags) if not ok)
         raise PowNotPrecise(
             f"powerset value at {x!r} is non-empty; the powerset functor "
             "admits no precise factorization of it") from None
     if tag is None:
-        name = {r: f"{x}.{j}" for x, v in values.items()
-                for j, (r, _) in enumerate(functor.edges(v))}
+        slots = functor.edges(list(values.values()))
+        name = {r: f"{x}.{j}" for x, e in zip(values, slots)
+                for j, (r, _) in enumerate(e)}
         values = {x: functor.map(v, name.__getitem__) for x, v in values.items()}
         h_map = {name[r]: y for r, y in h_map.items()}
     # the middle is h's domain: it holds h's dict

@@ -21,10 +21,17 @@ traversal, both factorization walks and the powerset test, fingerprints and
 the text syntax of its expressions and values.  Spec-file values written
 with bare names are read column-wise from one scan of the document
 (`reader`), any other from the tokens of their line (`Cursor`); functor
-expressions are read one character at a time (`_ExprCursor`).  Composite
-constructors recurse into their parts; `Compose` runs the outer operation
-with the inner one applied at each member slot.  Adding a constructor
-touches one class.
+expressions are read one character at a time (`_ExprCursor`).
+
+Every walk over the values of a document is column-wise: slot reading
+(`edges`), writing (`show`), precise factorization (`factor`) and its
+powerset test (`precise`), and the reader's `build` take one list of
+values per node.  Products and exponents walk a column per factor or
+letter, bags and powersets one column of all their members, coproducts
+one part per tag; `Compose` runs the outer walk with the inner one as its
+member walk.  The other operations take one value and recurse into its
+parts, `Compose` applying the inner operation at each member slot of the
+outer one.  Adding a constructor touches one class.
 
 Only `validate` checks a value; every other operation, `map` among them,
 takes a value that `validate` accepted.  Other modules call the methods
@@ -40,7 +47,7 @@ import re
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import itemgetter, setitem, sub
+from operator import add, attrgetter, itemgetter, not_, setitem, sub
 from typing import Union
 
 from .base import (CoalgebraError, FiniteSet, FunctorSyntaxError, NotIsomorphic,
@@ -227,6 +234,9 @@ _set_member, _set_element, _set_items = (
 _set_tag, _set_value, _set_index = (
     TagVal.tag.__set__, TagVal.value.__set__, FunVal._index.__set__)
 _set_entries, _set_members = BagVal.entries.__set__, SetVal.members.__set__
+# the fields of a column of values, read without a Python call each
+_member, _element, _items, _tag, _index, _entries, _members = map(attrgetter, (
+    "member", "element", "items", "tag", "_index", "entries", "members"))
 
 # --------------------------------------------------------------------------
 # functor expressions
@@ -241,17 +251,19 @@ class FunctorExpr(Record):
     children(): the direct subexpressions;
     validate(value, member, path): shape check, `member(m, path)` per slot;
     map(value, fn): the value with `fn` applied to every member slot;
-    edges(value): (member, weight) per slot, in order, as one tuple (a
-      bag's own entries);
+    edges(values): per value of a column, its (member, weight) slots in
+      order as one tuple (a bag's own entries);
     factor(values, emit): the values rebuilt column by column, `emit(member)`
       called once per slot occurrence and giving a distinct member each
       time, so rebuilt bags have nothing to merge; naming is the caller's
       (`factorization.precise_factorize`);
-    precise(value): False when `factor` raises PowNotPrecise on the value,
-      decided without expanding bag multiplicities;
+    precise(values): per value of a column, False when `factor` raises
+      PowNotPrecise on it, decided without expanding bag multiplicities;
     pair(va, vb, img_a, img_b): matched slots of two values with equal images;
     fingerprint(value, leaf): name-free canonical text;
-    parse(cur, member) / show(value, member): spec-file value syntax;
+    parse(cur, member): spec-file value syntax, read from a line;
+    show(values, member): the text of each value of a column, with
+      `member(ms)` giving the texts of a whole column of members;
     reader(member): for values written with bare names only, a pattern
       (with the spaces and tabs after a value) that never spans a line
       break, its number of groups, and `build(columns)`, the values of all
@@ -260,7 +272,11 @@ class FunctorExpr(Record):
     Members are state ids, or inner values under composition.  `validate`
     alone checks each node's value class, product arity, coproduct tag and
     exponent letters; the other operations take values that it accepted.
-    `slots(value)` is `edges` after `validate`'s shape check.
+    `slots(value)` is one value's `edges` after `validate`'s shape check.
+    The column walks (`edges`, `precise`, `factor`, `show`, `reader`'s
+    `build`) take one list per node for all the values of a document:
+    composite nodes split it into the columns of their parts and regroup
+    the results.
     """
 
     __slots__ = ()
@@ -281,12 +297,12 @@ class FunctorExpr(Record):
                 f"got {type(value).__name__}")
         return value
 
-    def precise(self, value: FValue) -> bool:
-        return True
+    def precise(self, values: list[FValue]) -> list[bool]:
+        return [True] * len(values)
 
     def slots(self, value: FValue) -> Iterator[tuple[Member, int]]:
         self.validate(value, lambda m, path: None, "value")
-        return iter(self.edges(value))
+        return iter(self.edges([value])[0])
 
     def reader(self, member):
         return None
@@ -324,8 +340,8 @@ class Identity(FunctorExpr):
     def map(self, value, fn):
         return IdVal(fn(value.member))
 
-    def edges(self, value):
-        return ((value.member, 1),)
+    def edges(self, values):
+        return list(zip(zip(map(_member, values), repeat(1))))
 
     def factor(self, values, emit):
         return [IdVal(emit(v.member)) for v in values]
@@ -345,8 +361,8 @@ class Identity(FunctorExpr):
         return "@[ \t]*" + pat, n, lambda cols: _made(IdVal, _set_member,
                                                       build(cols))
 
-    def show(self, value, member):
-        return "@" + member(value.member)
+    def show(self, values, member):
+        return list(map("@".__add__, member(list(map(_member, values)))))
 
 
 class Const(FunctorExpr):
@@ -377,8 +393,8 @@ class Const(FunctorExpr):
     def map(self, value, fn):
         return value
 
-    def edges(self, value):
-        return ()
+    def edges(self, values):
+        return [()] * len(values)
 
     def factor(self, values, emit):
         return values
@@ -404,8 +420,10 @@ class Const(FunctorExpr):
         return "#[ \t]*" + NAME, 1, lambda cols: _made(
             ConstVal, _set_element, _within(cols[0], self.values._keys))
 
-    def show(self, value, member):
-        return "#" + quote_name(value.element)
+    def show(self, values, member):
+        elements = list(map(_element, values))
+        text = {e: "#" + quote_name(e) for e in dict.fromkeys(elements)}
+        return list(map(text.__getitem__, elements))
 
 
 class Product(FunctorExpr):
@@ -434,19 +452,20 @@ class Product(FunctorExpr):
         return TupleVal(tuple(g.map(v, fn)
                               for g, v in zip(self.factors, value.items)))
 
-    def edges(self, value):
-        out = ()
-        for g, v in zip(self.factors, value.items):
-            out += g.edges(v)
-        return out
+    def edges(self, values):
+        return _joined([g.edges(col) for g, col in self._split(values)])
 
     def factor(self, values, emit):
-        cols = [g.factor([v.items[i] for v in values], emit)
-                for i, g in enumerate(self.factors)]
+        cols = [g.factor(col, emit) for g, col in self._split(values)]
         return [TupleVal(row) for row in zip(*cols)]
 
-    def precise(self, value):
-        return all(g.precise(v) for g, v in zip(self.factors, value.items))
+    def _split(self, values):
+        """Each factor with its column of the values' items."""
+        return zip(self.factors, _columns(list(map(_items, values)),
+                                          len(self.factors)))
+
+    def precise(self, values):
+        return _every([g.precise(col) for g, col in self._split(values)])
 
     def pair(self, va, vb, img_a, img_b):
         for g, a, b in zip(self.factors, va.items, vb.items):
@@ -475,9 +494,9 @@ class Product(FunctorExpr):
                 TupleVal, _set_items, list(zip(
                     *[b(cols[e - n:e]) for (_, n, b), e in zip(parts, ends)])))
 
-    def show(self, value, member):
-        return "(" + ", ".join(g.show(v, member) for g, v in
-                               zip(self.factors, value.items)) + ")"
+    def show(self, values, member):
+        cols = [g.show(col, member) for g, col in self._split(values)]
+        return ["(" + ", ".join(row) + ")" for row in zip(*cols)]
 
 
 class Coproduct(FunctorExpr):
@@ -505,20 +524,29 @@ class Coproduct(FunctorExpr):
     def map(self, value, fn):
         return TagVal(value.tag, self.summands[value.tag].map(value.value, fn))
 
-    def edges(self, value):
-        return self.summands[value.tag].edges(value.value)
+    def edges(self, values):
+        return self._by_tag(values, lambda tag, g, part: g.edges(part))
 
     def factor(self, values, emit):
+        return self._by_tag(values, lambda tag, g, part: list(
+            map(TagVal, repeat(tag), g.factor(part, emit))))
+
+    def _by_tag(self, values, walk):
+        """`walk(tag, summand, part)` on the inner values of each tag that
+        occurs, in summand order, the results put back in column order."""
+        rows: dict[int, list[int]] = {}
+        for j, tag in enumerate(map(_tag, values)):
+            rows.setdefault(tag, []).append(j)
         out: list = [None] * len(values)
-        for tag, g in enumerate(self.summands):
-            idxs = [j for j, v in enumerate(values) if v.tag == tag]
-            sub = g.factor([values[j].value for j in idxs], emit)
-            for j, inner in zip(idxs, sub):
-                out[j] = TagVal(tag, inner)
+        for tag in sorted(rows):
+            idxs = rows[tag]
+            done = walk(tag, self.summands[tag],
+                        [values[j].value for j in idxs])
+            any(map(setitem, repeat(out), idxs, done))
         return out
 
-    def precise(self, value):
-        return self.summands[value.tag].precise(value.value)
+    def precise(self, values):
+        return self._by_tag(values, lambda tag, g, part: g.precise(part))
 
     def pair(self, va, vb, img_a, img_b):
         if va.tag != vb.tag:
@@ -536,9 +564,9 @@ class Coproduct(FunctorExpr):
         cur.take(":")
         return TagVal(tag, self.summands[tag].parse(cur, member))
 
-    def show(self, value, member):
-        inner = self.summands[value.tag].show(value.value, member)
-        return f"{value.tag}: {inner}"
+    def show(self, values, member):
+        return self._by_tag(values, lambda tag, g, part: list(
+            map(f"{tag}: ".__add__, g.show(part, member))))
 
 
 class Exponent(FunctorExpr):
@@ -569,20 +597,21 @@ class Exponent(FunctorExpr):
         return FunVal._trusted({a: self.base.map(value[a], fn)
                                 for a in self.alphabet})
 
-    def edges(self, value):
-        out = ()
-        for a in self.alphabet:
-            out += self.base.edges(value[a])
-        return out
+    def edges(self, values):
+        return _joined([self.base.edges(col) for col in self._split(values)])
 
     def factor(self, values, emit):
-        cols = [self.base.factor([v[a] for v in values], emit)
-                for a in self.alphabet]
+        cols = [self.base.factor(col, emit) for col in self._split(values)]
         return [FunVal._trusted(dict(zip(self.alphabet, row)))
                 for row in zip(*cols)]
 
-    def precise(self, value):
-        return all(self.base.precise(v) for _, v in value.entries)
+    def _split(self, values):
+        """The values' column at each letter, in alphabet order."""
+        index = list(map(_index, values))
+        return [list(map(itemgetter(a), index)) for a in self.alphabet]
+
+    def precise(self, values):
+        return _every([self.base.precise(col) for col in self._split(values)])
 
     def pair(self, va, vb, img_a, img_b):
         for a in self.alphabet:
@@ -608,10 +637,13 @@ class Exponent(FunctorExpr):
             raise cur.error(f"missing letter {missing[0]!r}")
         return FunVal(entries.items())
 
-    def show(self, value, member):
-        parts = (f"{quote_name(a)}: {self.base.show(value[a], member)}"
-                 for a in self.alphabet)
-        return "{" + ", ".join(parts) + "}"
+    def show(self, values, member):
+        if not values:  # no letter is quoted when none is written
+            return []
+        cols = [list(map(f"{quote_name(a)}: ".__add__,
+                         self.base.show(col, member)))
+                for a, col in zip(self.alphabet, self._split(values))]
+        return ["{" + ", ".join(row) + "}" for row in zip(*cols)]
 
 
 class Compose(FunctorExpr):
@@ -640,12 +672,17 @@ class Compose(FunctorExpr):
     def map(self, value, fn):
         return self.outer.map(value, lambda m: self.inner.map(m, fn))
 
-    def edges(self, value):
-        inner = self.inner.edges
-        out = []
-        for m, n in self.outer.edges(value):
-            out += inner(m) if n == 1 else [(m2, n * n2) for m2, n2 in inner(m)]
-        return tuple(out)
+    def edges(self, values):
+        # the outer slots of all values, the inner values at them read as
+        # one column, weighted by their outer multiplicity, regrouped
+        outer = self.outer.edges(values)
+        ms, ns = _columns(list(chain.from_iterable(outer)), 2)
+        inner = self.inner.edges(ms)
+        if ns.count(1) < len(ns):
+            for j in compress(count(), map((1).__ne__, ns)):
+                inner[j] = tuple((m, ns[j] * k) for m, k in inner[j])
+        return list(map(tuple, map(chain.from_iterable,
+                                   _pieces(inner, map(len, outer)))))
 
     def factor(self, values, emit):
         # the outer slots of every value first, then all their inner values
@@ -660,9 +697,13 @@ class Compose(FunctorExpr):
         inner_new = self.inner.factor(collected, emit)
         return [self.outer.map(v, inner_new.__getitem__) for v in outer_new]
 
-    def precise(self, value):
-        return self.outer.precise(value) and all(
-            self.inner.precise(m) for m, _ in self.outer.edges(value))
+    def precise(self, values):
+        # the inner values at the outer slots of all values, as one column
+        outer = self.outer.edges(values)
+        inner = self.inner.precise(list(map(itemgetter(0),
+                                            chain.from_iterable(outer))))
+        return _every([self.outer.precise(values),
+                       list(map(all, _slices(inner, map(len, outer))))])
 
     def pair(self, va, vb, img_a, img_b):
         outer = self.outer.pair(va, vb, lambda m: self.inner.map(m, img_a),
@@ -681,8 +722,8 @@ class Compose(FunctorExpr):
         if inner and not (_lists(self.outer) and _lists(self.inner)):
             return self.outer.reader(inner)
 
-    def show(self, value, member):
-        return self.outer.show(value, lambda m: self.inner.show(m, member))
+    def show(self, values, member):
+        return self.outer.show(values, lambda ms: self.inner.show(ms, member))
 
 
 class Bag(FunctorExpr):
@@ -702,8 +743,8 @@ class Bag(FunctorExpr):
     def map(self, value, fn):
         return BagVal((fn(m), n) for m, n in value.entries)
 
-    def edges(self, value):
-        return value.entries
+    def edges(self, values):
+        return list(map(_entries, values))
 
     def factor(self, values, emit):
         return [BagVal._trusted(tuple((emit(m), 1) for m, n in v.entries
@@ -732,8 +773,12 @@ class Bag(FunctorExpr):
     def reader(self, member):
         return _listing(member, r"\[", "]", "", r"(?:\*[ \t]*([0-9]+)[ \t]*)?")
 
-    def show(self, value, member):
-        return "[" + ", ".join([f"{member(m)}*{n}" for m, n in value.entries]) + "]"
+    def show(self, values, member):
+        entries = list(map(_entries, values))
+        ms, ns = _columns(list(chain.from_iterable(entries)), 2)
+        times = {n: f"*{n}" for n in set(ns)}
+        items = list(map(add, member(ms), map(times.__getitem__, ns)))
+        return _listed("[", items, map(len, entries), "]")
 
 
 class Pow(FunctorExpr):
@@ -751,16 +796,18 @@ class Pow(FunctorExpr):
     def map(self, value, fn):
         return SetVal(fn(m) for m in value.members)
 
-    def edges(self, value):
-        return tuple(zip(value.members, repeat(1)))
+    def edges(self, values):
+        # one endless iterator of 1s serves every zip
+        return list(map(tuple, map(zip, map(_members, values),
+                                   repeat(repeat(1)))))
 
     def factor(self, values, emit):
-        if not all(map(self.precise, values)):
+        if not all(self.precise(values)):
             raise PowNotPrecise
         return values
 
-    def precise(self, value):
-        return not value.members
+    def precise(self, values):
+        return list(map(not_, map(_members, values)))
 
     def pair(self, va, vb, img_a, img_b):
         return _pair_by_image(va.members, vb.members, img_a, img_b)
@@ -780,8 +827,10 @@ class Pow(FunctorExpr):
     def reader(self, member):
         return _listing(member, r"\{[ \t]*\|", "|", r"[ \t]*\}", "")
 
-    def show(self, value, member):
-        return "{|" + ", ".join(member(m) for m in value.members) + "|}"
+    def show(self, values, member):
+        members = list(map(_members, values))
+        shown = member(list(chain.from_iterable(members)))
+        return _listed("{|", shown, map(len, members), "|}")
 
 
 def _lists(f: FunctorExpr) -> bool:
@@ -867,6 +916,32 @@ def _pieces(items, sizes):
     return map(islice, repeat(iter(items)), sizes)
 
 
+def _slices(items: list, sizes) -> Iterator[list]:
+    """`items` cut into consecutive lists of `sizes` items; unlike
+    `_pieces`, each is whole whether or not it is read to its end."""
+    ends = list(accumulate(sizes))
+    return map(items.__getitem__, map(slice, chain((0,), ends), ends))
+
+
+def _listed(opening: str, items: list[str], sizes, closing: str) -> list[str]:
+    """The text of each listing: its `sizes` items of `items` in turn,
+    comma-separated between `opening` and `closing`."""
+    return [opening + ", ".join(p) + closing for p in _slices(items, sizes)]
+
+
+def _every(cols: list[list[bool]]) -> list[bool]:
+    """Per row, whether every column holds True."""
+    return list(map(all, zip(*cols)))
+
+
+def _joined(cols: list[list[tuple]]) -> list[tuple]:
+    """Per row, the tuples of all the columns concatenated in order."""
+    out = cols[0]
+    for col in cols[1:]:
+        out = list(map(add, out, col))
+    return out
+
+
 # --------------------------------------------------------------------------
 # entry points
 
@@ -874,7 +949,7 @@ def _pieces(items, sizes):
 def used_states(functor: FunctorExpr, value: FValue) -> FiniteSet:
     """States that actually occur in the value, in first-occurrence order."""
     validate_value(functor, value)
-    return FiniteSet(dict.fromkeys(m for m, _ in functor.edges(value)))
+    return FiniteSet(dict.fromkeys(m for m, _ in functor.edges([value])[0]))
 
 
 def fmap(functor: FunctorExpr, h, value: FValue) -> FValue:

@@ -45,10 +45,13 @@ has its values checked again there, which reports the first bad value in
 carrier order, after every line has parsed.
 
 Emission quotes each name of a document (states, letters, edge ids) once,
-into one table in carrier order, and renders every line from it.  The
-line-break check runs once per name and once per header line (the only
-lines that write the functor's constants and letters); only when it fails
-are the lines scanned, to name the first that holds a break.
+into one table in carrier order, and renders every line from it; the
+values of all the closed states are written by one column walk
+(`FunctorExpr.show`).  The names are quoted one by one only when some
+name needs quotes.  The line-break check is one scan of the names and the
+header lines (the only lines that write the functor's constants and
+letters); only when it fails are the lines scanned, to name the first that
+holds a break.
 """
 
 from __future__ import annotations
@@ -84,9 +87,7 @@ class _Line(Cursor):
 
     def names_rest(self) -> list[StateId]:
         names = self.text.strip(" \t").split(", ")
-        joined = "".join(names)  # no reserved character is a letter or digit
-        if self.i == 0 and all(names) and (joined.isalnum() or not any(
-                map(joined.__contains__, RESERVED))):
+        if self.i == 0 and _bare(names):
             return names  # bare names only, each after ", "
         out = [self.name()]
         toks = self.toks
@@ -103,6 +104,22 @@ class _Line(Cursor):
             raise self.error(str(exc)) from None
 
 
+def _bare(names: list[str]) -> bool:
+    """Whether every name is written bare (see `quote_name`), from one
+    scan of them all."""
+    joined = "".join(names)  # no reserved character is a letter or digit
+    return all(names) and (joined.isalnum() or not any(
+        map(joined.__contains__, RESERVED)))
+
+
+def _written(names) -> dict[str, str]:
+    """Each name as it is written; only when some name needs quotes is
+    each one quoted alone."""
+    names = list(names)
+    return (dict(zip(names, names)) if _bare(names)
+            else {x: _quote(x) for x in names})
+
+
 # --------------------------------------------------------------------------
 # shape-directed value syntax
 
@@ -115,7 +132,10 @@ def parse_value(functor: FunctorExpr, text: str, line_no: int = 0) -> FValue:
 
 
 def format_value(functor: FunctorExpr, value: FValue) -> str:
-    return functor.show(value, _quote)
+    """The spec-file text of one value.  Every walk over the values of a
+    document is column-wise (`emit_coalgebra` writes them all with one
+    `show`); this one passes a column of one value."""
+    return functor.show([value], lambda ms: list(map(_quote, ms)))[0]
 
 
 # --------------------------------------------------------------------------
@@ -130,8 +150,8 @@ LINE_BREAKS = frozenset("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
 def _document(lines: list[str], heads: int, names) -> str:
     """The lines as one document, checked for line breaks in the names and
     the first `heads` lines (see the module docstring)."""
-    if not (all(map(LINE_BREAKS.isdisjoint, names))
-            and all(map(LINE_BREAKS.isdisjoint, lines[:heads]))):
+    text = "".join(chain(names, lines[:heads]))
+    if any(map(text.__contains__, LINE_BREAKS)):
         line = next(t for t in lines if not LINE_BREAKS.isdisjoint(t))
         raise SpecFormatError(
             f"cannot write {line!r}: a name in it holds a line break")
@@ -139,21 +159,23 @@ def _document(lines: list[str], heads: int, names) -> str:
 
 
 def emit_coalgebra(c: PointedCoalgebra) -> str:
-    q = {x: _quote(x) for x in c.carrier}
-    name, show, structure = q.__getitem__, c.functor.show, c.structure
+    q = _written(c.carrier)
+    name, structure = q.__getitem__, c.structure
     frontier = c.frontier.as_set()
     lines = ["kind: coalgebra", f"functor: {format_functor(c.functor)}",
              "states: " + ", ".join(q.values()), "point: " + q[c.point]]
     if frontier:
         lines.append("open: " + ", ".join(map(name, c.frontier)))
     heads = len(lines)
-    lines += [f"{q[x]} = {show(structure[x], name)}" for x in c.carrier
-              if x not in frontier]
+    closed = [x for x in c.carrier if x not in frontier]
+    shown = c.functor.show(list(map(structure.__getitem__, closed)),
+                           lambda ms: list(map(name, ms)))
+    lines += map(" = ".join, zip(map(name, closed), shown))
     return _document(lines, heads, q)
 
 
 def emit_dfa(d: PartialDFA) -> str:
-    q = {x: _quote(x) for x in chain(d.alphabet, d.states)}
+    q = _written(chain(d.alphabet, d.states))
     name, delta = q.__getitem__, d.delta
     lines = ["kind: dfa", "alphabet: " + ", ".join(map(name, d.alphabet)),
              "states: " + ", ".join(map(name, d.states)),
@@ -168,7 +190,7 @@ def emit_dfa(d: PartialDFA) -> str:
 
 
 def emit_multigraph(g: Multigraph) -> str:
-    q = {x: _quote(x) for x in chain(g.vertices, (e.id for e in g.edges))}
+    q = _written(chain(g.vertices, (e.id for e in g.edges)))
     lines = ["kind: multigraph",
              "vertices: " + ", ".join(map(q.__getitem__, g.vertices)),
              "root: " + q[g.root]]

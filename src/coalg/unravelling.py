@@ -247,10 +247,11 @@ def tree_check(c: PointedCoalgebra) -> TreeReport:
     if not c.is_total():
         raise ShapeError("tree check needs a total coalgebra, found open states")
     reached, counts = _root_paths(c.point, c.successor_table().__getitem__)
-    for x in reached:
-        if not c.functor.precise(c.structure[x]):
-            return TreeReport(False, "powerset-degenerate",
-                              f"state {x} carries a non-empty powerset value")
+    flags = c.functor.precise(list(map(c.structure.__getitem__, reached)))
+    if False in flags:
+        x = reached[flags.index(False)]
+        return TreeReport(False, "powerset-degenerate",
+                          f"state {x} carries a non-empty powerset value")
     if counts is None:
         return TreeReport(False, "cycle", "levels non-empty past bound")
     if len(counts) < len(c.carrier):
@@ -280,7 +281,7 @@ def complete_counts(c: PointedCoalgebra) -> dict[StateId, int] | None:
     if counts is None:
         return None
     _within_guard(sum(counts.values()))
-    if all(c.functor.precise(c.structure[x]) for x in reached):
+    if all(c.functor.precise(list(map(c.structure.__getitem__, reached)))):
         return counts
     return None
 

@@ -6,6 +6,8 @@ import pytest
 
 from coalg import (
     BOTTOM,
+    Bag,
+    BagVal,
     ConstVal,
     CoalgebraError,
     Edge,
@@ -188,6 +190,26 @@ def test_random_bag_round_trips():
         c = multigraph_to_bag(g)
         assert c.carrier == g.vertices and c.point == g.root
         assert bag_edges(c) == sorted((e.src, e.tgt) for e in g.edges)
+
+
+def test_bag_of_a_multigraph_is_the_checked_bag_of_its_out_edges():
+    # parallel edges merge as the checked constructor merges them: at the
+    # first edge to each target, with the multiplicities summed
+    rng = random.Random(41)
+    parallel = 0
+    for _ in range(300):
+        g = generators.random_multigraph(rng, max_vertices=5, max_edges=16)
+        c = multigraph_to_bag(g)
+        for u in g.vertices:
+            checked = BagVal((e.tgt, 1) for e in g.out_edges(u))
+            assert c.structure[u].entries == checked.entries
+            parallel += len(checked.entries) < len(g.out_edges(u))
+        assert list(c.structure) == list(g.vertices)
+        assert c == PointedCoalgebra(
+            Bag(), g.vertices,
+            {u: BagVal((e.tgt, 1) for e in g.out_edges(u))
+             for u in g.vertices}, g.root)
+    assert parallel > 100
 
 
 def test_canonical_graph_edges_are_exactly_the_used_states():

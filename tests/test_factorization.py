@@ -215,7 +215,7 @@ def test_precise_agrees_with_the_factorization():
                 factors = True
             except PowNotPrecise:
                 factors = False
-            assert c.functor.precise(v) == factors
+            assert c.functor.precise([v]) == [factors]
 
 
 def naming_draws(seed: int, count: int = 300) -> list[FMap]:
@@ -244,7 +244,7 @@ def test_default_middle_names_are_slot_positions():
         pf = precise_factorize(f)
         names = []
         for x in f.domain:
-            slots = [r for r, _ in f.functor.edges(pf.p.values[x])]
+            slots = [r for r, _ in f.functor.edges([pf.p.values[x]])[0]]
             assert slots == [f"{x}.{j}" for j in range(len(slots))]
             names += slots
         assert sorted(pf.middle) == sorted(names)
@@ -265,8 +265,8 @@ def test_tagged_middle_names_count_the_copies_of_each_state():
             assert r == f"t:{y}" if copies[y] == 1 else f"t:{y}~{copies[y]}"
         for x in f.domain:
             assert fmap(f.functor, pf.h, pf.p.values[x]) == f.values[x]
-        assert sum(copies.values()) == sum(
-            n for x in f.domain for _, n in f.functor.edges(f.values[x]))
+        assert sum(copies.values()) == sum(n for e in f.functor.edges(
+            list(f.values.values())) for _, n in e)
 
 
 def test_a_nonempty_powerset_is_reported_at_its_domain_element():
@@ -281,7 +281,8 @@ def test_a_nonempty_powerset_is_reported_at_its_domain_element():
         values = {x: generators.random_value(rng, functor, codomain)
                   if rng.random() < 0.3 else empty for x in domain}
         f = FMap(generators.shuffled(rng, domain), codomain, functor, values)
-        bad = [x for x in f.domain if not functor.precise(values[x])]
+        bad = [x for x, ok in zip(f.domain, functor.precise(
+            [values[x] for x in f.domain])) if not ok]
         if not bad:
             assert len(precise_factorize(f).middle) == 0
             continue

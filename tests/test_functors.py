@@ -336,7 +336,7 @@ def mutations(f, v):
                 yield kind, FunVal(v.entries[:i] + ((a, bad),)
                                    + v.entries[i + 1:])
     elif isinstance(f, Compose):
-        inner = [m for m, _ in f.outer.edges(v)]
+        inner = [m for m, _ in f.outer.edges([v])[0]]
         for k, m in enumerate(inner):
             for kind, bad in [("state id", "s0"), *mutations(f.inner, m)]:
                 calls = iter(range(len(inner)))

@@ -115,8 +115,9 @@ def test_each_walk_gives_the_same_on_a_table_built_by_another():
 @pytest.fixture
 def slot_reads(monkeypatch):
     """Count the reads of the loaded coalgebra's values by its functor's
-    `edges`, which `slots` calls too: a function giving the coalgebra of
-    the last CLI call and the reads of each of its closed states."""
+    `edges`, which `slots` calls too, once per value in each column it is
+    given: a function giving the coalgebra of the last CLI call and the
+    reads of each of its closed states."""
     loaded = {}
     reads: list[object] = []
 
@@ -126,10 +127,10 @@ def slot_reads(monkeypatch):
 
     monkeypatch.setattr(cli, "parse_spec", load)
     for cls in CONSTRUCTORS:
-        def counted(self, value, original=cls.edges):
+        def counted(self, values, original=cls.edges):
             if "c" in loaded and self is loaded["c"].functor:
-                reads.append(value)
-            return original(self, value)
+                reads.extend(values)
+            return original(self, values)
 
         monkeypatch.setattr(cls, "edges", counted)
 

@@ -251,7 +251,7 @@ def level_construction_check(c: PointedCoalgebra):
     and injectivity."""
     graph = reachable_subgraph(canonical_graph(c))
     for x in graph.vertices:
-        if not c.functor.precise(c.structure[x]):
+        if not c.functor.precise([c.structure[x]])[0]:
             return (False, "powerset-degenerate",
                     f"state {x} carries a non-empty powerset value")
     if not is_acyclic(graph):
