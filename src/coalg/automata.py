@@ -20,24 +20,25 @@ depends on its state alone), and the prediction reads them from the walk's
 cache.  A path then costs its own name, which is its parent's name plus
 one label (`ε` for the root), and its entry in the projection, so a listing
 of the paths and their targets costs time linear in the total length of the
-names it writes.  The paths' values are the tree's business alone: they are
-built when the result's `tree` is first read (see
-`unravelling.UnravelResult`), one value per closed path, and never for a
-listing.  Until then a deferred tree holds each path's name once, as a key
-of the projection's dict, which is also the dict of the tree's carrier; a
-second dict of the open paths, for the frontier; and one move per reachable
-state.  The walk's own lists of names and targets are not kept: the tree's
-values are built from the projection's dict, which lists the paths in the
-walk's order.  The automaton or graph was validated when it was built,
-and the names are checked for collisions once, so both trees, their values
-and projections are built with the unchecked `_trusted` constructors (see
-`coalg.base`).
+names it writes.  Only a bound on the names' size past their guard pays for
+the exact level-by-level prediction, and each level is named in one pass.
+The paths' values are the tree's business alone: they are built when the
+result's `tree` is first read (see `unravelling.UnravelResult`), one value
+per closed path, and never for a listing.  Until then a deferred tree holds
+each path's name once, as a key of the projection's dict, which is also the
+dict of the tree's carrier; a second dict of the open paths, for the
+frontier; and one move per reachable state.  The walk's own lists of names
+and targets are not kept: the tree's values are built from the projection's
+dict, which lists the paths in the walk's order.  The automaton or graph
+was validated when it was built, and the names are checked for collisions
+once, so both trees, their values and projections are built with the
+unchecked `_trusted` constructors (see `coalg.base`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 
 from .base import (FiniteSet, Record, SearchSpaceTooLarge, ShapeError,
                    StateId, TotalMap, _guard)
@@ -161,44 +162,10 @@ def delta_star(d: PartialDFA, word) -> StateId | None:
     return at
 
 
-def _unfold(functor: FunctorExpr, states: FiniteSet, root: StateId,
-            step: Callable[[StateId], Move], max_len: int, sep: str,
-            build: Callable[[Move, list[StateId]], FValue],
-            collision: str) -> UnravelResult:
-    """The tree of rooted paths, breadth-first in successor order.
-
-    `step(x)` gives x's move; it is called once per reachable state.  A
-    path is named by its parent's name, `sep` and its last label (`ε` for
-    the root), so each name costs its own length once.  The tree is
-    complete when no cycle is reachable (one counting walk decides it, and
-    its counts give the tree's size, checked against the guard first);
-    otherwise paths of length max_len stay open, and the tree's size is
-    predicted, and checked against the guard, before a path is named.
-    A long path has a long name, so the names are guarded too: before any
-    is made, the characters of each level's names are predicted from the
-    distinct states of the level before (their paths' names and `sep` once
-    per label, and the labels), and all the names may hold at most
-    NAME_CHARS_PER_GUARD = 12 characters per unit of the guard (1.2 * 10^8
-    by default); past that, SearchSpaceTooLarge.  The walk gives the
-    names, the projection and the frontier; the tree waits for the first
-    read of the result's `tree`, which gives each closed path the value
-    `build(move, kids)` from its state's move and its children's names.
-    """
-    if max_len < 0:
-        raise ValueError("max_len must be >= 0")
-    moves: dict[StateId, Move] = {}
-
-    def successors(x: StateId):
-        move = moves[x] = step(x)
-        return zip(move[1], repeat(1))
-
-    _, counts = _root_paths(root, successors)
-    complete = counts is not None
-    if complete:
-        _within_guard(sum(counts.values()))
-    else:
-        _tree_size(root, lambda x: zip(moves[x][1], repeat(1)), max_len)
-    guard = _guard()
+def _name_chars(root: StateId, moves: dict[StateId, Move], complete: bool,
+                max_len: int, sep: str, guard: int) -> None:
+    """Refuse names past NAME_CHARS_PER_GUARD characters per unit of the
+    guard, predicted exactly level by level from each level's states."""
     limit = NAME_CHARS_PER_GUARD * guard
     # each state of a level: its paths, and the characters of their names
     # (the root's children are their labels alone)
@@ -218,27 +185,69 @@ def _unfold(functor: FunctorExpr, states: FiniteSet, root: StateId,
                 f"the names of the unfolding to depth {depth} would hold "
                 f"more than {limit} characters, {NAME_CHARS_PER_GUARD} per "
                 f"unit of COALG_GUARD={guard}")
+
+
+def _unfold(functor: FunctorExpr, states: FiniteSet, root: StateId,
+            step: Callable[[StateId], Move], max_len: int, sep: str,
+            build: Callable[[Move, list[StateId]], FValue],
+            collision: str) -> UnravelResult:
+    """The tree of rooted paths, breadth-first in successor order.
+
+    `step(x)` gives x's move; it is called once per reachable state.  A
+    path is named by its parent's name, `sep` and its last label (`ε` for
+    the root), so each name costs its own length once.  The tree is
+    complete when no cycle is reachable (one counting walk decides it, and
+    its counts give the tree's size, checked against the guard first);
+    otherwise paths of length max_len stay open, and the tree's size is
+    predicted, and checked against the guard, before a path is named.
+    A long path has a long name, so before any is made the names are
+    bounded by paths x longest path x (widest label + len(sep)); a bound
+    past NAME_CHARS_PER_GUARD = 12 characters per unit of the guard (1.2 *
+    10^8 by default) runs the exact prediction (`_name_chars`).  Each level
+    is then named in one pass.  The walk gives the names, the projection and
+    the frontier; the tree waits for the first read of the result's `tree`,
+    which gives each closed path the value `build(move, kids)` from its
+    state's move and its children's names.
+    """
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
+    moves: dict[StateId, Move] = {}
+
+    def successors(x: StateId):
+        move = moves[x] = step(x)
+        return zip(move[1], repeat(1))
+
+    _, counts = _root_paths(root, successors)
+    complete = counts is not None
+    if complete:
+        paths, longest = sum(counts.values()), len(counts)
+        _within_guard(paths)
+    else:
+        paths = _tree_size(root, lambda x: zip(moves[x][1], repeat(1)),
+                           max_len)
+        longest = max_len
+    widest = max(map(len, chain(*[m[0] for m in moves.values()])), default=0)
+    guard = _guard()
+    if paths * longest * (widest + len(sep)) > NAME_CHARS_PER_GUARD * guard:
+        _name_chars(root, moves, complete, max_len, sep, guard)
     names, targets = ["ε"], [root]
     start, depth = 0, 0
-    # the two lists grow in step behind the walk, one level at a time: a
-    # breadth-first queue whose level [start:] is the open frontier at the end
+    # the two lists grow in step behind the walk, a level at a time: a
+    # breadth-first queue whose level [start:] is the open frontier at the
+    # end.  One string per name: a `name + sep` prefix, freed at once,
+    # leaves holes that a chain's longer names do not fit (half again the
+    # names' size at the end of a long chain)
     while start < len(names) and (complete or depth < max_len):
         end = len(names)
-        level, xs = names[start:end], targets[start:end]
-        for name, x in zip(level, xs):
-            labels, ys, _ = moves[x]
-            # one string per name: a `name + sep` prefix would copy the
-            # parent's name and free it at once, and on a chain the longer
-            # names after it do not fit the holes this leaves in the heap
-            # (half again the names' size at the end of a long chain); with
-            # no sep, `name + label` is that one string and the quicker
-            if not depth:
-                names += labels
-            elif sep:
-                names += [f"{name}{sep}{label}" for label in labels]
-            else:
-                names += [name + label for label in labels]
-            targets += ys
+        if end - start == 1:  # the root, or a level of a chain
+            name, (labels, ys, _) = names[start], moves[targets[start]]
+            names += [f"{name}{sep}{a}" for a in labels] if depth else labels
+        else:
+            level = [moves[x] for x in targets[start:end]]
+            names += [f"{name}{sep}{a}" for name, (labels, _, _)
+                      in zip(names[start:end], level) for a in labels]
+            ys = [y for _, kids, _ in level for y in kids]
+        targets += ys
         start, depth = end, depth + 1
     projected = dict(zip(names, targets))
     if len(projected) != len(names):
