@@ -78,8 +78,13 @@ class SpecFormatError(CoalgebraError):
 def _guard() -> int:
     """The size limit, env var COALG_GUARD (default 10^7), on the candidates
     a brute-force oracle enumerates, on the tree states an unfolding builds
-    and on the constant a functor numeral names."""
-    return int(os.environ.get("COALG_GUARD", "10000000"))
+    and on the constant a functor numeral names; a non-integer is an error."""
+    text = os.environ.get("COALG_GUARD", "10000000")
+    try:
+        return int(text)
+    except ValueError:
+        raise CoalgebraError(
+            f"COALG_GUARD={text!r} is not an integer") from None
 
 
 def _getter(fields: tuple[str, ...]) -> Callable[[object], tuple]:

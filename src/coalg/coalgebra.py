@@ -214,12 +214,10 @@ def check_morphism(h: TotalMap, source: PointedCoalgebra,
         raise ShapeError("map carriers do not match the coalgebras")
     point_ok = h[source.point] == target.point
     failures: list[tuple[StateId, FValue | None, FValue | None]] = []
-    skipped: list[StateId] = []
-    for x in source.carrier:
-        if x in source.frontier:
-            skipped.append(x)
-            continue
-        actual = source.functor.map(source.structure[x], h)
+    closed = [x for x in source.carrier if x not in source.frontier]
+    skipped = [x for x in source.carrier if x in source.frontier]
+    mapped = source.functor.map([source.structure[x] for x in closed], h)
+    for x, actual in zip(closed, mapped):
         y = h[x]
         if y in target.frontier:
             failures.append((x, None, actual))
@@ -243,10 +241,9 @@ def coproduct(c1: PointedCoalgebra, c2: PointedCoalgebra) -> PointedCoalgebra:
     ren2 = {x: f"right.{x}" for x in c2.carrier}
     structure: dict[StateId, FValue] = {}
     for c, ren in ((c1, ren1), (c2, ren2)):
-        for x in c.carrier:
-            if x not in c.frontier:
-                structure[ren[x]] = c.functor.map(c.structure[x],
-                                                  ren.__getitem__)
+        closed = [x for x in c.carrier if x not in c.frontier]
+        structure.update(zip(map(ren.__getitem__, closed), c.functor.map(
+            [c.structure[x] for x in closed], ren.__getitem__)))
     carrier = dict.fromkeys([*ren1.values(), *ren2.values()])
     frontier = dict.fromkeys([ren1[x] for x in c1.frontier]
                              + [ren2[x] for x in c2.frontier])

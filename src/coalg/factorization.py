@@ -11,9 +11,10 @@ factorization drive everything downstream:
   copying factorization behind tree unravellings.  The powerset functor
   admits no precise factorization of a non-empty value (PowNotPrecise).
 
-The functor's `factor` walk only rebuilds values and reports each slot's
-member; `precise_factorize` alone names the middle elements.  Given a tag,
-it names each one after the state it projects to, as it is made (the tree
+The functor's `factor` walk, its action `map` in copying mode, only
+rebuilds a column of values and reports each slot's member;
+`precise_factorize` alone names the middle elements.  Given a tag, it
+names each one after the state it projects to, as it is made (the tree
 unravelling tags level k with `k:`); by default the element in slot j of
 x's value is `x.j`, a name fixed by the map and not by its domain's order.
 
@@ -175,7 +176,9 @@ def precise_factorize(f: FMap, tag: str | None = None) -> PreciseFactorization:
         slots = functor.edges(list(values.values()))
         name = {r: f"{x}.{j}" for x, e in zip(values, slots)
                 for j, (r, _) in enumerate(e)}
-        values = {x: functor.map(v, name.__getitem__) for x, v in values.items()}
+        # precise values, injective renaming: `factor` gives what `map` would
+        values = dict(zip(values, functor.factor(list(values.values()),
+                                                 name.__getitem__)))
         h_map = {name[r]: y for r, y in h_map.items()}
     # the middle is h's domain: it holds h's dict
     middle = FiniteSet._trusted(h_map)
@@ -212,9 +215,10 @@ def factorization_iso(a: PreciseFactorization, b: PreciseFactorization) -> Total
         raise NotIsomorphic("factorizations do not factor the same map")
     if a.h.codomain.as_set() != b.h.codomain.as_set():
         raise NotIsomorphic("factorizations have different final codomains")
-    for x in a.p.domain:
-        if (functor.map(a.p.values[x], a.h) !=
-                functor.map(b.p.values[x], b.h)):
+    pa, pb = ([f.values[x] for x in a.p.domain] for f in (a.p, b.p))
+    for x, fa, fb in zip(a.p.domain, functor.map(pa, a.h),
+                         functor.map(pb, b.h)):
+        if fa != fb:
             raise NotIsomorphic(f"underlying maps differ at {x!r}")
 
     d: dict[StateId, StateId] = {}
@@ -235,7 +239,7 @@ def factorization_iso(a: PreciseFactorization, b: PreciseFactorization) -> Total
     for r in a.middle:
         if b.h[iso[r]] != a.h[r]:
             raise NotIsomorphic(f"matching does not commute with h at {r!r}")
-    for x in a.p.domain:
-        if functor.map(a.p.values[x], iso) != b.p.values[x]:
+    for x, moved, vb in zip(a.p.domain, functor.map(pa, iso), pb):
+        if moved != vb:
             raise NotIsomorphic(f"matching does not transport p at {x!r}")
     return iso

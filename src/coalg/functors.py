@@ -16,25 +16,25 @@ collapsed.  Under composition the member slots of the outer layer hold values
 of the inner layer instead of state identifiers.
 
 Each constructor is one class that carries every operation the library runs
-on the grammar (see `FunctorExpr`): validation, the action on members, slot
-traversal, both factorization walks and the powerset test, fingerprints and
-the text syntax of its expressions and values.  Spec-file values written
-with bare names are read column-wise from one scan of the document
-(`reader`), any other from the tokens of their line (`Cursor`); functor
-expressions are read one character at a time (`_ExprCursor`).
+on the grammar (see `FunctorExpr`): validation, one rebuild walk for the
+action on members and precise factorization, slot traversal, the powerset
+test, fingerprints and the text syntax of its expressions and values.
+Spec-file values written with bare names are read column-wise from one
+scan of the document (`reader`), any other from the tokens of their line
+(`Cursor`); functor expressions are read one character at a time.
 
 Every walk over the values of a document is column-wise: slot reading
-(`edges`), writing (`show`), precise factorization (`factor`) and its
-powerset test (`precise`), and the reader's `build` take one list of
-values per node.  Products and exponents walk a column per factor or
-letter, bags and powersets one column of all their members, coproducts
-one part per tag; `Compose` runs the outer walk with the inner one as its
-member walk.  The other operations take one value and recurse into its
-parts, `Compose` applying the inner operation at each member slot of the
-outer one.  Adding a constructor touches one class.
+(`edges`), writing (`show`), relabelling (`map`), precise factorization
+(`factor`) and its powerset test (`precise`), and the reader's `build`
+take one list of values per node.  Products and exponents walk a column
+per factor or letter, bags and powersets one column of all their members,
+coproducts one part per tag; `Compose` runs the outer walk with the inner
+one as its member walk.  Only the checks (`validate`, `pair`,
+`fingerprint`) take one value, `Compose` applying the inner check at each
+member slot of the outer one.  Adding a constructor touches one class.
 
 Only `validate` checks a value; every other operation, `map` among them,
-takes a value that `validate` accepted.  Other modules call the methods
+takes values that `validate` accepted.  Other modules call the methods
 directly on values that were validated or that the library built.  The
 three entry points below (`used_states`, `fmap`, `validate_value`) take
 any value: each runs `validate` once, and `validate_value`'s member check
@@ -250,13 +250,14 @@ class FunctorExpr(Record):
       `name` (`describe` gives a text for messages that never raises);
     children(): the direct subexpressions;
     validate(value, member, path): shape check, `member(m, path)` per slot;
-    map(value, fn): the value with `fn` applied to every member slot;
     edges(values): per value of a column, its (member, weight) slots in
       order as one tuple (a bag's own entries);
-    factor(values, emit): the values rebuilt column by column, `emit(member)`
-      called once per slot occurrence and giving a distinct member each
-      time, so rebuilt bags have nothing to merge; naming is the caller's
-      (`factorization.precise_factorize`);
+    _rebuild(values, fn, precise): the values of a column with `fn(member)`
+      in each member slot, run by `map(values, fn)`, where bags and sets
+      merge the members that `fn` makes equal, and by `factor(values,
+      emit)`, where `emit` is called once per unit of each slot's
+      multiplicity, in the order that fixes the middle names, and a
+      non-empty powerset raises PowNotPrecise;
     precise(values): per value of a column, False when `factor` raises
       PowNotPrecise on it, decided without expanding bag multiplicities;
     pair(va, vb, img_a, img_b): matched slots of two values with equal images;
@@ -273,7 +274,7 @@ class FunctorExpr(Record):
     alone checks each node's value class, product arity, coproduct tag and
     exponent letters; the other operations take values that it accepted.
     `slots(value)` is one value's `edges` after `validate`'s shape check.
-    The column walks (`edges`, `precise`, `factor`, `show`, `reader`'s
+    The column walks (`edges`, `precise`, `_rebuild`, `show`, `reader`'s
     `build`) take one list per node for all the values of a document:
     composite nodes split it into the columns of their parts and regroup
     the results.
@@ -296,6 +297,12 @@ class FunctorExpr(Record):
                 f"expected {self.value_type.__name__} for {self.describe()}, "
                 f"got {type(value).__name__}")
         return value
+
+    def map(self, values: list[FValue], fn) -> list[FValue]:
+        return self._rebuild(values, fn, False)
+
+    def factor(self, values: list[FValue], emit) -> list[FValue]:
+        return self._rebuild(values, emit, True)
 
     def precise(self, values: list[FValue]) -> list[bool]:
         return [True] * len(values)
@@ -337,14 +344,11 @@ class Identity(FunctorExpr):
     def validate(self, value, member, path):
         member(self.expect(value).member, path)
 
-    def map(self, value, fn):
-        return IdVal(fn(value.member))
-
     def edges(self, values):
         return list(zip(zip(map(_member, values), repeat(1))))
 
-    def factor(self, values, emit):
-        return [IdVal(emit(v.member)) for v in values]
+    def _rebuild(self, values, fn, precise):
+        return _made(IdVal, _set_member, list(map(fn, map(_member, values))))
 
     def pair(self, va, vb, img_a, img_b):
         yield (va.member, vb.member)
@@ -390,13 +394,10 @@ class Const(FunctorExpr):
             raise ShapeError(f"{path}: {value.element!r} not in constant set "
                              f"{{{','.join(self.values)}}}")
 
-    def map(self, value, fn):
-        return value
-
     def edges(self, values):
         return [()] * len(values)
 
-    def factor(self, values, emit):
+    def _rebuild(self, values, fn, precise):
         return values
 
     def pair(self, va, vb, img_a, img_b):
@@ -448,16 +449,12 @@ class Product(FunctorExpr):
         for i, (g, v) in enumerate(zip(self.factors, value.items)):
             g.validate(v, member, f"{path}.{i}")
 
-    def map(self, value, fn):
-        return TupleVal(tuple(g.map(v, fn)
-                              for g, v in zip(self.factors, value.items)))
-
     def edges(self, values):
         return _joined([g.edges(col) for g, col in self._split(values)])
 
-    def factor(self, values, emit):
-        cols = [g.factor(col, emit) for g, col in self._split(values)]
-        return [TupleVal(row) for row in zip(*cols)]
+    def _rebuild(self, values, fn, precise):
+        cols = [g._rebuild(col, fn, precise) for g, col in self._split(values)]
+        return _made(TupleVal, _set_items, list(zip(*cols)))
 
     def _split(self, values):
         """Each factor with its column of the values' items."""
@@ -521,15 +518,12 @@ class Coproduct(FunctorExpr):
         self.summands[value.tag].validate(value.value, member,
                                           f"{path}.t{value.tag}")
 
-    def map(self, value, fn):
-        return TagVal(value.tag, self.summands[value.tag].map(value.value, fn))
-
     def edges(self, values):
         return self._by_tag(values, lambda tag, g, part: g.edges(part))
 
-    def factor(self, values, emit):
+    def _rebuild(self, values, fn, precise):
         return self._by_tag(values, lambda tag, g, part: list(
-            map(TagVal, repeat(tag), g.factor(part, emit))))
+            map(TagVal, repeat(tag), g._rebuild(part, fn, precise))))
 
     def _by_tag(self, values, walk):
         """`walk(tag, summand, part)` on the inner values of each tag that
@@ -593,15 +587,12 @@ class Exponent(FunctorExpr):
         for a in self.alphabet:
             self.base.validate(value[a], member, f"{path}.{a}")
 
-    def map(self, value, fn):
-        return FunVal._trusted({a: self.base.map(value[a], fn)
-                                for a in self.alphabet})
-
     def edges(self, values):
         return _joined([self.base.edges(col) for col in self._split(values)])
 
-    def factor(self, values, emit):
-        cols = [self.base.factor(col, emit) for col in self._split(values)]
+    def _rebuild(self, values, fn, precise):
+        cols = [self.base._rebuild(col, fn, precise)
+                for col in self._split(values)]
         return [FunVal._trusted(dict(zip(self.alphabet, row)))
                 for row in zip(*cols)]
 
@@ -669,9 +660,6 @@ class Compose(FunctorExpr):
             self.inner.validate(m, member, p)
         self.outer.validate(value, check_inner, path)
 
-    def map(self, value, fn):
-        return self.outer.map(value, lambda m: self.inner.map(m, fn))
-
     def edges(self, values):
         # the outer slots of all values, the inner values at them read as
         # one column, weighted by their outer multiplicity, regrouped
@@ -684,7 +672,7 @@ class Compose(FunctorExpr):
         return list(map(tuple, map(chain.from_iterable,
                                    _pieces(inner, map(len, outer)))))
 
-    def factor(self, values, emit):
+    def _rebuild(self, values, fn, precise):
         # the outer slots of every value first, then all their inner values
         # in one column-wise pass: this order fixes the fresh middle names
         collected: list[Member] = []
@@ -693,9 +681,10 @@ class Compose(FunctorExpr):
             collected.append(member)
             return len(collected) - 1  # placeholder token, substituted below
 
-        outer_new = self.outer.factor(values, grab)
-        inner_new = self.inner.factor(collected, emit)
-        return [self.outer.map(v, inner_new.__getitem__) for v in outer_new]
+        outer_new = self.outer._rebuild(values, grab, precise)
+        inner_new = self.inner._rebuild(collected, fn, precise)
+        # the placeholders are distinct, so only this last step merges
+        return self.outer.map(outer_new, inner_new.__getitem__)
 
     def precise(self, values):
         # the inner values at the outer slots of all values, as one column
@@ -706,9 +695,11 @@ class Compose(FunctorExpr):
                        list(map(all, _slices(inner, map(len, outer))))])
 
     def pair(self, va, vb, img_a, img_b):
-        outer = self.outer.pair(va, vb, lambda m: self.inner.map(m, img_a),
-                                lambda m: self.inner.map(m, img_b))
-        for ma, mb in outer:
+        images = []  # each value's outer members, mapped as one column
+        for v, img in ((va, img_a), (vb, img_b)):
+            ms = list(map(itemgetter(0), self.outer.edges([v])[0]))
+            images.append(dict(zip(ms, self.inner.map(ms, img))).__getitem__)
+        for ma, mb in self.outer.pair(va, vb, *images):
             yield from self.inner.pair(ma, mb, img_a, img_b)
 
     def fingerprint(self, value, leaf):
@@ -740,14 +731,13 @@ class Bag(FunctorExpr):
                 raise ShapeError(f"{path}: non-positive multiplicity")
             member(m, path)
 
-    def map(self, value, fn):
-        return BagVal((fn(m), n) for m, n in value.entries)
-
     def edges(self, values):
         return list(map(_entries, values))
 
-    def factor(self, values, emit):
-        return [BagVal._trusted(tuple((emit(m), 1) for m, n in v.entries
+    def _rebuild(self, values, fn, precise):
+        if not precise:
+            return [BagVal((fn(m), n) for m, n in v.entries) for v in values]
+        return [BagVal._trusted(tuple((fn(m), 1) for m, n in v.entries
                                       for _ in range(n)))
                 for v in values]
 
@@ -793,15 +783,14 @@ class Pow(FunctorExpr):
         for m in self.expect(value).members:
             member(m, path)
 
-    def map(self, value, fn):
-        return SetVal(fn(m) for m in value.members)
-
     def edges(self, values):
         # one endless iterator of 1s serves every zip
         return list(map(tuple, map(zip, map(_members, values),
                                    repeat(repeat(1)))))
 
-    def factor(self, values, emit):
+    def _rebuild(self, values, fn, precise):
+        if not precise:
+            return [SetVal(map(fn, v.members)) for v in values]
         if not all(self.precise(values)):
             raise PowNotPrecise
         return values
@@ -958,7 +947,8 @@ def fmap(functor: FunctorExpr, h, value: FValue) -> FValue:
     `h` may be a mapping, or a callable on state ids such as a TotalMap.
     """
     validate_value(functor, value)
-    return functor.map(value, h.__getitem__ if isinstance(h, Mapping) else h)
+    return functor.map([value], h.__getitem__ if isinstance(h, Mapping)
+                       else h)[0]
 
 
 def validate_value(functor: FunctorExpr, value: FValue,

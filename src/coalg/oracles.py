@@ -152,9 +152,10 @@ def tree_refute_by_definition(c: PointedCoalgebra,
     hit is minimal and reproducible.  Size n costs at most |C|^n steps
     (|C|^(n-1) image maps of n states each), checked against the guard
     before the size is searched.  An image map is dropped before its fibres
-    are built when its images miss a state of the point's value (the point
-    then has no preimage), and otherwise at its first state whose value has
-    no preimage, before its TotalMap is built.
+    are built when its images miss a state that the value of one of them
+    uses (that value then has no preimage), before any candidate is counted
+    against the guard, and otherwise at its first state whose value has no
+    preimage, before its TotalMap is built.
     """
     if size_bound > 6:
         raise SearchSpaceTooLarge("refutation search is limited to size 6")
@@ -162,7 +163,8 @@ def tree_refute_by_definition(c: PointedCoalgebra,
         raise ShapeError("refutation search needs a total coalgebra")
     budget = _guard()
     work = 0
-    needed = used_states(c.functor, c.structure[c.point]).as_set()
+    used = {y: used_states(c.functor, c.structure[y]).as_set()
+            for y in c.carrier}
     for n in range(1, size_bound + 1):
         steps = len(c.carrier) ** n
         if steps > budget:
@@ -173,7 +175,8 @@ def tree_refute_by_definition(c: PointedCoalgebra,
         names = list(carrier)
         for images in itertools.product(c.carrier, repeat=n - 1):
             targets = (c.point, *images)
-            if not needed.issubset(targets):
+            hit = set(targets)
+            if not all(map(hit.issuperset, map(used.__getitem__, hit))):
                 continue
             pre: dict[StateId, list[StateId]] = {}
             for x, y in zip(names, targets):

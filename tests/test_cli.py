@@ -393,6 +393,25 @@ def test_functor_numerals_are_bounded_by_the_guard(tmp_path, capsys,
     assert err.startswith("error: ") if code else err == ""
 
 
+@pytest.mark.parametrize("guard", ["abc", "1e3", ""])
+def test_a_malformed_guard_is_an_input_error(guard):
+    path = os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path, COALG_GUARD=guard)
+    done = subprocess.run([sys.executable, "-m", "coalg.cli", "unravel",
+                           fixture_path("diamond")], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 2 and "Traceback" not in done.stderr
+    assert done.stderr.splitlines() == [
+        f"error: COALG_GUARD={guard!r} is not an integer"]
+
+
+@pytest.mark.parametrize("guard, code", [("-1", 3), ("8", 3), ("9", 0)])
+def test_an_integer_guard_bounds_the_unfolding(monkeypatch, guard, code):
+    monkeypatch.setenv("COALG_GUARD", guard)
+    assert main(["unravel", fixture_path("diamond")]) == code
+
+
 def test_a_huge_functor_numeral_is_refused_at_once(tmp_path):
     spec = tmp_path / "const.spec"
     spec.write_text("functor: 100000000000\nstates: r\npoint: r\nr = #7\n",

@@ -341,7 +341,7 @@ def mutations(f, v):
             for kind, bad in [("state id", "s0"), *mutations(f.inner, m)]:
                 calls = iter(range(len(inner)))
                 yield kind, f.outer.map(
-                    v, lambda m: bad if next(calls) == k else m)
+                    [v], lambda m: bad if next(calls) == k else m)[0]
 
 
 def test_malformed_values_get_one_message_from_every_checked_entry():

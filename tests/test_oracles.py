@@ -214,9 +214,11 @@ def test_found_refuters_really_are_counterexamples():
 
 def test_maps_that_miss_the_point_are_dropped_without_changing_the_result(
         monkeypatch):
-    # an image map whose targets miss a state of the point's value leaves
-    # the point without a preimage, so dropping it first changes no result:
-    # with nothing needed, no map is dropped early
+    # an image map whose targets miss a state that one of their values uses
+    # leaves that value without a preimage, so dropping it first changes no
+    # result: with nothing used, no map is dropped early, and with only the
+    # point's value used, only the maps that miss one of its states are
+    real = oracles.used_states
     rng = random.Random(71)
     compared = found = 0
     for _ in range(80):
@@ -224,9 +226,22 @@ def test_maps_that_miss_the_point_are_dropped_without_changing_the_result(
         if not c.is_total():
             continue
         result = tree_refute_by_definition(c, 3)
-        with monkeypatch.context() as m:
-            m.setattr(oracles, "used_states", lambda f, value: FiniteSet())
-            assert tree_refute_by_definition(c, 3) == result
+        point_value = c.structure[c.point]
+        for used in (lambda f, value: FiniteSet(),
+                     lambda f, value: (real(f, value) if value is point_value
+                                       else FiniteSet())):
+            with monkeypatch.context() as m:
+                m.setattr(oracles, "used_states", used)
+                assert tree_refute_by_definition(c, 3) == result
         compared += 1
         found += result is not None
     assert compared >= 40 and found >= 10
+
+
+def test_a_fourteen_state_chain_has_no_refuter_up_to_size_six():
+    # every image map misses a used state: the point needs all 14 of them
+    states = [f"c{i}" for i in range(14)]
+    structure = {x: BagVal([(y, 1)]) for x, y in zip(states, states[1:])}
+    structure["c13"] = BagVal()
+    c = PointedCoalgebra(Bag(), FiniteSet(states), structure, "c0")
+    assert tree_refute_by_definition(c, 6) is None

@@ -1,6 +1,7 @@
-"""The column walks `FunctorExpr.show`, `FunctorExpr.edges` and
-`FunctorExpr.precise`: a column of values gives what its values give one at
-a time, and what a plain recursive walk over one value gives.
+"""The column walks `FunctorExpr.show`, `FunctorExpr.edges`,
+`FunctorExpr.precise` and `FunctorExpr.map`: a column of values gives what
+its values give one at a time, and what a plain recursive walk over one
+value gives.
 
 The columns mix every constructor: coproduct tags in any order, empty bags
 and powersets, compositions inside compositions, exponent letters and
@@ -11,12 +12,13 @@ seed."""
 from __future__ import annotations
 
 import random
+from operator import attrgetter
 
 import pytest
 
 from coalg import (Bag, BagVal, Compose, Const, ConstVal, Coproduct,
-                   Exponent, FiniteSet, Identity, IdVal, Pow, Product, SetVal,
-                   TupleVal, format_value, parse_value)
+                   Exponent, FiniteSet, FunVal, Identity, IdVal, Pow, Product,
+                   SetVal, TagVal, TupleVal, format_value, parse_value)
 from coalg.functors import quote_name
 
 import generators
@@ -89,6 +91,46 @@ def precise(f, v) -> bool:
         return precise(f.outer, v) and all(
             precise(f.inner, m) for m, _ in slots(f.outer, v))
     return True
+
+
+def relabel(f, v, fn, seen, nested=False):
+    """One value with `fn` applied to its members, by a walk over the value
+    alone; adds to `seen` the merges and collapses it makes, marked
+    "nested" when the members that met are inner values under
+    composition."""
+    if isinstance(f, Identity):
+        return IdVal(fn(v.member))
+    if isinstance(f, Const):
+        return v
+    if isinstance(f, Product):
+        return TupleVal(tuple(relabel(g, w, fn, seen, nested)
+                              for g, w in zip(f.factors, v.items)))
+    if isinstance(f, Coproduct):
+        return TagVal(v.tag, relabel(f.summands[v.tag], v.value, fn, seen,
+                                     nested))
+    if isinstance(f, Exponent):
+        return FunVal((a, relabel(f.base, v[a], fn, seen, nested))
+                      for a in f.alphabet)
+    if isinstance(f, Compose):
+        return relabel(f.outer, v,
+                       lambda m: relabel(f.inner, m, fn, seen, nested),
+                       seen, True)
+    if isinstance(f, Bag):
+        out = BagVal((fn(m), n) for m, n in v.entries)
+        if len(out.entries) < len(v.entries):
+            seen.add(("bag merged", nested))
+        return out
+    if isinstance(f, Pow):
+        out = SetVal(fn(m) for m in v.members)
+        if len(out.members) < len(v.members):
+            seen.add(("set collapsed", nested))
+        return out
+    raise AssertionError(f)
+
+
+# non-injective relabellings of CARRIER: onto two states, and onto one
+FOLDS = ({x: ("s0", "p,q")[i % 2] for i, x in enumerate(CARRIER)},
+         dict.fromkeys(CARRIER, "ü"))
 
 
 def nodes(f):
@@ -174,6 +216,22 @@ def test_precise_of_a_column_is_each_value_judged_alone(seed):
     assert judged == {True, False}
 
 
+@pytest.mark.parametrize("seed", [3, 5])
+def test_map_of_a_column_is_each_value_relabelled_alone(seed):
+    seen: set = set()
+    for f, column in draws(seed, 300):
+        for fold in map(attrgetter("__getitem__"), FOLDS):
+            mapped = f.map(column, fold)
+            assert mapped == [f.map([v], fold)[0] for v in column]
+            alone = [relabel(f, v, fold, seen) for v in column]
+            assert mapped == alone
+            # the same stored form: entries and members in the same order
+            assert [format_value(f, v) for v in mapped] == [
+                format_value(f, v) for v in alone]
+    assert seen == {("bag merged", False), ("bag merged", True),
+                    ("set collapsed", False), ("set collapsed", True)}
+
+
 def test_the_shown_values_read_back():
     for f, column in draws(7, 200):
         for v, line in zip(column, f.show(column, names)):
@@ -204,4 +262,5 @@ def test_an_empty_column_writes_nothing():
     assert bad.show([], names) == []
     for f, _ in draws(11, 100):
         assert f.show([], names) == f.edges([]) == f.precise([]) == []
+        assert f.map([], str.upper) == f.factor([], str.upper) == []
     assert Pow().show([SetVal(())], names) == ["{||}"]
