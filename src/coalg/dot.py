@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from .automata import PartialDFA, dfa_functor
 from .base import FiniteSet, ShapeError, fresh_namer
-from .coalgebra import Multigraph, PointedCoalgebra
-from .functors import Bag, Const, Exponent, FunctorExpr, Product
+from .coalgebra import Multigraph, PointedCoalgebra, canonical_graph
+from .functors import Bag, FunctorExpr
 
 
 def _esc(name: str) -> str:
@@ -21,13 +21,10 @@ def _esc(name: str) -> str:
 
 
 def _dfa_alphabet(f: FunctorExpr) -> FiniteSet | None:
-    """The alphabet when f is the partial-DFA functor 2 x (Id + 1)^A."""
-    if (isinstance(f, Product) and len(f.factors) == 2
-            and isinstance(f.factors[0], Const)
-            and isinstance(f.factors[1], Exponent)
-            and f == dfa_functor(f.factors[1].alphabet)):
-        return f.factors[1].alphabet
-    return None
+    """The alphabet when f is the partial-DFA functor 2 x (Id + 1)^A: the
+    alphabet of its last part, when that is an exponent."""
+    alphabet = getattr((f.children() or (f,))[-1], "alphabet", None)
+    return alphabet if alphabet is not None and f == dfa_functor(alphabet) else None
 
 
 def _render(states, point, edges, accepting=(), frontier=()) -> str:
@@ -56,13 +53,11 @@ def _coalgebra_dot(c: PointedCoalgebra) -> str:
         accepting = {x for x, v in live if v.items[0].element == "1"}
         edges = [(x, w.value.member, a) for x, v in live
                  for a, w in v.items[1].entries if w.tag == 0]
-    elif isinstance(c.functor, Bag):
+    elif c.functor == Bag():
         edges = [(x, y, f"×{n}" if n > 1 else None) for x, v in live
                  for y, n in v.entries]
     else:
-        table = c.successor_table()
-        edges = [(x, y, None) for x, _ in live
-                 for y in dict.fromkeys(y for y, _ in table[x])]
+        edges = [(e.src, e.tgt, None) for e in canonical_graph(c).edges]
     return _render(c.carrier, c.point, edges, accepting, frontier)
 
 

@@ -31,7 +31,11 @@ per factor or letter, bags and powersets one column of all their members,
 coproducts one part per tag; `Compose` runs the outer walk with the inner
 one as its member walk.  Only the checks (`validate`, `pair`,
 `fingerprint`) take one value, `Compose` applying the inner check at each
-member slot of the outer one.  Adding a constructor touches one class.
+member slot of the outer one.  An exponent F^A is |A| copies of F, so
+products and exponents share their walks and `pair` on the `_Fields`
+base; a powerset is a bag that forgets multiplicity, so bags and
+powersets share their checks and `Cursor` reading on `_Collection`.
+Adding a constructor touches one class, and the hooks of its shape base.
 
 Only `validate` checks a value; every other operation, `map` among them,
 takes values that `validate` accepted.  Other modules call the methods
@@ -278,6 +282,13 @@ class FunctorExpr(Record):
     `build`) take one list per node for all the values of a document:
     composite nodes split it into the columns of their parts and regroup
     the results.
+    A subclass of a shape base gets some of these from it, and gives hooks:
+    `_Fields` (`edges`, `_rebuild`, `precise`, `pair`) needs `_split(values)`,
+    each field's functor with its column of the values, and `_pack(rows)`,
+    the values of rows of fields; `_Collection` (`text`, `validate`,
+    `pair`, `fingerprint`, `parse`) needs `_entries(value)`, its (member,
+    multiplicity) pairs, and the constants `opening`, `stop`, `closing`
+    (tokens of the listing) and `times` (whether `*n` is written).
     """
 
     __slots__ = ()
@@ -313,24 +324,6 @@ class FunctorExpr(Record):
 
     def reader(self, member):
         return None
-
-
-def _pair_by_image(ms_a, ms_b, img_a, img_b) -> Iterator[tuple[Member, Member]]:
-    """Pair two member lists by their projected images, position by position
-    within each image group; fails when the image multisets differ."""
-    ga: dict = {}
-    for m in ms_a:
-        ga.setdefault(img_a(m), []).append(m)
-    gb: dict = {}
-    for m in ms_b:
-        gb.setdefault(img_b(m), []).append(m)
-    if set(ga) != set(gb):
-        raise NotIsomorphic("factorizations use different member images")
-    for key, la in ga.items():
-        lb = gb[key]
-        if len(la) != len(lb):
-            raise NotIsomorphic(f"image {key!r} used {len(la)} vs {len(lb)} times")
-        yield from zip(la, lb)
 
 
 class Identity(FunctorExpr):
@@ -427,7 +420,28 @@ class Const(FunctorExpr):
         return list(map(text.__getitem__, elements))
 
 
-class Product(FunctorExpr):
+class _Fields(FunctorExpr):
+    """Base of the constructors whose values hold one value per field: a
+    product's factors, or an exponent's base once per letter."""
+
+    __slots__ = ()
+
+    def edges(self, values):
+        return _joined([g.edges(col) for g, col in self._split(values)])
+
+    def _rebuild(self, values, fn, precise):
+        cols = [g._rebuild(col, fn, precise) for g, col in self._split(values)]
+        return self._pack(list(zip(*cols)))
+
+    def precise(self, values):
+        return _every([g.precise(col) for g, col in self._split(values)])
+
+    def pair(self, va, vb, img_a, img_b):
+        for (g, [a]), (_, [b]) in zip(self._split([va]), self._split([vb])):
+            yield from g.pair(a, b, img_a, img_b)
+
+
+class Product(_Fields):
     __slots__ = ("factors",)
     value_type = TupleVal
 
@@ -449,24 +463,13 @@ class Product(FunctorExpr):
         for i, (g, v) in enumerate(zip(self.factors, value.items)):
             g.validate(v, member, f"{path}.{i}")
 
-    def edges(self, values):
-        return _joined([g.edges(col) for g, col in self._split(values)])
-
-    def _rebuild(self, values, fn, precise):
-        cols = [g._rebuild(col, fn, precise) for g, col in self._split(values)]
-        return _made(TupleVal, _set_items, list(zip(*cols)))
-
     def _split(self, values):
         """Each factor with its column of the values' items."""
         return zip(self.factors, _columns(list(map(_items, values)),
                                           len(self.factors)))
 
-    def precise(self, values):
-        return _every([g.precise(col) for g, col in self._split(values)])
-
-    def pair(self, va, vb, img_a, img_b):
-        for g, a, b in zip(self.factors, va.items, vb.items):
-            yield from g.pair(a, b, img_a, img_b)
+    def _pack(self, rows):
+        return _made(TupleVal, _set_items, rows)
 
     def fingerprint(self, value, leaf):
         return "(" + ",".join(g.fingerprint(w, leaf)
@@ -563,7 +566,7 @@ class Coproduct(FunctorExpr):
             map(f"{tag}: ".__add__, g.show(part, member))))
 
 
-class Exponent(FunctorExpr):
+class Exponent(_Fields):
     __slots__ = ("base", "alphabet")
     value_type = FunVal
 
@@ -587,26 +590,14 @@ class Exponent(FunctorExpr):
         for a in self.alphabet:
             self.base.validate(value[a], member, f"{path}.{a}")
 
-    def edges(self, values):
-        return _joined([self.base.edges(col) for col in self._split(values)])
-
-    def _rebuild(self, values, fn, precise):
-        cols = [self.base._rebuild(col, fn, precise)
-                for col in self._split(values)]
-        return [FunVal._trusted(dict(zip(self.alphabet, row)))
-                for row in zip(*cols)]
-
     def _split(self, values):
-        """The values' column at each letter, in alphabet order."""
+        """The base with its column at each letter, in alphabet order."""
         index = list(map(_index, values))
-        return [list(map(itemgetter(a), index)) for a in self.alphabet]
+        return [(self.base, list(map(itemgetter(a), index)))
+                for a in self.alphabet]
 
-    def precise(self, values):
-        return _every([self.base.precise(col) for col in self._split(values)])
-
-    def pair(self, va, vb, img_a, img_b):
-        for a in self.alphabet:
-            yield from self.base.pair(va[a], vb[a], img_a, img_b)
+    def _pack(self, rows):
+        return [FunVal._trusted(dict(zip(self.alphabet, row))) for row in rows]
 
     def fingerprint(self, value, leaf):
         parts = sorted((a, self.base.fingerprint(w, leaf)) for a, w in value.entries)
@@ -631,9 +622,8 @@ class Exponent(FunctorExpr):
     def show(self, values, member):
         if not values:  # no letter is quoted when none is written
             return []
-        cols = [list(map(f"{quote_name(a)}: ".__add__,
-                         self.base.show(col, member)))
-                for a, col in zip(self.alphabet, self._split(values))]
+        cols = [list(map(f"{quote_name(a)}: ".__add__, g.show(col, member)))
+                for a, (g, col) in zip(self.alphabet, self._split(values))]
         return ["{" + ", ".join(row) + "}" for row in zip(*cols)]
 
 
@@ -717,19 +707,68 @@ class Compose(FunctorExpr):
         return self.outer.show(values, lambda ms: self.inner.show(ms, member))
 
 
-class Bag(FunctorExpr):
+class _Collection(FunctorExpr):
+    """Base of the constructors whose values list their members: a bag is
+    a list up to order, a powerset a bag that forgets multiplicity.  A
+    listing is the `opening` tokens, the members separated by commas (each
+    with its `*n` when `times`), the `stop` token and the `closing` ones."""
+
     __slots__ = ()
-    value_type = BagVal
     __repr__ = FunctorExpr.describe
 
     def text(self, ctx, name):
-        return "Bag"
+        return type(self).__name__
 
     def validate(self, value, member, path):
-        for m, n in self.expect(value).entries:
+        for m, n in self._entries(self.expect(value)):
             if n < 1:
                 raise ShapeError(f"{path}: non-positive multiplicity")
             member(m, path)
+
+    def pair(self, va, vb, img_a, img_b):
+        """The members of the two values, a copy per unit of multiplicity,
+        grouped by their images and paired in stored order within each
+        group; fails when the image multisets differ."""
+        groups: tuple[dict, dict] = ({}, {})
+        for g, v, img in zip(groups, (va, vb), (img_a, img_b)):
+            for m, n in self._entries(v):
+                g.setdefault(img(m), []).extend(repeat(m, n))
+        ga, gb = groups
+        if set(ga) != set(gb):
+            raise NotIsomorphic("factorizations use different member images")
+        for key, la in ga.items():
+            lb = gb[key]
+            if len(la) != len(lb):
+                raise NotIsomorphic(
+                    f"image {key!r} used {len(la)} vs {len(lb)} times")
+            yield from zip(la, lb)
+
+    def fingerprint(self, value, leaf):
+        tally = Counter()
+        for m, n in self._entries(value):
+            tally[leaf(m)] += n
+        items = [f"{s}*{n}" if self.times else s
+                 for s, n in sorted(tally.items())]
+        return self.opening + ",".join(items) + self.stop + self.closing
+
+    def parse(self, cur, member):
+        any(map(cur.take, self.opening))
+        items = []
+        while cur.more(self.stop, items):
+            m = member(cur)
+            items.append((m, cur.integer() if cur.skip("*") else 1)
+                         if self.times else m)
+        any(map(cur.take, self.closing))
+        return self.value_type(items)
+
+
+class Bag(_Collection):
+    __slots__ = ()
+    value_type = BagVal
+    opening, stop, closing, times = "[", "]", "", True
+
+    def _entries(self, value):
+        return value.entries
 
     def edges(self, values):
         return list(map(_entries, values))
@@ -740,25 +779,6 @@ class Bag(FunctorExpr):
         return [BagVal._trusted(tuple((fn(m), 1) for m, n in v.entries
                                       for _ in range(n)))
                 for v in values]
-
-    def pair(self, va, vb, img_a, img_b):
-        return _pair_by_image([m for m, n in va.entries for _ in range(n)],
-                              [m for m, n in vb.entries for _ in range(n)],
-                              img_a, img_b)
-
-    def fingerprint(self, value, leaf):
-        tally = Counter()
-        for m, n in value.entries:
-            tally[leaf(m)] += n
-        return "[" + ",".join(f"{s}*{n}" for s, n in sorted(tally.items())) + "]"
-
-    def parse(self, cur, member):
-        cur.take("[")
-        entries = []
-        while cur.more("]", entries):
-            m = member(cur)
-            entries.append((m, cur.integer() if cur.skip("*") else 1))
-        return BagVal(entries)
 
     def reader(self, member):
         return _listing(member, r"\[", "]", "", r"(?:\*[ \t]*([0-9]+)[ \t]*)?")
@@ -771,17 +791,13 @@ class Bag(FunctorExpr):
         return _listed("[", items, map(len, entries), "]")
 
 
-class Pow(FunctorExpr):
+class Pow(_Collection):
     __slots__ = ()
     value_type = SetVal
-    __repr__ = FunctorExpr.describe
+    opening, stop, closing, times = "{|", "|", "}", False
 
-    def text(self, ctx, name):
-        return "Pow"
-
-    def validate(self, value, member, path):
-        for m in self.expect(value).members:
-            member(m, path)
+    def _entries(self, value):
+        return zip(value.members, repeat(1))
 
     def edges(self, values):
         # one endless iterator of 1s serves every zip
@@ -798,21 +814,6 @@ class Pow(FunctorExpr):
     def precise(self, values):
         return list(map(not_, map(_members, values)))
 
-    def pair(self, va, vb, img_a, img_b):
-        return _pair_by_image(va.members, vb.members, img_a, img_b)
-
-    def fingerprint(self, value, leaf):
-        return "{|" + ",".join(sorted({leaf(m) for m in value.members})) + "|}"
-
-    def parse(self, cur, member):
-        cur.take("{")
-        cur.take("|")
-        members = []
-        while cur.more("|", members):
-            members.append(member(cur))
-        cur.take("}")
-        return SetVal(members)
-
     def reader(self, member):
         return _listing(member, r"\{[ \t]*\|", "|", r"[ \t]*\}", "")
 
@@ -823,7 +824,7 @@ class Pow(FunctorExpr):
 
 
 def _lists(f: FunctorExpr) -> bool:
-    return isinstance(f, (Bag, Pow)) or any(map(_lists, f.children()))
+    return isinstance(f, _Collection) or any(map(_lists, f.children()))
 
 
 def _within(names, known):
