@@ -9,8 +9,8 @@ oracles validate the definitional properties on tiny instances.
 """
 
 from .automata import (DefinedInputs, PartialDFA, RootedPaths,
-                       defined_inputs, delta_star, dfa_functor,
-                       dfa_to_coalgebra, rooted_paths)
+                       defined_inputs, dfa_functor, dfa_to_coalgebra,
+                       rooted_paths)
 from .base import (CoalgebraError, FiniteSet, FunctorSyntaxError,
                    NotAHomomorphism, NotIsomorphic, PowNotPrecise,
                    SearchSpaceTooLarge, ShapeError, SpecFormatError, StateId,
@@ -32,8 +32,7 @@ from .oracles import (Counterexample, HomSet, bfs_reachable, enumerate_homs,
                       tree_refute_by_definition, value_preimages)
 from .reachability import (LevelSequence, ReachablePart, is_reachable,
                            reach_levels, reachable_part)
-from .specfile import (emit_coalgebra, emit_dfa, emit_multigraph, emit_spec,
-                       format_value, parse_spec, parse_value)
+from .specfile import emit_spec, format_value, parse_spec, parse_value
 from .unravelling import (TreeLevels, TreeReport, UnravelResult, copy_counts,
                           is_tree, tree_check, tree_fingerprint, tree_levels,
                           tree_unravelling, unravel)

@@ -148,20 +148,6 @@ def dfa_to_coalgebra(d: PartialDFA) -> PointedCoalgebra:
                                      FiniteSet._trusted({}))
 
 
-def delta_star(d: PartialDFA, word) -> StateId | None:
-    """Run the automaton on a word (any iterable of letters); None once a
-    transition is undefined."""
-    at = d.initial
-    for a in word:
-        if a not in d.alphabet:
-            raise ShapeError(f"letter {a!r} outside the alphabet")
-        nxt = d.delta.get((at, a))
-        if nxt is None:
-            return None
-        at = nxt
-    return at
-
-
 def _name_chars(root: StateId, moves: dict[StateId, Move], complete: bool,
                 max_len: int, sep: str, guard: int) -> None:
     """Refuse names past NAME_CHARS_PER_GUARD characters per unit of the

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import graphlib
 from collections.abc import Callable, Iterable, Mapping
+from operator import itemgetter
 
 from .base import FiniteSet, Record, ShapeError, StateId, TotalMap
 from .functors import Bag, BagVal, FunctorExpr, FValue, validate_value
@@ -300,12 +301,17 @@ def canonical_graph(c: PointedCoalgebra) -> Multigraph:
     Frontier states contribute no out-edges and multiplicities are
     forgotten.  Edges are named by their position, so names never collide.
     """
+    edges = tuple(Edge(str(k), x, y)
+                  for k, (x, y) in enumerate(_successor_pairs(c)))
+    return Multigraph._trusted(c.carrier, edges, c.point)
+
+
+def _successor_pairs(c: PointedCoalgebra) -> list[tuple[StateId, StateId]]:
+    """The distinct (x, y) with y in c(x): x in carrier order, each x's
+    successors in slot order, none for frontier states."""
     table = c.successor_table()
-    edges = []
-    for x in c.carrier:
-        for y in dict.fromkeys(y for y, _ in table.get(x, ())):
-            edges.append(Edge(str(len(edges)), x, y))
-    return Multigraph._trusted(c.carrier, tuple(edges), c.point)
+    return [(x, y) for x in c.carrier
+            for y in dict.fromkeys(map(itemgetter(0), table.get(x, ())))]
 
 
 def multigraph_to_bag(g: Multigraph) -> PointedCoalgebra:

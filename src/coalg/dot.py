@@ -3,7 +3,7 @@
 The point (or root, or initial state) gets an arrowless inbound marker.
 Bag coalgebras label edges with multiplicities, DFA-shaped coalgebras and
 automata with letters (accepting states drawn doubled), everything else
-falls back to the canonical graph.  Open frontier states are dashed.
+falls back to the canonical graph's edges.  Open frontier states are dashed.
 Each state (in carrier order) and each label is escaped once, into a table
 per document, and every line is rendered from it.
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .automata import PartialDFA, dfa_functor
 from .base import FiniteSet, ShapeError, fresh_namer
-from .coalgebra import Multigraph, PointedCoalgebra, canonical_graph
+from .coalgebra import Multigraph, PointedCoalgebra, _successor_pairs
 from .functors import Bag, FunctorExpr
 
 
@@ -57,7 +57,7 @@ def _coalgebra_dot(c: PointedCoalgebra) -> str:
         edges = [(x, y, f"×{n}" if n > 1 else None) for x, v in live
                  for y, n in v.entries]
     else:
-        edges = [(e.src, e.tgt, None) for e in canonical_graph(c).edges]
+        edges = [(x, y, None) for x, y in _successor_pairs(c)]
     return _render(c.carrier, c.point, edges, accepting, frontier)
 
 

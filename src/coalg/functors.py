@@ -21,7 +21,8 @@ action on members and precise factorization, slot traversal, the powerset
 test, fingerprints and the text syntax of its expressions and values.
 Spec-file values written with bare names are read column-wise from one
 scan of the document (`reader`), any other from the tokens of their line
-(`Cursor`); functor expressions are read one character at a time.
+(`Cursor`); functor expressions are read by one loop over a precedence
+table of the infix operators (`_INFIX`).
 
 Every walk over the values of a document is column-wise: slot reading
 (`edges`), writing (`show`), relabelling (`map`), precise factorization
@@ -50,6 +51,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping
+from functools import reduce
 from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import add, attrgetter, itemgetter, not_, setitem, sub
 from typing import Union
@@ -249,9 +251,10 @@ _member, _element, _items, _tag, _index, _entries, _members = map(attrgetter, (
 class FunctorExpr(Record):
     """Base of the constructor classes, each of which implements:
 
-    text(ctx, name): expression text at precedence ctx (coproduct 0 <
-      product 1 < compose 2 < postfix 3), set-literal names written by
-      `name` (`describe` gives a text for messages that never raises);
+    text(ctx, name): expression text at precedence ctx, the level of its
+      operator in `_INFIX` (coproduct 0 < product 1 < compose 2) or 3 for
+      postfix, set-literal names written by `name` (`describe` gives a
+      text for messages that never raises);
     children(): the direct subexpressions;
     validate(value, member, path): shape check, `member(m, path)` per slot;
     edges(values): per value of a column, its (member, weight) slots in
@@ -1079,7 +1082,7 @@ _NOT_NAMES = frozenset(RESERVED - {'"'}) | {""}
 
 
 class _ExprCursor:
-    """Reading position in a functor expression, one character at a time:
+    """Reading position in a functor expression, moved by compiled patterns:
     any whitespace separates tokens, a bare name in a set literal ends at
     `_NAME_DELIMS`, errors carry the offset, `parens` counts the open
     parentheses."""
@@ -1093,15 +1096,13 @@ class _ExprCursor:
         return FunctorSyntaxError(msg, self.pos)
 
     def peek(self) -> str:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        self.pos = _SPACES.match(self.text, self.pos).end()
+        return self.text[self.pos:self.pos + 1]
 
     def take(self, ch: str) -> None:
-        if self.peek() != ch:
+        if not self.skip(ch):
             found = self.peek() or "end of line"
             raise self.error(f"expected {ch!r}, found {found!r}")
-        self.pos += 1
 
     def name(self) -> str:
         ch = self.peek()
@@ -1112,22 +1113,33 @@ class _ExprCursor:
             out = self.text[self.pos + 1:end]
             self.pos = end + 1
             return out
-        start = self.pos
-        while (self.pos < len(self.text)
-               and self.text[self.pos] not in _NAME_DELIMS):
-            self.pos += 1
-        if self.pos == start:
+        m = _SET_NAME.match(self.text, self.pos)
+        if m is None:
             raise self.error(f"expected a name, found {ch or 'end of line'!r}")
-        return self.text[start:self.pos]
+        self.pos = m.end()
+        return m.group()
 
     def word(self) -> str:
-        """Maximal run of identifier characters (letters, digits, _)."""
-        self.peek()
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum()
-                                             or self.text[self.pos] == "_"):
-            self.pos += 1
-        return self.text[start:self.pos]
+        """Maximal run of letters, digits and _ at the position `peek` left."""
+        m = _WORD.match(self.text, self.pos)
+        self.pos = m.end()
+        return m.group()
+
+    def skip(self, ch: str) -> bool:
+        """Take `ch` if it comes next; `x` only as a word of its own."""
+        if self.peek() != ch or (
+                ch == "x" and _WORD.match(self.text, self.pos).end() > self.pos + 1):
+            return False
+        self.pos += 1
+        return True
+
+
+# whitespace (`str.isspace`), a bare set-literal name (its class written
+# as BARE's is), and identifier characters (`str.isalnum` or `_`) from a
+# position of an expression
+_SPACES = re.compile(r"\s*")
+_SET_NAME = re.compile("[^%s]+" % "".join(sorted(_NAME_DELIMS)).replace("]", r"\]"))
+_WORD = re.compile(r"\w*")
 
 
 def _parse_set_literal(cur: _ExprCursor) -> FiniteSet:
@@ -1135,10 +1147,9 @@ def _parse_set_literal(cur: _ExprCursor) -> FiniteSet:
     if cur.peek() == "}":
         raise FunctorSyntaxError("empty set is not allowed", cur.pos)
     names = [cur.name()]
-    while cur.peek() != "}":
+    while not cur.skip("}"):
         cur.take(",")
         names.append(cur.name())
-    cur.take("}")
     try:
         return FiniteSet(names)
     except ValueError as e:
@@ -1146,92 +1157,66 @@ def _parse_set_literal(cur: _ExprCursor) -> FiniteSet:
 
 
 def _parse_atom(cur: _ExprCursor) -> FunctorExpr:
-    ch = cur.peek()
-    if ch == "(":
-        cur.take("(")
+    if cur.skip("("):
         cur.parens += 1
         if cur.parens > MAX_FUNCTOR_DEPTH:
-            raise FunctorSyntaxError(
-                f"more than {MAX_FUNCTOR_DEPTH} nested parentheses", cur.pos)
-        inner = _parse_coproduct(cur)
+            raise cur.error(f"more than {MAX_FUNCTOR_DEPTH} nested parentheses")
+        inner = _parse_expr(cur)
         cur.take(")")
         cur.parens -= 1
         return inner
+    ch = cur.peek()
     if ch == "{":
         return Const(_parse_set_literal(cur))
-    if ch.isdecimal():
-        start = cur.pos
-        word = cur.word()
-        if not word.isdecimal():
-            raise FunctorSyntaxError(f"bad numeral {word!r}", start)
-        try:
-            n = int(word)
-        except ValueError:  # more digits than int() reads: an input error
-            raise FunctorSyntaxError(f"numeral too long ({len(word)} digits)",
-                                     start) from None
-        if n == 0:
-            raise FunctorSyntaxError("numeral 0 denotes the empty constant, "
-                                     "which is not allowed", start)
-        limit = _guard()
-        if n > limit:
-            raise SearchSpaceTooLarge(
-                f"numeral {n} would make a constant of more than "
-                f"COALG_GUARD={limit} elements")
-        if n == 1:
-            return Const(FiniteSet((BOTTOM,)))
-        return Const(FiniteSet(str(i) for i in range(n)))
-    start = cur.pos
-    word = cur.word()
-    if word == "Id":
-        return Identity()
-    if word == "Bag":
-        return Bag()
-    if word == "Pow":
-        return Pow()
-    raise FunctorSyntaxError(
-        f"expected a functor, got {word!r}" if word else "expected a functor", start)
+    start, word = cur.pos, cur.word()
+    if word in _KEYWORDS:
+        return _KEYWORDS[word]()
+    if not ch.isdecimal():
+        raise FunctorSyntaxError(f"expected a functor, got {word!r}" if word
+                                 else "expected a functor", start)
+    if not word.isdecimal():
+        raise FunctorSyntaxError(f"bad numeral {word!r}", start)
+    try:
+        n = int(word)
+    except ValueError:  # more digits than int() reads: an input error
+        raise FunctorSyntaxError(f"numeral too long ({len(word)} digits)",
+                                 start) from None
+    if n == 0:
+        raise FunctorSyntaxError("numeral 0 denotes the empty constant, "
+                                 "which is not allowed", start)
+    limit = _guard()
+    if n > limit:
+        raise SearchSpaceTooLarge(
+            f"numeral {n} would make a constant of more than "
+            f"COALG_GUARD={limit} elements")
+    if n == 1:
+        return Const(FiniteSet((BOTTOM,)))
+    return Const(FiniteSet(str(i) for i in range(n)))
 
 
-def _parse_postfix(cur: _ExprCursor) -> FunctorExpr:
-    f = _parse_atom(cur)
-    while cur.peek() == "^":
-        cur.take("^")
-        f = Exponent(f, _parse_set_literal(cur))
-    return f
+# the functors named by a word
+_KEYWORDS = {"Id": Identity, "Bag": Bag, "Pow": Pow}
+# the infix operators, loosest first, and the node each makes of the
+# operands it joins: sums and products stay flat, compositions nest to the
+# right; the postfix `^` binds tighter than all three
+_INFIX = (("+", lambda fs: Coproduct(tuple(fs))),
+          ("x", lambda fs: Product(tuple(fs))),
+          (".", lambda fs: reduce(lambda g, f: Compose(f, g), reversed(fs))))
 
 
-def _parse_compose(cur: _ExprCursor) -> FunctorExpr:
-    parts = [_parse_postfix(cur)]
-    while cur.peek() == ".":
-        cur.take(".")
-        parts.append(_parse_postfix(cur))
-    out = parts[-1]
-    for p in reversed(parts[:-1]):
-        out = Compose(p, out)
-    return out
-
-
-def _parse_product(cur: _ExprCursor) -> FunctorExpr:
-    factors = [_parse_compose(cur)]
-    while True:
-        cur.peek()
-        mark = cur.pos
-        if cur.peek() == "x":
-            word = cur.word()
-            if word == "x":
-                factors.append(_parse_compose(cur))
-                continue
-            cur.pos = mark
-        break
-    return factors[0] if len(factors) == 1 else Product(tuple(factors))
-
-
-def _parse_coproduct(cur: _ExprCursor) -> FunctorExpr:
-    summands = [_parse_product(cur)]
-    while cur.peek() == "+":
-        cur.take("+")
-        summands.append(_parse_product(cur))
-    return summands[0] if len(summands) == 1 else Coproduct(tuple(summands))
+def _parse_expr(cur: _ExprCursor, level: int = 0) -> FunctorExpr:
+    """An expression whose operators are those of `_INFIX` from `level` on,
+    outside parentheses; past the last level, an atom and its exponents."""
+    if level == len(_INFIX):
+        f = _parse_atom(cur)
+        while cur.skip("^"):
+            f = Exponent(f, _parse_set_literal(cur))
+        return f
+    op, join = _INFIX[level]
+    fs = [_parse_expr(cur, level + 1)]
+    while cur.skip(op):
+        fs.append(_parse_expr(cur, level + 1))
+    return fs[0] if len(fs) == 1 else join(fs)
 
 
 def parse_functor(text: str) -> FunctorExpr:
@@ -1239,7 +1224,7 @@ def parse_functor(text: str) -> FunctorExpr:
 
     Expressions deeper than MAX_FUNCTOR_DEPTH levels are rejected."""
     cur = _ExprCursor(text)
-    f = _parse_coproduct(cur)
+    f = _parse_expr(cur)
     if cur.peek():
         raise FunctorSyntaxError("trailing input after functor expression", cur.pos)
     depth, layer = 0, [f]

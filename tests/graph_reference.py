@@ -1,7 +1,8 @@
-"""Reference answers on rooted multigraphs, for tests of the tree
-constructions: path counts by a topological dynamic program and tree-ness
-by in-degrees.  Neither uses the library's rooted walk
-(`coalgebra._root_paths`), which answers both questions there.
+"""Reference answers on rooted multigraphs and partial DFAs, for tests of
+the tree constructions: path counts by a topological dynamic program,
+tree-ness by in-degrees, and the run of a DFA on one word.  None uses the
+library's rooted walk (`coalgebra._root_paths`), which answers the first
+two questions there, or its level-wise unfolding of words.
 """
 
 from __future__ import annotations
@@ -10,7 +11,8 @@ import graphlib
 import math
 from collections import Counter
 
-from coalg import Edge, Multigraph, ShapeError, StateId, bfs_reachable
+from coalg import (Edge, Multigraph, PartialDFA, ShapeError, StateId,
+                   bfs_reachable)
 
 
 def path_count(g: Multigraph, v: StateId):
@@ -54,3 +56,17 @@ def graph_is_tree(g: Multigraph) -> bool:
     return (indegree[g.root] == 0
             and all(indegree[v] == 1 for v in g.vertices if v != g.root)
             and len(bfs_reachable(g)) == len(g.vertices))
+
+
+def delta_star(d: PartialDFA, word) -> StateId | None:
+    """Run the automaton on a word (any iterable of letters); None once a
+    transition is undefined."""
+    at = d.initial
+    for a in word:
+        if a not in d.alphabet:
+            raise ShapeError(f"letter {a!r} outside the alphabet")
+        nxt = d.delta.get((at, a))
+        if nxt is None:
+            return None
+        at = nxt
+    return at

@@ -16,7 +16,6 @@ from coalg import (
     check_morphism,
     copy_counts,
     defined_inputs,
-    delta_star,
     dfa_functor,
     dfa_to_coalgebra,
     is_acyclic,
@@ -33,7 +32,7 @@ from coalg.unravelling import _tree_size
 
 import generators
 from conftest import load_fixture
-from graph_reference import graph_is_tree, path_count
+from graph_reference import delta_star, graph_is_tree, path_count
 
 
 def chain() -> PartialDFA:
