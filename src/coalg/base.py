@@ -20,10 +20,11 @@ builds the carrier and its map onto C as one dict), since neither object
 ever writes to it.
 
 Records (values, functors, coalgebras and the results of the constructions)
-are immutable `__slots__` classes derived from `Record`, with explicit
-constructors, for the sake of start-up time: the standard library's record
-decorator and the module it lives in cost more per CLI process, in import
-and in code generated for each class, than most calls spend on their work.
+are immutable `__slots__` classes derived from `Record`, which declare their
+fields once, in `__slots__`, for the sake of start-up time: the standard
+library's record decorator and the module it lives in cost more per CLI
+process, in import and in code generated for each class, than most calls
+spend on their work.
 """
 
 from __future__ import annotations
@@ -98,12 +99,14 @@ def _getter(fields: tuple[str, ...]) -> Callable[[object], tuple]:
 
 class Record:
     """Immutable record.  A subclass lists its slots in `__slots__`; the
-    slots not opening with `_` are its fields, in order.  Its `__init__`
-    sets them with `object.__setattr__` (or `Record.__init__`, which takes
-    every field's value in order).  Records compare equal when they are of
-    the same class with equal fields, hash like the tuple of their fields,
-    print as `Name(field=value, ...)`, refuse assignment, and copy and
-    pickle as a call of the class on their fields."""
+    slots not opening with `_` are its fields, in order.  `Record.__init__`
+    takes them by position, by keyword or both, and refuses a field that is
+    missing, unknown or given twice; a subclass defines `__init__` only to
+    check its input, to supply a default or to set its slots directly.
+    Records compare equal when they are of the same class with equal
+    fields, hash like the tuple of their fields, print as
+    `Name(field=value, ...)`, refuse assignment, and copy and pickle as a
+    call of the class on their fields."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -114,11 +117,20 @@ class Record:
                              if not name.startswith("_"))
         cls._values = property(_getter(cls._fields))
 
-    def __init__(self, *values):
-        if len(values) != len(self._fields):
-            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} "
-                            f"fields, got {len(values)}")
-        for name, value in zip(self._fields, values):
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if named or len(values) != len(fields):
+            given = dict(zip(fields, values))
+            twice = given.keys() & named.keys()
+            given.update(named)
+            if (twice or len(values) > len(fields)
+                    or given.keys() != set(fields)):
+                raise TypeError(
+                    f"{type(self).__name__} takes the fields "
+                    f"({', '.join(fields)}) once each, got {len(values)} by "
+                    f"position and {', '.join(named) or 'none'} by keyword")
+            values = map(given.__getitem__, fields)
+        for name, value in zip(fields, values):
             object.__setattr__(self, name, value)
 
     def __eq__(self, other: object) -> bool:

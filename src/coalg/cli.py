@@ -238,6 +238,19 @@ def cmd_dot(args) -> int:
     return 0
 
 
+# each flag's `add_argument` keywords, in the order a command's help lists them
+_FLAGS = {
+    "--depth": dict(type=int, help="truncate the unravelling at this depth"),
+    "--maxlen": dict(type=int, help="word/path length cap for cyclic inputs"),
+    "--emit": dict(metavar="PATH",
+                   help="write the resulting object as a spec file"),
+    "--dot": dict(metavar="PATH", help="write a DOT rendering of the result"),
+    "--oracle": dict(action="store_true",
+                     help="cross-check with the brute-force oracle"),
+    "--out": dict(metavar="PATH", help="output path (default: stdout)"),
+}
+
+
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of the command line.  When `command` names a command, only
     its subparser is registered, and the usage line names every command as
@@ -247,45 +260,26 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         prog="coalg",
         description="reachability and tree unravelling of pointed coalgebras")
     sub = parser.add_subparsers(dest="command", required=True)
-    names = []
-
-    def add(name, fn, **flags):
-        names.append(name)
-        if command not in (None, name):
-            return
-        p = sub.add_parser(name)
-        p.add_argument("file", help="spec file")
-        if flags.get("depth"):
-            p.add_argument("--depth", type=int, default=None,
-                           help="truncate the unravelling at this depth")
-        if flags.get("maxlen"):
-            p.add_argument("--maxlen", type=int, default=None,
-                           help="word/path length cap for cyclic inputs")
-        if flags.get("emit"):
-            p.add_argument("--emit", metavar="PATH",
-                           help="write the resulting object as a spec file")
-        if flags.get("dot"):
-            p.add_argument("--dot", metavar="PATH",
-                           help="write a DOT rendering of the result")
-        if flags.get("oracle"):
-            p.add_argument("--oracle", action="store_true",
-                           help="cross-check with the brute-force oracle")
-        if flags.get("out"):
-            p.add_argument("--out", metavar="PATH",
-                           help="output path (default: stdout)")
-        p.set_defaults(fn=fn)
-
-    add("check", cmd_check)
-    add("reachable", cmd_reachable, emit=True, oracle=True)
-    add("is-tree", cmd_is_tree, oracle=True)
-    add("unravel", cmd_unravel, depth=True, emit=True, dot=True)
-    add("dfa-inputs", cmd_dfa_inputs, maxlen=True, emit=True, dot=True)
-    add("paths", cmd_paths, maxlen=True, emit=True, dot=True)
-    add("dot", cmd_dot, out=True)
+    commands = {  # read here, so that a patched `cmd_*` takes effect
+        "check": (cmd_check, ()),
+        "reachable": (cmd_reachable, ("--emit", "--oracle")),
+        "is-tree": (cmd_is_tree, ("--oracle",)),
+        "unravel": (cmd_unravel, ("--depth", "--emit", "--dot")),
+        "dfa-inputs": (cmd_dfa_inputs, ("--maxlen", "--emit", "--dot")),
+        "paths": (cmd_paths, ("--maxlen", "--emit", "--dot")),
+        "dot": (cmd_dot, ("--out",)),
+    }
+    for name, (fn, flags) in commands.items():
+        if command in (None, name):
+            p = sub.add_parser(name)
+            p.add_argument("file", help="spec file")
+            for flag in flags:
+                p.add_argument(flag, **_FLAGS[flag])
+            p.set_defaults(fn=fn)
     if command is not None:
-        if command not in names:
+        if command not in commands:
             return _build_parser()
-        sub.metavar = "{" + ",".join(names) + "}"
+        sub.metavar = "{" + ",".join(commands) + "}"
     return parser
 
 

@@ -34,7 +34,6 @@ size of the tree from it, and `reachable_subgraph` reads its vertices.
 
 from __future__ import annotations
 
-import graphlib
 from collections.abc import Callable, Iterable, Mapping
 from operator import itemgetter
 
@@ -330,6 +329,7 @@ def multigraph_to_bag(g: Multigraph) -> PointedCoalgebra:
 
 
 def is_acyclic(g: Multigraph) -> bool:
+    import graphlib  # loaded only when called: no command calls it
     ts = graphlib.TopologicalSorter({v: set() for v in g.vertices})
     for e in g.edges:
         ts.add(e.tgt, e.src)

@@ -635,9 +635,6 @@ class Compose(FunctorExpr):
 
     __slots__ = ("outer", "inner")
 
-    def __init__(self, outer: FunctorExpr, inner: FunctorExpr):
-        Record.__init__(self, outer, inner)
-
     def text(self, ctx, name):
         body = self.outer.text(3, name) + " . " + self.inner.text(2, name)
         return f"({body})" if ctx > 2 else body

@@ -16,19 +16,15 @@ from collections import deque
 from .base import (FiniteSet, NotAHomomorphism, Record, SearchSpaceTooLarge,
                    ShapeError, StateId, TotalMap, _guard)
 from .coalgebra import Multigraph, PointedCoalgebra, check_morphism
-from .functors import (Bag, BagVal, Compose, Const, ConstVal, Coproduct,
-                       Exponent, FunVal, FunctorExpr, FValue, IdVal, Identity,
-                       Pow, Product, SetVal, TagVal, TupleVal, used_states)
+from .functors import (Bag, BagVal, Compose, Const, Coproduct, Exponent,
+                       FunVal, FunctorExpr, FValue, IdVal, Identity, Pow,
+                       Product, SetVal, TagVal, TupleVal, used_states)
 
 
 class HomSet(Record):
     """All pointed homomorphisms from source to target."""
 
     __slots__ = ("homs", "source", "target")
-
-    def __init__(self, homs: tuple[TotalMap, ...], source: PointedCoalgebra,
-                 target: PointedCoalgebra):
-        Record.__init__(self, homs, source, target)
 
     def __len__(self) -> int:
         return len(self.homs)
@@ -42,9 +38,6 @@ class Counterexample(Record):
     that is not a split epimorphism."""
 
     __slots__ = ("source", "hom")
-
-    def __init__(self, source: PointedCoalgebra, hom: TotalMap):
-        Record.__init__(self, source, hom)
 
 
 def enumerate_homs(src: PointedCoalgebra,

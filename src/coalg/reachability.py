@@ -33,12 +33,11 @@ validated again.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 
-from .base import FiniteSet, Record, StateId, TotalMap
+from .base import FiniteSet, Record, TotalMap
 from .coalgebra import PointedCoalgebra
 from .factorization import FMap, least_bound
-from .functors import FValue
 
 
 class LevelSequence(Record):
@@ -53,11 +52,6 @@ class LevelSequence(Record):
 
     __slots__ = ("levels", "inclusions", "step_maps")
 
-    def __init__(self, levels: tuple[FiniteSet, ...],
-                 inclusions: tuple[TotalMap, ...],
-                 step_maps: tuple[FMap, ...]):
-        Record.__init__(self, levels, inclusions, step_maps)
-
     def union(self) -> FiniteSet:
         """All reached states, in first-appearance order."""
         return FiniteSet().union(*self.levels)
@@ -68,11 +62,6 @@ class ReachablePart(Record):
     is the structure of the restricted coalgebra: one dict, held by both."""
 
     __slots__ = ("sub", "structure", "embedding", "point", "coalgebra")
-
-    def __init__(self, sub: FiniteSet, structure: Mapping[StateId, FValue],
-                 embedding: TotalMap, point: StateId,
-                 coalgebra: PointedCoalgebra):
-        Record.__init__(self, sub, structure, embedding, point, coalgebra)
 
 
 def _iterate(c: PointedCoalgebra, h0: TotalMap,

@@ -55,7 +55,7 @@ from operator import itemgetter
 from .base import (FiniteSet, Record, SearchSpaceTooLarge, ShapeError,
                    StateId, TotalMap, _guard)
 from .coalgebra import PointedCoalgebra, Successors, _root_paths
-from .factorization import FMap, precise_factorize
+from .factorization import precise_factorize
 from .functors import FValue
 from .reachability import _iterate
 
@@ -69,11 +69,6 @@ class TreeLevels(Record):
     """
 
     __slots__ = ("levels", "step_maps", "projections", "truncated")
-
-    def __init__(self, levels: tuple[FiniteSet, ...],
-                 step_maps: tuple[FMap, ...],
-                 projections: tuple[TotalMap, ...], truncated: bool):
-        Record.__init__(self, levels, step_maps, projections, truncated)
 
     def states(self) -> FiniteSet:
         """All level states, level by level: the coproduct's carrier."""
@@ -105,10 +100,6 @@ class UnravelResult(Record):
     # `_grow` (the deferred tree's builder, until the first read) is not a
     # field
     __slots__ = ("tree", "projection", "complete", "frontier", "_grow")
-
-    def __init__(self, tree: PointedCoalgebra, projection: TotalMap,
-                 complete: bool, frontier: FiniteSet):
-        Record.__init__(self, tree, projection, complete, frontier)
 
     @classmethod
     def _deferred(cls, grow: Callable[[], PointedCoalgebra],

@@ -89,6 +89,22 @@ def test_positional_and_keyword_construction_agree(cls, args, kwargs):
     assert type(a) is cls and not hasattr(a, "__dict__")
 
 
+@pytest.mark.parametrize("cls, args", [
+    (TreeLevels, ((AB,), (FMAP,), (IDENT,), False)),
+    (Compose, (Bag(), Identity())),
+], ids=["TreeLevels", "Compose"])
+def test_record_init_refuses_a_field_unknown_missing_or_given_twice(cls, args):
+    assert "__init__" not in cls.__dict__
+    named = dict(zip(cls._fields, args))
+    first, *rest = cls._fields
+    for bad in (lambda: cls(*args, bogus=1), lambda: cls(**named, bogus=1),
+                lambda: cls(*args[:-1]), lambda: cls(**dict.fromkeys(rest)),
+                lambda: cls(*args, **{first: args[0]}),
+                lambda: cls(args[0], **named)):
+        with pytest.raises(TypeError):
+            bad()
+
+
 # classes holding a dict, an FMap or a PointedCoalgebra are unhashable, as
 # they always were
 UNHASHABLE = {PointedCoalgebra, LeastBound, PreciseFactorization,
@@ -204,4 +220,4 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
                          capture_output=True, text=True, timeout=60)
     added = json.loads(out.stdout)
     assert "coalg.cli" in added
-    assert "dataclasses" not in added and "inspect" not in added
+    assert not {"dataclasses", "inspect", "graphlib"} & set(added)
