@@ -172,20 +172,23 @@ def cmd_is_tree(args) -> int:
 
 def cmd_unravel(args) -> int:
     c = _as_coalgebra(_load(args.file))
-    if args.depth is not None and args.depth <= 0:
+    depth = args.depth
+    if depth is not None and depth <= 0:
         raise CoalgebraError("--depth must be positive")
-    # the root-path counts of a complete unravelling are its copies: its
-    # tree is built only to be written
-    counts = complete_counts(c) if args.depth is None else None
+    # the root-path counts of a complete unravelling are its copies, and no
+    # root path of an acyclic coalgebra has |C| edges: the tree is built only
+    # to be written, or to be cut (`unravel` refuses open states at --depth)
+    whole = depth is None or depth >= len(c.carrier) and c.is_total()
+    counts = complete_counts(c) if whole else None
     result, complete = None, counts is not None
     if complete:
         counts = {y: counts.get(y, 0) for y in c.carrier}
         if args.emit or args.dot:
             result = unravel(c, len(c.carrier))
     else:
-        # without --depth, the counts found a cycle or an imprecise value:
-        # the depth `tree_unravelling` would choose, without walking again
-        result = unravel(c, args.depth or 3 * len(c.carrier))
+        # cut at --depth, or where the counts found a cycle or an imprecise
+        # value, at the depth `tree_unravelling` would choose
+        result = unravel(c, depth or 3 * len(c.carrier))
         complete, counts = result.complete, copy_counts(result.projection)
     print(f"complete: {'true' if complete else 'false'}")
     print(f"tree states: {sum(counts.values())}")

@@ -30,6 +30,8 @@ and pickles do not see them, and a copy starts without them.
 them: the tree decision, and the DFA, multigraph and coalgebra unfoldings
 before they build a complete tree, read reachability, acyclicity and the
 size of the tree from it, and `reachable_subgraph` reads its vertices.
+Its counts are keyed in a topological order, which
+`unravelling.tree_fingerprint` reads backwards, children before parents.
 """
 
 from __future__ import annotations
@@ -256,15 +258,16 @@ def _root_paths(root: StateId, successors: Successors
                 ) -> tuple[list[StateId], dict[StateId, int] | None]:
     """One rooted walk: the states reachable from root, in breadth-first
     discovery order, and the exact number of weighted root paths to each,
-    or None for the counts when a cycle is reachable.
+    keyed in a topological order (each state after every state with an edge
+    into it), or None for the counts when a cycle is reachable.
 
     `successors(x)` yields (successor, weight) pairs, one per edge; a path's
     weight is the product of its edges' weights (slot multiplicities in a
     coalgebra), so the counts are the copies each state gets in the complete
     unravelling.  They come from Kahn's algorithm on the in-degrees of the
-    reached edges: paths(y) = sum of paths(x) * weight over edges x -> y, in
-    topological order.  A reachable cycle leaves some state with in-edges
-    never counted down.
+    reached edges: paths(y) = sum of paths(x) * weight over edges x -> y,
+    keyed as settled (`tree_fingerprint` reads that order).  A reachable
+    cycle leaves some state with in-edges never counted down.
     """
     order = [root]
     indegree = {root: 0}
@@ -278,20 +281,19 @@ def _root_paths(root: StateId, successors: Successors
             else:
                 indegree[y] = 1
                 order.append(y)
-    counts = dict.fromkeys(order, 0)
-    counts[root] = 1
+    paths = dict.fromkeys(order, 0)
+    paths[root] = 1
     ready = [root] if indegree[root] == 0 else []
-    done = 0
+    counts: dict[StateId, int] = {}
     while ready:
         x = ready.pop()
-        done += 1
-        n = counts[x]
+        n = counts[x] = paths[x]
         for y, w in out[x]:
-            counts[y] += n * w
+            paths[y] += n * w
             indegree[y] -= 1
             if indegree[y] == 0:
                 ready.append(y)
-    return order, counts if done == len(order) else None
+    return order, counts if len(counts) == len(order) else None
 
 
 def canonical_graph(c: PointedCoalgebra) -> Multigraph:

@@ -30,12 +30,12 @@ Every walk over the values of a document is column-wise: slot reading
 take one list of values per node.  Products and exponents walk a column
 per factor or letter, bags and powersets one column of all their members,
 coproducts one part per tag; `Compose` runs the outer walk with the inner
-one as its member walk.  Only the checks (`validate`, `pair`,
-`fingerprint`) take one value, `Compose` applying the inner check at each
-member slot of the outer one.  An exponent F^A is |A| copies of F, so
-products and exponents share their walks and `pair` on the `_Fields`
-base; a powerset is a bag that forgets multiplicity, so bags and
-powersets share their checks and `Cursor` reading on `_Collection`.
+one as its member walk.  Only `validate`, `pair` and `fingerprint` take
+one value, `Compose` applying the inner one at each member slot of the
+outer one.  An exponent F^A is |A| copies of F, so products and
+exponents share their walks and `pair` on the `_Fields` base; a powerset
+is a bag that forgets multiplicity, so bags and powersets share their
+checks and `Cursor` reading on `_Collection`.
 Adding a constructor touches one class, and the hooks of its shape base.
 
 Only `validate` checks a value; every other operation, `map` among them,
@@ -56,7 +56,7 @@ from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import add, attrgetter, itemgetter, not_, setitem, sub
 from typing import Union
 
-from .base import (CoalgebraError, FiniteSet, FunctorSyntaxError, NotIsomorphic,
+from .base import (CoalgebraError, FiniteSet, FunctorSyntaxError,
                    PowNotPrecise, Record, SearchSpaceTooLarge, ShapeError,
                    SpecFormatError, StateId, _guard)
 
@@ -267,7 +267,8 @@ class FunctorExpr(Record):
       non-empty powerset raises PowNotPrecise;
     precise(values): per value of a column, False when `factor` raises
       PowNotPrecise on it, decided without expanding bag multiplicities;
-    pair(va, vb, img_a, img_b): matched slots of two values with equal images;
+    pair(va, vb, img_a, img_b): matched slots of two values with equal
+      images, which `factorization_iso` checks before it pairs;
     fingerprint(value, leaf): name-free canonical text;
     parse(cur, member): spec-file value syntax, read from a line;
     show(values, member): the text of each value of a column, with
@@ -397,8 +398,6 @@ class Const(FunctorExpr):
         return values
 
     def pair(self, va, vb, img_a, img_b):
-        if va != vb:
-            raise NotIsomorphic(f"constant values differ: {va} vs {vb}")
         return iter(())
 
     def fingerprint(self, value, leaf):
@@ -549,8 +548,6 @@ class Coproduct(FunctorExpr):
         return self._by_tag(values, lambda tag, g, part: g.precise(part))
 
     def pair(self, va, vb, img_a, img_b):
-        if va.tag != vb.tag:
-            raise NotIsomorphic(f"coproduct tags differ: {va.tag} vs {vb.tag}")
         return self.summands[va.tag].pair(va.value, vb.value, img_a, img_b)
 
     def fingerprint(self, value, leaf):
@@ -728,20 +725,14 @@ class _Collection(FunctorExpr):
     def pair(self, va, vb, img_a, img_b):
         """The members of the two values, a copy per unit of multiplicity,
         grouped by their images and paired in stored order within each
-        group; fails when the image multisets differ."""
+        group."""
         groups: tuple[dict, dict] = ({}, {})
         for g, v, img in zip(groups, (va, vb), (img_a, img_b)):
             for m, n in self._entries(v):
                 g.setdefault(img(m), []).extend(repeat(m, n))
         ga, gb = groups
-        if set(ga) != set(gb):
-            raise NotIsomorphic("factorizations use different member images")
         for key, la in ga.items():
-            lb = gb[key]
-            if len(la) != len(lb):
-                raise NotIsomorphic(
-                    f"image {key!r} used {len(la)} vs {len(lb)} times")
-            yield from zip(la, lb)
+            yield from zip(la, gb[key])
 
     def fingerprint(self, value, leaf):
         tally = Counter()

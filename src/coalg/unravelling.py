@@ -28,12 +28,13 @@ copies), and one rooted walk over the slots counts them exactly
 is precise, no cycle is reachable, every state is reachable and the counts
 sum to the size of the carrier.  The walk is linear in the states plus
 slots, whatever the size of the tree.  It reads the coalgebra's successor
-table, as do the size prediction below and `tree_fingerprint`.  A complete
-unravelling that nothing reads needs no level either: `complete_counts`
-gives each state's copies, and their sum is the tree's size, so `coalg
-unravel` prints its copies from them whenever they answer, and builds the
-tree only for --depth, --emit or --dot, or when the walk finds a
-reachable cycle or an imprecise value.
+table, as does the size prediction below, and `tree_fingerprint` runs it
+too, to fingerprint children before parents.  A complete unravelling that
+nothing reads needs no level either: `complete_counts` gives each state's
+copies, and their sum is the tree's size, so `coalg unravel` prints its
+copies from them whenever they answer, and builds the tree only for --emit
+or --dot, for a --depth below the carrier's size, or when the walk finds
+a reachable cycle or an imprecise value.
 
 Cyclic inputs unravel forever, so the constructions take a depth cap, and
 `tree_unravelling` unravels completely only when the walk finds no
@@ -49,7 +50,7 @@ edges; the truncated word and path trees of `coalg.automata` use it too.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from operator import itemgetter
 
 from .base import (FiniteSet, Record, SearchSpaceTooLarge, ShapeError,
@@ -307,32 +308,15 @@ def tree_fingerprint(c: PointedCoalgebra) -> str:
     Bags are rendered as sorted child fingerprints with merged counts and
     sets as sorted deduplicated fingerprints, so sibling order and state
     names cannot leak in.  Cyclic inputs have infinite unfoldings and are
-    rejected.
+    rejected; the others are read children first, in the reverse key order
+    of the rooted walk's counts (`coalgebra._root_paths`): no recursion.
     """
-    memo: dict[StateId, str] = {x: "?" for x in c.frontier}
     table = c.successor_table()
-    # explicit DFS stack of (state, its remaining slots): states are
-    # fingerprinted in post-order, so long chains need no recursion
-    path: list[tuple[StateId, Iterator]] = []
-    on_path: set[StateId] = set()
-
-    def enter(x: StateId) -> None:
-        on_path.add(x)
-        path.append((x, iter(table[x])))
-
-    if c.point not in memo:
-        enter(c.point)
-    while path:
-        x, slots = path[-1]
-        for y, _ in slots:
-            if y in memo:
-                continue
-            if y in on_path:
-                raise ShapeError(f"cannot fingerprint a cyclic coalgebra ({y})")
-            enter(y)
-            break
-        else:
-            path.pop()
-            on_path.discard(x)
-            memo[x] = c.functor.fingerprint(c.structure[x], memo.__getitem__)
+    _, counts = _root_paths(c.point, lambda x: table.get(x, ()))
+    if counts is None:
+        raise ShapeError("cannot fingerprint a cyclic coalgebra")
+    memo: dict[StateId, str] = {}
+    for x in reversed(counts):
+        memo[x] = (c.functor.fingerprint(c.structure[x], memo.__getitem__)
+                   if x in table else "?")
     return memo[c.point]

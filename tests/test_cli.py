@@ -283,6 +283,42 @@ def test_unravel_refuses_a_complete_tree_past_the_guard(tmp_path, capsys):
     assert err.startswith("error: ") and "2199023255551 tree states" in err
 
 
+def test_a_depth_past_the_carrier_reads_the_counts(tmp_path, capsys):
+    # no root path of an acyclic coalgebra has as many edges as it has
+    # states, so a depth of at least |C| cuts nothing: the copies of the
+    # 20-state doubling chain's 1,048,575 tree states are counted, not built
+    spec = write_doubling_chain(tmp_path / "chain.spec", 20)
+    copies = ", ".join(f"v{i}={2 ** i}" for i in range(20))
+    for depth in ("20", "30"):
+        assert run(capsys, "unravel", spec, "--depth", depth) == (
+            0, f"complete: true\ntree states: 1048575\ncopies: {copies}\n")
+
+
+def test_a_depth_past_the_carrier_ends_without_a_traceback(tmp_path):
+    # the 22-state chain's 4,194,303 tree states would not fit under the cap
+    spec = write_doubling_chain(tmp_path / "chain.spec", 22)
+    code, out, err, seconds = run_capped("unravel", spec, "--depth", "30")
+    assert code == 0 and err == "" and seconds < 5.0
+    assert out[:2] == ["complete: true", "tree states: 4194303"]
+
+
+def test_a_depth_past_the_carrier_is_guarded_as_the_complete_unfolding(
+        tmp_path, monkeypatch, capsys):
+    # a depth that cuts nothing is refused as plain `unravel` refuses the
+    # complete unfolding; a shallower one by the prediction to that depth
+    monkeypatch.setenv("COALG_GUARD", "10")
+    spec = write_doubling_chain(tmp_path / "chain.spec", 5)
+    for depth in ([], ["--depth", "5"], ["--depth", "10"]):
+        assert main(["unravel", spec, *depth]) == 3
+        assert capsys.readouterr() == (
+            "", "error: the complete unfolding would have 31 tree states, "
+                "more than COALG_GUARD=10\n")
+    assert main(["unravel", spec, "--depth", "4"]) == 3
+    assert capsys.readouterr() == (
+        "", "error: the unravelling to depth 4 would have more than "
+            "COALG_GUARD=10 tree states\n")
+
+
 PARSER_ARGVS = [
     [], ["-h"], ["--help"], ["bogus"], ["bogus", "x"], ["-x", "check", "x"],
     ["check", "x"], ["check"], ["check", "x", "y"], ["check", "-h"],

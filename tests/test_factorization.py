@@ -196,6 +196,68 @@ def test_factorization_iso_rejects_factorizations_of_different_maps():
         factorization_iso(pf, precise_factorize(other))
 
 
+def by_hand(functor: str, values: dict, middle: tuple[str, ...],
+            codomain: tuple[str, ...] = ("r",)) -> PreciseFactorization:
+    """A factorization through `middle`, unchecked for precision, of the map
+    x |-> F(h)(values[x]), where h sends every middle element to r."""
+    mid = FiniteSet(middle)
+    return PreciseFactorization(
+        mid, FMap(FiniteSet(tuple(values)), mid, parse_functor(functor),
+                  values),
+        TotalMap(mid, FiniteSet(codomain), dict.fromkeys(middle, "r")))
+
+
+def doubled(m: str | None = None) -> PreciseFactorization:
+    """x |-> [r*2] over Bag: through one middle element m, as [m*2], or,
+    without m, by its precise factorization, as [x.0, x.1]."""
+    if m is None:
+        return precise_factorize(FMap(FiniteSet(("x",)), FiniteSet(("r",)),
+                                      Bag(), {"x": BagVal((("r", 2),))}))
+    return by_hand("Bag", {"x": BagVal(((m, 2),))}, (m,))
+
+
+ISO_REFUSALS = {
+    "functors": (lambda: doubled(),
+                 lambda: by_hand("Pow", {"x": SetVal(())}, ("r",)),
+                 "factorizations do not factor the same map"),
+    "domains": (lambda: doubled(),
+                lambda: by_hand("Bag", {"x": BagVal((("r", 2),)),
+                                        "z": BagVal()}, ("r",)),
+                "factorizations do not factor the same map"),
+    "codomains": (lambda: doubled(),
+                  lambda: by_hand("Bag", {"x": BagVal((("r", 2),))}, ("r",),
+                                  ("r", "q")),
+                  "factorizations have different final codomains"),
+    # [m*2] against [x.0, x.1]: m meets both
+    "matched-twice": (lambda: doubled("m"), lambda: doubled(),
+                      "middle element 'm' matched twice"),
+    # a middle element that no value uses
+    "unused": (lambda: by_hand("Bag", {"x": BagVal((("s1", 1), ("s2", 1)))},
+                               ("s1", "s2", "extra")),
+               lambda: doubled(),
+               "matching is not a bijection of middles"),
+    # [x.0, x.1] against [s*2]: both meet s
+    "not-injective": (lambda: doubled(), lambda: doubled("s"),
+                      "matching is not a bijection of middles"),
+    # sets forget how many middle elements share an image, so {m1, m2}
+    # against {s1} pairs m1 with s1 alone, and m2 meets s2 at x2
+    "transport": (lambda: by_hand("Pow", {"x1": SetVal(("m1", "m2")),
+                                          "x2": SetVal(("m2",))},
+                                  ("m1", "m2")),
+                  lambda: by_hand("Pow", {"x1": SetVal(("s1",)),
+                                          "x2": SetVal(("s2",))},
+                                  ("s1", "s2")),
+                  "matching does not transport p at 'x1'"),
+}
+
+
+@pytest.mark.parametrize("case", ISO_REFUSALS)
+def test_factorization_iso_refusals(case):
+    a, b, message = ISO_REFUSALS[case]
+    with pytest.raises(NotIsomorphic, match=f"^{message}$"):
+        factorization_iso(a(), b())
+
+
 def test_bag_copies_of_one_state_stay_separate_in_the_middle():
     f = FMap(FiniteSet(("x",)), FiniteSet(("y",)), Bag(),
              {"x": BagVal((("y", 3),))})

@@ -7,10 +7,12 @@ import pytest
 from coalg import (
     Bag,
     BagVal,
+    Edge,
     FMap,
     FiniteSet,
     IdVal,
     Identity,
+    Multigraph,
     PointedCoalgebra,
     PowNotPrecise,
     SearchSpaceTooLarge,
@@ -36,6 +38,7 @@ from coalg import (
     tree_unravelling,
     unravel,
 )
+from coalg.coalgebra import _root_paths
 from coalg.unravelling import _tree_size
 
 import generators
@@ -180,6 +183,58 @@ def test_fingerprints_of_long_chains_need_no_recursion():
     loop = PointedCoalgebra(Bag(), FiniteSet(states), structure, "c0")
     with pytest.raises(ShapeError, match="cyclic"):
         tree_fingerprint(loop)
+
+
+def test_fingerprints_of_deep_shared_dags_need_no_recursion():
+    # 2,500 chain states, each with two leaf children that it shares with
+    # its neighbours: 5,000 states, 7,499 tree states
+    n = 2500
+    chain = [f"c{i}" for i in range(n)]
+    leaves = [f"l{i}" for i in range(n)]
+    structure = {x: BagVal(((y, 1), (leaves[i], 1), (leaves[i + 1], 1)))
+                 for i, (x, y) in enumerate(zip(chain, chain[1:]))}
+    structure[chain[-1]] = BagVal(((leaves[-1], 1),))
+    structure.update((leaf, BagVal()) for leaf in leaves)
+    dag = PointedCoalgebra(Bag(), FiniteSet(chain + leaves), structure, "c0")
+    tree = tree_unravelling(dag).tree
+    assert len(tree.carrier) == 3 * n - 1
+    assert tree_fingerprint(dag) == tree_fingerprint(tree)
+
+
+def weighted_graph(c: PointedCoalgebra) -> Multigraph:
+    """The slot graph of c, with one edge per unit of each slot's weight."""
+    table = c.successor_table()
+    edges = tuple(Edge(f"{x}.{k}.{i}", x, y) for x in table
+                  for k, (y, w) in enumerate(table[x]) for i in range(w))
+    return Multigraph(c.carrier, edges, c.point)
+
+
+def test_root_path_counts_are_keyed_in_a_topological_order():
+    # every edge between reached states runs from an earlier key to a later
+    # one, and each count is the reference's number of weighted root paths
+    rng = random.Random(31)
+    walks = []  # (root, successors, the slot graph)
+    for _ in range(300):
+        g = generators.random_multigraph(rng, max_vertices=7, max_edges=10)
+        if is_acyclic(reachable_subgraph(g)):
+            walks.append((g.root, lambda v, g=g: ((e.tgt, 1)
+                                                  for e in g.out_edges(v)), g))
+    for _ in range(300):
+        c = generators.random_shared_dag(rng)
+        walks.append((c.point, c.successor_table().__getitem__,
+                      weighted_graph(c)))
+    checked = 0
+    for root, successors, g in walks:
+        order, counts = _root_paths(root, successors)
+        if counts is None:
+            assert not is_acyclic(reachable_subgraph(g))
+            continue
+        checked += 1
+        assert counts.keys() == set(order)
+        key = {x: k for k, x in enumerate(counts)}
+        assert all(key[e.src] < key[e.tgt] for e in g.edges if e.src in key)
+        assert all(n == path_count(g, v) for v, n in counts.items())
+    assert checked >= 300
 
 
 def test_complete_unravellings_are_unique_up_to_iso(shared_leaf):
